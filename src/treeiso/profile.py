@@ -4,6 +4,13 @@ Two independent routes to the same numbers: a quadratic subtree-merge
 dynamic program (edge_profile / vertex_profile) and an exhaustive
 enumeration over all 2^n vertex subsets (brute_force_profiles) that serves
 as the oracle at small n.
+
+The dynamic program merges tables once per class of equal subtrees, not
+once per vertex: two vertices share a class when their children, taken in
+merge order, have the same classes (Aho, Hopcroft & Ullman 1974, without
+sorting the children).  Every level of a complete t-ary tree is one class,
+so it costs one merge chain per level; a tree without repeated subtrees,
+such as a path, costs what a per-vertex DP does.
 """
 from __future__ import annotations
 
@@ -209,8 +216,8 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
     if not (1 <= i <= tree.n):
         raise ValueError(f"subset size {i} out of range [1, {tree.n}]")
     _check_cap(tree, size_cap)
-    final, stages = _run_dp(tree, mode, keep_stages=True)
-    root_table = final[tree.root]
+    cls, stages = _run_dp(tree, mode, keep_stages=True)
+    root_table = stages[cls[tree.root]][-1]
     in_flag = _V_IN if mode == "vertex" else _E_IN
     trans = _VERTEX_TRANS if mode == "vertex" else _EDGE_TRANS
     nflags = 3 if mode == "vertex" else 2
@@ -223,12 +230,12 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
     while work:
         v, j, s_after = work.pop()
         kids = tree.children[v]
-        tabs = stages[v]
+        tabs = stages[cls[v]]
         for m in range(len(kids), 0, -1):
             child = kids[m - 1]
             value = tabs[m][s_after][j]
             prev_tab = tabs[m - 1]
-            child_tab = final[child]
+            child_tab = stages[cls[child]][-1]
             found = None
             for s_prev in range(nflags):
                 for sc in range(nflags):
@@ -303,25 +310,59 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_dp(tree: RootedTree, mode: str, keep_stages: bool = False):
-    """Post-order DP over the tree; children merged in ascending-id order.
+def _subtree_classes(tree: RootedTree):
+    """Class id per vertex and the child-class tuple of each class.
 
-    Returns the root table, or (per-vertex final tables, per-vertex stage
-    lists) when keep_stages is set for witness backtracking.
+    A vertex's class is the interned tuple of its children's classes in
+    ascending-id merge order (Aho, Hopcroft & Ullman 1974, with the
+    children left unsorted), so two vertices share a class exactly when
+    the DP runs the same merges on the same tables for them.  Classes are
+    numbered in post-order of first appearance, which puts every child
+    class before its parents.  The interning map is dropped on return so
+    that it never adds to the DP's peak memory.
     """
-    final = [None] * tree.n
-    stages = [None] * tree.n if keep_stages else None
+    ids = {}
+    cls = [0] * tree.n
     for v in postorder(tree):
+        # Keys are built from a list: a tuple grown from an iterator is
+        # resized, and the discarded keys then pile up in CPython's tuple
+        # free list, which is memory the DP never gets back.
+        cls[v] = ids.setdefault(tuple([cls[c] for c in tree.children[v]]), len(ids))
+    return cls, list(ids)
+
+
+def _run_dp(tree: RootedTree, mode: str, keep_stages: bool = False):
+    """Post-order DP over the tree, one merge chain per subtree class.
+
+    Tables are merged once per class of _subtree_classes, and every vertex
+    of a class uses its table.  A class table is dropped once every class
+    that merges it has done so; nothing outlives the call.
+
+    Returns the root table, or (class id per vertex, stage list per class)
+    when keep_stages is set for witness backtracking; stage m of a class is
+    its table after merging its first m children, and its last stage is its
+    final table.
+    """
+    cls, keys = _subtree_classes(tree)
+    uses = [0] * len(keys)
+    for key in keys:
+        for c in key:
+            uses[c] += 1
+    final = [None] * len(keys)
+    stages = [None] * len(keys) if keep_stages else None
+    for k, key in enumerate(keys):
         table = _base_table(mode)
         if keep_stages:
-            stages[v] = [table]
-        for c in tree.children[v]:
+            stages[k] = [table]
+        for c in key:
             table = _merge(table, final[c], mode)
             if keep_stages:
-                stages[v].append(table)
+                stages[k].append(table)
             else:
-                final[c] = None
-        final[v] = table
+                uses[c] -= 1
+                if not uses[c]:
+                    final[c] = None
+        final[k] = table
     if keep_stages:
-        return final, stages
-    return final[tree.root]
+        return cls, stages
+    return final[cls[tree.root]]

@@ -138,7 +138,10 @@ def parse_tree(text, fmt: str) -> RootedTree:
     space-separated parents with -1 marking the root.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TreeFormatError(f"malformed input: not UTF-8 ({exc})") from exc
     if fmt == "json":
         return _parse_json(text)
     if fmt == "parent-list":
@@ -149,7 +152,8 @@ def parse_tree(text, fmt: str) -> RootedTree:
 def _parse_json(text: str) -> RootedTree:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the decoder's depth.
         raise TreeFormatError(f"malformed json: {exc}") from exc
     if not isinstance(obj, dict):
         raise TreeFormatError("malformed json: top-level value must be an object")
@@ -233,8 +237,16 @@ def generate_tree(
         t, d = _need(params, "t"), _need(params, "d")
         if t < 2 or d < 1:
             raise GenerationError(f"complete_tary requires t >= 2 and d >= 1, got t={t}, d={d}")
-        n = (t**d - 1) // (t - 1)
-        _check_size(n, max_vertices)
+        # Count level by level and stop past the limit: t**d for a huge d
+        # is a bignum that takes seconds to build.
+        n, level = 0, 1
+        for _ in range(d):
+            n += level
+            level *= t
+            if n > max_vertices:
+                raise GenerationError(
+                    f"complete_tary t={t}, d={d} has more than {max_vertices} vertices, the limit"
+                )
         parents = [None] + [(v - 1) // t for v in range(1, n)]
         return RootedTree.from_parents(parents, 0)
     if kind == "path":

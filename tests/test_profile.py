@@ -1,10 +1,14 @@
 """Profile DP against the exhaustive oracle, peaks, and witness subsets."""
 import itertools
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeiso import (
     IsoProfile,
+    RootedTree,
     SizeCapError,
     brute_force_profiles,
     compute_profile,
@@ -16,6 +20,8 @@ from treeiso import (
     vertex_profile,
     witness_subset,
 )
+from treeiso import profile
+from treeiso.tree import postorder
 from helpers import random_trees, structured_trees
 
 # Frozen from brute_force_profiles; the oracle tests below recompute them.
@@ -179,3 +185,157 @@ def test_boundary_evaluators_direct():
     assert vertex_boundary_size(tree, set()) == 0
     with pytest.raises(ValueError):
         edge_boundary_size(tree, {9})
+
+
+@pytest.mark.parametrize(
+    "kind, params, merges",
+    [
+        # One merge chain per level: t * (d - 1) merges.
+        ("complete_tary", {"t": 3, "d": 6}, 15),
+        # No repeated subtrees: one merge per edge, n - 1.
+        ("path", {"n": 50}, 49),
+    ],
+)
+def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges):
+    calls = []
+    merge = profile._merge
+
+    def counted(cur, child, mode):
+        calls.append(mode)
+        return merge(cur, child, mode)
+
+    monkeypatch.setattr(profile, "_merge", counted)
+    tree = generate_tree(kind, params)
+    for mode, dp in (("edge", edge_profile), ("vertex", vertex_profile)):
+        for run in (dp, lambda t: witness_subset(t, t.n // 2, mode)):
+            calls.clear()
+            run(tree)
+            assert calls == [mode] * merges
+
+
+def _live_table_peak(monkeypatch, tree, mode):
+    """Peak bytes of DP tables alive at once during one profile call."""
+    live = peak = 0
+
+    def release(nbytes):
+        nonlocal live
+        live -= nbytes
+
+    def track(table):
+        nonlocal live, peak
+        live += table.nbytes
+        peak = max(peak, live)
+        weakref.finalize(table, release, table.nbytes)
+        return table
+
+    merge, base = profile._merge, profile._base_table
+    monkeypatch.setattr(profile, "_merge", lambda cur, child, m: track(merge(cur, child, m)))
+    monkeypatch.setattr(profile, "_base_table", lambda m: track(base(m)))
+    (edge_profile if mode == "edge" else vertex_profile)(tree)
+    return peak
+
+
+def _per_vertex_table_peak(tree, rows):
+    """Peak table bytes of a DP that merges at every vertex, replayed from
+    subtree sizes: children merge in ascending id order, a table of a
+    subtree with w vertices has rows x (w + 1) float64 cells, and the
+    partial table and the child's table are dropped after each merge."""
+    cell = 8 * rows
+    size = [1] * tree.n
+    live = peak = 0
+    for v in postorder(tree):
+        s = 1
+        live += 2 * cell
+        peak = max(peak, live)
+        for c in tree.children[v]:
+            live += (s + size[c] + 1) * cell
+            peak = max(peak, live)
+            live -= (s + 1) * cell + (size[c] + 1) * cell
+            s += size[c]
+        size[v] = s
+    return peak
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("complete_tary", {"t": 2, "d": 9}),
+        ("complete_tary", {"t": 4, "d": 5}),
+        ("path", {"n": 120}),
+        ("star", {"n": 120}),
+        ("caterpillar", {"spine": 20, "legs": 4}),
+        ("random_recursive", {"n": 300}),
+        ("random_prufer", {"n": 300}),
+    ],
+)
+def test_shared_tables_freed_at_last_use(monkeypatch, kind, params):
+    tree = generate_tree(kind, params, seed=4)
+    for mode, rows in (("edge", 2), ("vertex", 3)):
+        assert _live_table_peak(monkeypatch, tree, mode) <= _per_vertex_table_peak(tree, rows)
+
+
+@st.composite
+def labelled_trees(draw, max_n=14):
+    """Random recursive shapes under a random labelling, root included."""
+    n = draw(st.integers(1, max_n))
+    parents = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    return _relabel(RootedTree.from_parents(parents, 0), draw(st.permutations(range(n))))
+
+
+def _relabel(tree, perm):
+    """The same tree with vertex v renamed perm[v]; children keep ascending ids,
+    so the merge order, and with it the subtree classes, change."""
+    parents = [None] * tree.n
+    for v, p in enumerate(tree.parent):
+        parents[perm[v]] = None if p is None else perm[p]
+    return RootedTree.from_parents(parents, perm[tree.root])
+
+
+def _spider(legs, length):
+    parents = [None]
+    for _ in range(legs):
+        parents += [0] + list(range(len(parents), len(parents) + length - 1))
+    return RootedTree.from_parents(parents, 0)
+
+
+# Trees whose vertices share subtree classes with their siblings.
+repeated_subtree_trees = st.one_of(
+    st.builds(
+        lambda t, d: generate_tree("complete_tary", {"t": t, "d": d}),
+        st.integers(2, 4),
+        st.integers(1, 4),
+    ),
+    st.builds(_spider, st.integers(1, 6), st.integers(1, 6)),
+    st.builds(
+        lambda spine, legs: generate_tree("caterpillar", {"spine": spine, "legs": legs}),
+        st.integers(1, 8),
+        st.integers(0, 4),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(labelled_trees())
+def test_dp_matches_oracle_property(tree):
+    assert (edge_profile(tree), vertex_profile(tree)) == brute_force_profiles(tree)
+
+
+@settings(deadline=None)
+@given(st.one_of(labelled_trees(40), repeated_subtree_trees), st.data())
+def test_profiles_invariant_under_relabelling(tree, data):
+    perm = data.draw(st.permutations(range(tree.n)))
+    assert compute_profile(_relabel(tree, perm)) == compute_profile(tree)
+
+
+@settings(deadline=None)
+@given(repeated_subtree_trees, st.data())
+def test_witness_attains_profile_on_repeated_subtrees(tree, data):
+    i = data.draw(st.integers(1, tree.n))
+    prof = compute_profile(tree)
+    for mode, boundary, values in (
+        ("edge", edge_boundary_size, prof.edge_values),
+        ("vertex", vertex_boundary_size, prof.vertex_values),
+    ):
+        s = witness_subset(tree, i, mode)
+        assert len(s) == i
+        assert boundary(tree, s) == values[i - 1]

@@ -1,5 +1,7 @@
 """Parsing, serialization, generators, subtree weights, and post-order."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeiso import (
     GenerationError,
@@ -76,6 +78,29 @@ def test_parent_list_bad_token_rejected():
 def test_parent_list_too_few_lines_rejected():
     with pytest.raises(TreeFormatError, match="malformed"):
         parse_tree(b"3\n0", "parent-list")
+
+
+def test_non_utf8_input_rejected():
+    for fmt in ("json", "parent-list"):
+        with pytest.raises(TreeFormatError, match="not UTF-8"):
+            parse_tree(b"\xff\xfe", fmt)
+
+
+def test_json_nested_past_decoder_depth_rejected():
+    with pytest.raises(TreeFormatError, match="malformed json"):
+        parse_tree(b"[" * 100_000, "json")
+
+
+@settings(deadline=None)
+@given(
+    st.binary(max_size=80) | st.text('-0123456789 x\n[]{}:,"nulrotpae', max_size=80).map(str.encode),
+    st.sampled_from(["json", "parent-list"]),
+)
+def test_arbitrary_bytes_parse_or_raise_tree_format_error(data, fmt):
+    try:
+        parse_tree(data, fmt)
+    except TreeFormatError:
+        pass
 
 
 def test_unknown_format_rejected():
@@ -167,6 +192,10 @@ def test_generator_param_errors():
 def test_generator_size_limit():
     with pytest.raises(GenerationError, match="limit"):
         generate_tree("complete_tary", {"t": 10, "d": 10}, max_vertices=10_000)
+    # Refused without building t**d, whose digits alone would take seconds.
+    with pytest.raises(GenerationError, match="limit"):
+        generate_tree("complete_tary", {"t": 3, "d": 10**7})
+    assert generate_tree("complete_tary", {"t": 10, "d": 4}, max_vertices=1111).n == 1111
 
 
 def test_weights_path():
