@@ -11,10 +11,14 @@ merge order, have the same classes (Aho, Hopcroft & Ullman 1974, without
 sorting the children).  Every level of a complete t-ary tree is one class,
 so it costs one merge chain per level; a tree without repeated subtrees,
 such as a path, costs what a per-vertex DP does.
+
+Each mode states its flag rules once, in a transition table that the
+merge, the one-vertex table and the witness backtracking all read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +26,10 @@ from .tree import RootedTree, postorder
 
 DEFAULT_DP_CAP = 50_000
 DEFAULT_ORACLE_LIMIT = 20
+# Largest tree the oracle enumerates, whatever limit it is given.  Its
+# tracemalloc peak measured 42-49 bytes per subset for n = 12..18, so
+# n = 24 peaks near 0.8 GB and n = 25 would reach 1.4-1.6 GB.
+ORACLE_MAX_VERTICES = 24
 
 # Flag values for the edge DP rows.
 _E_OUT, _E_IN = 0, 1
@@ -31,6 +39,7 @@ _E_OUT, _E_IN = 0, 1
 _V_OUT_UNTOUCHED, _V_OUT_TOUCHED, _V_IN = 0, 1, 2
 
 # Transition tables: (parent flag, child-root flag) -> (merge cost, new parent flag).
+# Flag 0 is the flag of an unselected vertex before any child is merged.
 _EDGE_TRANS = {
     (s, sc): (0 if s == sc else 1, s) for s in (0, 1) for sc in (0, 1)
 }
@@ -45,6 +54,32 @@ _VERTEX_TRANS = {
     (_V_IN, _V_OUT_TOUCHED): (0, _V_IN),
     (_V_IN, _V_IN): (0, _V_IN),
 }
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """One DP mode's flag rules, read off its transition table.
+
+    into[s] lists, for new parent flag s, each previous parent flag that
+    leads to s with its (child flag, cost) pairs, both in ascending flag
+    order.  base is the table of a vertex alone: flag 0, or in_flag.
+    """
+
+    in_flag: int
+    into: list
+    base: np.ndarray
+
+
+def _mode(nflags: int, in_flag: int, trans: dict) -> _Mode:
+    into = [{} for _ in range(nflags)]
+    for (s_prev, sc), (cost, s_new) in sorted(trans.items()):
+        into[s_new].setdefault(s_prev, []).append((sc, cost))
+    base = np.full((nflags, 2), np.inf)
+    base[0, 0] = base[in_flag, 1] = 0.0
+    return _Mode(in_flag, [list(g.items()) for g in into], base)
+
+
+_MODES = {"edge": _mode(2, _E_IN, _EDGE_TRANS), "vertex": _mode(3, _V_IN, _VERTEX_TRANS)}
 
 
 class SizeCapError(ValueError):
@@ -130,9 +165,11 @@ def brute_force_profiles(tree: RootedTree, limit: int = DEFAULT_ORACLE_LIMIT):
 
     Independent of the dynamic program: subsets are enumerated as bitmasks
     and both boundary sizes are read straight off the definitions.  Returns
-    (edge_values, vertex_values) indexed like IsoProfile.
+    (edge_values, vertex_values) indexed like IsoProfile.  Trees above
+    limit or ORACLE_MAX_VERTICES raise SizeCapError before any allocation.
     """
     n = tree.n
+    limit = min(limit, ORACLE_MAX_VERTICES)
     if n > limit:
         raise SizeCapError(f"tree has {n} vertices, above the oracle limit {limit}")
     masks = np.arange(1 << n, dtype=np.int64)
@@ -178,10 +215,7 @@ def edge_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
     strictly inside the subtree.  Merging a child adds one cut when the
     selection flags of parent and child differ.
     """
-    _check_cap(tree, size_cap)
-    root_table = _run_dp(tree, "edge")
-    vals = np.min(root_table, axis=0)[1:]
-    return [int(x) for x in vals]
+    return _profile(tree, "edge", size_cap)
 
 
 def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
@@ -192,10 +226,11 @@ def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
     A unit cost is paid exactly when a vertex outside the selection first
     gains a selected neighbor.
     """
-    _check_cap(tree, size_cap)
-    root_table = _run_dp(tree, "vertex")
-    vals = np.min(root_table, axis=0)[1:]
-    return [int(x) for x in vals]
+    return _profile(tree, "vertex", size_cap)
+
+
+def _profile(tree: RootedTree, mode: str, size_cap: int):
+    return [int(x) for x in np.min(_run_dp(tree, mode, size_cap), axis=0)[1:]]
 
 
 def compute_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP) -> IsoProfile:
@@ -207,23 +242,17 @@ def compute_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP) -> IsoProf
 def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_DP_CAP):
     """A subset of cardinality i attaining the profile minimum for the mode.
 
-    Deterministic: DP splits are re-read in a fixed scan order (flags
-    ascending, child allocation ascending), children in ascending-id merge
-    order, so ties always resolve the same way.
+    Deterministic: DP splits are re-read in a fixed scan order (previous
+    flag, then child flag, then child allocation, each ascending), children
+    in ascending-id merge order, so ties always resolve the same way.
     """
-    if mode not in ("edge", "vertex"):
+    rules = _MODES.get(mode)
+    if rules is None:
         raise ValueError(f"mode must be 'edge' or 'vertex', got {mode!r}")
     if not (1 <= i <= tree.n):
         raise ValueError(f"subset size {i} out of range [1, {tree.n}]")
-    _check_cap(tree, size_cap)
-    cls, stages = _run_dp(tree, mode, keep_stages=True)
-    root_table = stages[cls[tree.root]][-1]
-    in_flag = _V_IN if mode == "vertex" else _E_IN
-    trans = _VERTEX_TRANS if mode == "vertex" else _EDGE_TRANS
-    nflags = 3 if mode == "vertex" else 2
-
-    target = min(root_table[s][i] for s in range(nflags))
-    s_star = next(s for s in range(nflags) if root_table[s][i] == target)
+    cls, stages = _run_dp(tree, mode, size_cap, keep_stages=True)
+    s_star = int(np.argmin(stages[cls[tree.root]][-1][:, i]))
 
     selected = []
     work = [(tree.root, i, s_star)]
@@ -236,23 +265,18 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
             value = tabs[m][s_after][j]
             prev_tab = tabs[m - 1]
             child_tab = stages[cls[child]][-1]
-            found = None
-            for s_prev in range(nflags):
-                for sc in range(nflags):
-                    tr = trans.get((s_prev, sc))
-                    if tr is None or tr[1] != s_after:
-                        continue
-                    cost = tr[0]
-                    hi = min(j, child_tab.shape[1] - 1)
-                    lo = max(0, j - (prev_tab.shape[1] - 1))
-                    for jc in range(lo, hi + 1):
-                        if prev_tab[s_prev][j - jc] + child_tab[sc][jc] + cost == value:
-                            found = (s_prev, sc, jc)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
+            hi = min(j, child_tab.shape[1] - 1)
+            lo = max(0, j - (prev_tab.shape[1] - 1))
+            found = next(
+                (
+                    (s_prev, sc, jc)
+                    for s_prev, terms in rules.into[s_after]
+                    for sc, cost in terms
+                    for jc in range(lo, hi + 1)
+                    if prev_tab[s_prev][j - jc] + child_tab[sc][jc] + cost == value
+                ),
+                None,
+            )
             if found is None:
                 raise AssertionError("DP backtracking failed to find a split")
             s_prev, sc, jc = found
@@ -260,44 +284,36 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
             j -= jc
             s_after = s_prev
         # Base table: the vertex alone.
-        if s_after == in_flag:
+        if s_after == rules.in_flag:
             selected.append(v)
         if tabs[0][s_after][j] != 0:
             raise AssertionError("DP backtracking reached an infeasible base cell")
     return frozenset(selected)
 
 
-def _check_cap(tree: RootedTree, size_cap: int) -> None:
-    if tree.n > size_cap:
-        raise SizeCapError(f"tree has {tree.n} vertices, above the DP size cap {size_cap}")
-
-
 def _base_table(mode: str) -> np.ndarray:
-    inf = np.inf
-    if mode == "edge":
-        return np.array([[0.0, inf], [inf, 0.0]])
-    return np.array([[0.0, inf], [inf, inf], [inf, 0.0]])
+    return _MODES[mode].base.copy()
 
 
 def _merge(cur: np.ndarray, child: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "edge":
-        eff0 = np.minimum(child[0], child[1] + 1.0)
-        eff1 = np.minimum(child[1], child[0] + 1.0)
-        return np.stack([_min_plus(cur[0], eff0), _min_plus(cur[1], eff1)])
-    c_ou, c_ot, c_in = child[0], child[1], child[2]
-    out_any = np.minimum(c_ot, c_ou)
-    new0 = _min_plus(cur[0], out_any)
-    new1 = np.minimum(
-        _min_plus(cur[1], np.minimum(c_in, out_any)),
-        _min_plus(cur[0], c_in + 1.0),
-    )
-    new2 = _min_plus(cur[2], np.minimum(np.minimum(c_in, c_ot), c_ou + 1.0))
-    return np.stack([new0, new1, new2])
+    """cur with one more child merged in, by the mode's transition table.
+
+    Row s of the result is the minimum, over the transitions into s, of
+    cur[s_prev] min-plus (child[sc] + cost).  Child rows that share s_prev
+    are combined first, so each (s_prev -> s) pair costs one min-plus.
+    """
+    rules = _MODES[mode]
+    out = np.full((len(rules.into), cur.shape[1] + child.shape[1] - 1), np.inf)
+    for row, into in zip(out, rules.into):
+        for s_prev, terms in into:
+            eff = reduce(np.minimum, [child[sc] + cost if cost else child[sc] for sc, cost in terms])
+            _min_plus(cur[s_prev], eff, row)
+    return out
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus convolution; np.inf marks infeasible cells and propagates."""
-    out = np.full(a.size + b.size - 1, np.inf)
+def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Lower out (a.size + b.size - 1 cells) to the min-plus convolution of
+    a and b where that is smaller; np.inf marks infeasible cells."""
     if b.size < a.size:
         a, b = b, a
     scratch = np.empty(b.size)
@@ -307,7 +323,6 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.add(b, v, out=scratch)
         seg = out[i : i + b.size]
         np.minimum(seg, scratch, out=seg)
-    return out
 
 
 def _subtree_classes(tree: RootedTree):
@@ -331,7 +346,7 @@ def _subtree_classes(tree: RootedTree):
     return cls, list(ids)
 
 
-def _run_dp(tree: RootedTree, mode: str, keep_stages: bool = False):
+def _run_dp(tree: RootedTree, mode: str, size_cap: int, keep_stages: bool = False):
     """Post-order DP over the tree, one merge chain per subtree class.
 
     Tables are merged once per class of _subtree_classes, and every vertex
@@ -341,8 +356,10 @@ def _run_dp(tree: RootedTree, mode: str, keep_stages: bool = False):
     Returns the root table, or (class id per vertex, stage list per class)
     when keep_stages is set for witness backtracking; stage m of a class is
     its table after merging its first m children, and its last stage is its
-    final table.
+    final table.  Trees above size_cap raise SizeCapError.
     """
+    if tree.n > size_cap:
+        raise SizeCapError(f"tree has {tree.n} vertices, above the DP size cap {size_cap}")
     cls, keys = _subtree_classes(tree)
     uses = [0] * len(keys)
     for key in keys:

@@ -7,7 +7,6 @@ import json
 import math
 import random
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 from .bounds import (
@@ -104,32 +103,31 @@ def derived_parameter_bounds(profile: IsoProfile, delta: int) -> dict:
     """Lower bounds on layout/decomposition parameters implied by the profiles.
 
     pathwidth and bandwidth are bounded by the vertex peak, cutwidth by the
-    edge peak, wirelength by the profile sum, thinness by the vertex peak
-    over the maximum degree, and treewidth/carving-width by the largest
-    half-window minimum of the vertex profile.
+    edge peak, wirelength by the profile sum, and thinness by the vertex
+    peak over the maximum degree.
     """
-    bv = profile.vertex_values
-    window_best = 0
-    dq = deque()
-    for j in range(1, profile.n + 1):
-        while dq and bv[dq[-1] - 1] >= bv[j - 1]:
-            dq.pop()
-        dq.append(j)
-        lo = (j + 1) // 2
-        while dq[0] < lo:
-            dq.popleft()
-        if bv[dq[0] - 1] > window_best:
-            window_best = bv[dq[0] - 1]
     thinness = -(-profile.vertex_peak // delta) if delta > 0 else 0
     return {
         "pathwidth_lb": profile.vertex_peak,
         "bandwidth_lb": profile.vertex_peak,
         "cutwidth_lb": profile.edge_peak,
-        "treewidth_lb": max(0, window_best - 1),
-        "carvingwidth_lb": window_best,
         "wirelength_lb": sum(profile.edge_values),
         "thinness_lb": thinness,
     }
+
+
+def _cut_count_table(edge_values, eta: int, k_cap: int):
+    """Rows {k, ell, bound} for k = 0..k_cap, where ell(k) counts the
+    cardinalities with minimum edge boundary <= k and bound is
+    2*C(2*eta + k, k); and whether ell <= bound in every row."""
+    table = []
+    ok = True
+    for k in range(k_cap + 1):
+        ell = count_sizes_with_cut_at_most(edge_values, k)
+        bound = cut_count_upper_bound(eta, k)
+        table.append({"k": k, "ell": ell, "bound": str(bound)})
+        ok = ok and ell <= bound
+    return table, ok
 
 
 def analyze_tree(
@@ -150,6 +148,8 @@ def analyze_tree(
     lower bound, prefix dominance, and the peak sandwich.  Ceiling and
     closed-form checks are reported as findings and never gate.
     """
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     source = dict(source or {})
     weights = subtree_weights(tree)
     delta = tree.max_degree()
@@ -191,14 +191,7 @@ def analyze_tree(
     )
 
     k_cap = profile.edge_peak if k_max is None else min(k_max, profile.edge_peak)
-    table = []
-    count_bound_ok = True
-    for k in range(k_cap + 1):
-        ell = count_sizes_with_cut_at_most(profile.edge_values, k)
-        bound = cut_count_upper_bound(weights.eta, k)
-        table.append({"k": k, "ell": ell, "bound": str(bound)})
-        if ell > bound:
-            count_bound_ok = False
+    table, count_bound_ok = _cut_count_table(profile.edge_values, weights.eta, k_cap)
     verdicts.append(
         Verdict(
             "cut_count_bound: ell(k) <= 2*C(2*eta+k, k)",
@@ -398,11 +391,7 @@ def sweep_rows(max_vertices: int = 50_000, dp_cap: int = 50_000) -> list:
             weights = subtree_weights(tree)
             profile = compute_profile(tree, dp_cap)
             p = edge_peak_lower_bound(tree.n, weights.eta)
-            ok = all(
-                count_sizes_with_cut_at_most(profile.edge_values, k)
-                <= cut_count_upper_bound(weights.eta, k)
-                for k in range(profile.edge_peak + 1)
-            )
+            _, ok = _cut_count_table(profile.edge_values, weights.eta, profile.edge_peak)
             rows.append(
                 {
                     "t": t,

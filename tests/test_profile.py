@@ -1,7 +1,11 @@
 """Profile DP against the exhaustive oracle, peaks, and witness subsets."""
 import itertools
+import math
+import random
+import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,11 +144,45 @@ def test_witness_consistency():
             assert vertex_boundary_size(tree, sv) == vp[i - 1], label
 
 
+# Exact witness sets.  They pin the tie order of the split scan (previous
+# flag, child flag, child allocation, each ascending; children in
+# ascending-id order), which self-consistency checks alone do not.
+WITNESS_TREES = {
+    "bin3": ("complete_tary", {"t": 2, "d": 3}, 0),
+    "star": ("star", {"n": 6}, 0),
+    "caterpillar": ("caterpillar", {"spine": 4, "legs": 2}, 0),
+    "prufer": ("random_prufer", {"n": 13}, 21),
+}
+WITNESS_SETS = {
+    ("bin3", "edge"): {1: [3], 2: [3, 4], 3: [1, 3, 4], 5: [0, 1, 3, 4, 5]},
+    ("bin3", "vertex"): {1: [4], 2: [3, 4], 3: [2, 5, 6], 5: [0, 1, 3, 4, 6]},
+    ("star", "edge"): {1: [1], 2: [1, 2], 4: [0, 1, 2, 3], 5: [0, 1, 2, 3, 4]},
+    ("star", "vertex"): {1: [5], 2: [1, 2], 4: [1, 2, 3, 4], 5: [1, 2, 3, 4, 5]},
+    ("caterpillar", "edge"): {
+        1: [10], 4: [3, 8, 10, 11], 5: [2, 3, 8, 10, 11], 7: [2, 3, 6, 8, 9, 10, 11]
+    },
+    ("caterpillar", "vertex"): {
+        1: [11], 4: [3, 8, 10, 11], 5: [3, 8, 9, 10, 11], 7: [2, 3, 6, 8, 9, 10, 11]
+    },
+    ("prufer", "edge"): {
+        2: [3, 9], 3: [1, 5, 6], 5: [1, 3, 5, 6, 9], 10: [1, 3, 4, 5, 6, 7, 8, 9, 10, 12]
+    },
+    ("prufer", "vertex"): {
+        2: [1, 5], 3: [1, 5, 6], 5: [0, 2, 3, 9, 11], 10: [1, 3, 4, 5, 6, 7, 8, 9, 10, 12]
+    },
+}
+
+
 def test_witness_deterministic():
     tree = generate_tree("random_prufer", {"n": 13}, seed=21)
     for i in (1, 4, 7, 13):
         assert witness_subset(tree, i, "edge") == witness_subset(tree, i, "edge")
         assert witness_subset(tree, i, "vertex") == witness_subset(tree, i, "vertex")
+    for (name, mode), expected in WITNESS_SETS.items():
+        kind, params, seed = WITNESS_TREES[name]
+        tree = generate_tree(kind, params, seed=seed)
+        got = {i: sorted(witness_subset(tree, i, mode)) for i in expected}
+        assert got == expected, (name, mode)
 
 
 def test_witness_argument_errors():
@@ -167,6 +205,20 @@ def test_oracle_limit_enforced():
     tree = generate_tree("path", {"n": 25})
     with pytest.raises(SizeCapError):
         brute_force_profiles(tree, limit=20)
+
+
+def test_oracle_refuses_above_its_ceiling_without_allocating():
+    """Any limit is capped at ORACLE_MAX_VERTICES; the enumeration over
+    2^(ceiling + 1) subsets must never start."""
+    tree = generate_tree("path", {"n": profile.ORACLE_MAX_VERTICES + 1})
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            brute_force_profiles(tree, limit=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dp_cap_enforced():
@@ -211,6 +263,34 @@ def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges)
             calls.clear()
             run(tree)
             assert calls == [mode] * merges
+
+
+@pytest.mark.parametrize(
+    "mode, trans", [("edge", profile._EDGE_TRANS), ("vertex", profile._VERTEX_TRANS)]
+)
+def test_merge_follows_transition_table(mode, trans):
+    """_merge equals min over (s_prev, sc, jc) of cur[s_prev][j - jc] +
+    child[sc][jc] + cost, evaluated straight from the transition table."""
+    rng = random.Random(7)
+    nflags = 1 + max(s for s, _ in trans)
+
+    def table(width):
+        return np.array(
+            [
+                [math.inf if rng.random() < 0.3 else float(rng.randint(0, 9)) for _ in range(width)]
+                for _ in range(nflags)
+            ]
+        )
+
+    for _ in range(60):
+        cur, child = table(rng.randint(1, 7)), table(rng.randint(1, 7))
+        expected = np.full((nflags, cur.shape[1] + child.shape[1] - 1), math.inf)
+        for (s_prev, sc), (cost, s_new) in trans.items():
+            for j in range(expected.shape[1]):
+                for jc in range(max(0, j - cur.shape[1] + 1), min(j, child.shape[1] - 1) + 1):
+                    cell = cur[s_prev][j - jc] + child[sc][jc] + cost
+                    expected[s_new][j] = min(expected[s_new][j], cell)
+        assert np.array_equal(profile._merge(cur, child, mode), expected)
 
 
 def _live_table_peak(monkeypatch, tree, mode):
