@@ -14,6 +14,9 @@ such as a path, costs what a per-vertex DP does.
 
 Each mode states its flag rules once, in a transition table that the
 merge, the one-vertex table and the witness backtracking all read.
+
+Every DP table is int32 with _INF marking infeasible cells, so the
+profiles are computed in exact integer arithmetic.
 """
 from __future__ import annotations
 
@@ -26,10 +29,18 @@ from .tree import RootedTree, postorder
 
 DEFAULT_DP_CAP = 50_000
 DEFAULT_ORACLE_LIMIT = 20
-# Largest tree the oracle enumerates, whatever limit it is given.  Its
-# tracemalloc peak measured 42-49 bytes per subset for n = 12..18, so
-# n = 24 peaks near 0.8 GB and n = 25 would reach 1.4-1.6 GB.
+# Largest tree the oracle enumerates, whatever limit it is given.  This
+# bounds time, not memory (see _ORACLE_CHUNK): the time doubles with every
+# vertex, and a path with n = 24 took about 4 s on a 2-vCPU Xeon VM.
 ORACLE_MAX_VERTICES = 24
+# Subsets the oracle evaluates per numpy pass, so that its working arrays
+# stay at a few MiB whatever n is.
+_ORACLE_CHUNK = 1 << 16
+
+# Infeasible-cell sentinel of the int32 DP tables.  Feasible cells are cut
+# counts of at most n, far below it, and 2 * _INF + 1 still fits in int32,
+# so no sum of two cells plus a unit cost overflows.
+_INF = np.iinfo(np.int32).max // 2 - 1
 
 # Flag values for the edge DP rows.
 _E_OUT, _E_IN = 0, 1
@@ -74,8 +85,8 @@ def _mode(nflags: int, in_flag: int, trans: dict) -> _Mode:
     into = [{} for _ in range(nflags)]
     for (s_prev, sc), (cost, s_new) in sorted(trans.items()):
         into[s_new].setdefault(s_prev, []).append((sc, cost))
-    base = np.full((nflags, 2), np.inf)
-    base[0, 0] = base[in_flag, 1] = 0.0
+    base = np.full((nflags, 2), _INF, dtype=np.int32)
+    base[0, 0] = base[in_flag, 1] = 0
     return _Mode(in_flag, [list(g.items()) for g in into], base)
 
 
@@ -164,33 +175,34 @@ def brute_force_profiles(tree: RootedTree, limit: int = DEFAULT_ORACLE_LIMIT):
     """Exact profiles by evaluating the boundary of every one of the 2^n subsets.
 
     Independent of the dynamic program: subsets are enumerated as bitmasks
-    and both boundary sizes are read straight off the definitions.  Returns
-    (edge_values, vertex_values) indexed like IsoProfile.  Trees above
-    limit or ORACLE_MAX_VERTICES raise SizeCapError before any allocation.
+    and both boundary sizes are read straight off the definitions, in
+    chunks of _ORACLE_CHUNK subsets.  Returns (edge_values, vertex_values)
+    indexed like IsoProfile.  Trees above limit or ORACLE_MAX_VERTICES
+    raise SizeCapError before any allocation.
     """
     n = tree.n
     limit = min(limit, ORACLE_MAX_VERTICES)
     if n > limit:
         raise SizeCapError(f"tree has {n} vertices, above the oracle limit {limit}")
-    masks = np.arange(1 << n, dtype=np.int64)
-    size = np.zeros(masks.size, dtype=np.int64)
-    for v in range(n):
-        size += (masks >> v) & 1
-    cut = np.zeros(masks.size, dtype=np.int64)
-    for v, p in tree.edges():
-        cut += ((masks >> v) ^ (masks >> p)) & 1
+    edges = tree.edges()
     adj = tree.adjacency()
-    touched = np.zeros(masks.size, dtype=np.int64)
-    for v in range(n):
-        nbr_mask = 0
-        for u in adj[v]:
-            nbr_mask |= 1 << u
-        touched += (((masks >> v) & 1) == 0) & ((masks & nbr_mask) != 0)
+    nbr_masks = [sum(1 << u for u in adj[v]) for v in range(n)]
     sentinel = np.iinfo(np.int64).max
     edge_best = np.full(n + 1, sentinel, dtype=np.int64)
     vert_best = np.full(n + 1, sentinel, dtype=np.int64)
-    np.minimum.at(edge_best, size, cut)
-    np.minimum.at(vert_best, size, touched)
+    for start in range(0, 1 << n, _ORACLE_CHUNK):
+        masks = np.arange(start, min(start + _ORACLE_CHUNK, 1 << n), dtype=np.int64)
+        size = np.zeros(masks.size, dtype=np.int64)
+        for v in range(n):
+            size += (masks >> v) & 1
+        cut = np.zeros(masks.size, dtype=np.int64)
+        for v, p in edges:
+            cut += ((masks >> v) ^ (masks >> p)) & 1
+        touched = np.zeros(masks.size, dtype=np.int64)
+        for v, nbr_mask in enumerate(nbr_masks):
+            touched += (((masks >> v) & 1) == 0) & ((masks & nbr_mask) != 0)
+        np.minimum.at(edge_best, size, cut)
+        np.minimum.at(vert_best, size, touched)
     return (
         [int(x) for x in edge_best[1:]],
         [int(x) for x in vert_best[1:]],
@@ -303,7 +315,7 @@ def _merge(cur: np.ndarray, child: np.ndarray, mode: str) -> np.ndarray:
     are combined first, so each (s_prev -> s) pair costs one min-plus.
     """
     rules = _MODES[mode]
-    out = np.full((len(rules.into), cur.shape[1] + child.shape[1] - 1), np.inf)
+    out = np.full((len(rules.into), cur.shape[1] + child.shape[1] - 1), _INF, dtype=np.int32)
     for row, into in zip(out, rules.into):
         for s_prev, terms in into:
             eff = reduce(np.minimum, [child[sc] + cost if cost else child[sc] for sc, cost in terms])
@@ -313,12 +325,19 @@ def _merge(cur: np.ndarray, child: np.ndarray, mode: str) -> np.ndarray:
 
 def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """Lower out (a.size + b.size - 1 cells) to the min-plus convolution of
-    a and b where that is smaller; np.inf marks infeasible cells."""
+    a and b where that is smaller.
+
+    All three are int32 and cells at or above _INF are infeasible.  Cells
+    of a and b are at most _INF + 1 (a sentinel plus a unit cost), and rows
+    of a at or above _INF are skipped, so no sum exceeds 2 * _INF and none
+    overflows.  out holds at most _INF, so np.minimum saturates every
+    infeasible sum back to _INF without a further pass.
+    """
     if b.size < a.size:
         a, b = b, a
-    scratch = np.empty(b.size)
+    scratch = np.empty(b.size, dtype=np.int32)
     for i, v in enumerate(a.tolist()):
-        if v == np.inf:
+        if v >= _INF:
             continue
         np.add(b, v, out=scratch)
         seg = out[i : i + b.size]

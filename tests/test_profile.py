@@ -1,13 +1,12 @@
 """Profile DP against the exhaustive oracle, peaks, and witness subsets."""
 import itertools
-import math
 import random
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeiso import (
@@ -221,6 +220,20 @@ def test_oracle_refuses_above_its_ceiling_without_allocating():
     assert peak < 1 << 20
 
 
+def test_oracle_memory_is_bounded_by_its_chunk():
+    """The oracle enumerates subsets in fixed chunks, so at n = 20 its
+    tracemalloc peak stays a few MiB, not the 2^20-entry arrays' 42 MiB."""
+    tree = generate_tree("random_prufer", {"n": 20}, seed=3)
+    tracemalloc.start()
+    try:
+        result = brute_force_profiles(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert result == (edge_profile(tree), vertex_profile(tree))
+
+
 def test_dp_cap_enforced():
     tree = generate_tree("path", {"n": 100})
     with pytest.raises(SizeCapError):
@@ -270,27 +283,32 @@ def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges)
 )
 def test_merge_follows_transition_table(mode, trans):
     """_merge equals min over (s_prev, sc, jc) of cur[s_prev][j - jc] +
-    child[sc][jc] + cost, evaluated straight from the transition table."""
+    child[sc][jc] + cost, evaluated straight from the transition table,
+    with every sum at or above profile._INF saturated to it."""
     rng = random.Random(7)
     nflags = 1 + max(s for s, _ in trans)
+    inf = profile._INF
 
     def table(width):
         return np.array(
             [
-                [math.inf if rng.random() < 0.3 else float(rng.randint(0, 9)) for _ in range(width)]
+                [inf if rng.random() < 0.3 else rng.randint(0, 9) for _ in range(width)]
                 for _ in range(nflags)
-            ]
+            ],
+            dtype=np.int32,
         )
 
     for _ in range(60):
         cur, child = table(rng.randint(1, 7)), table(rng.randint(1, 7))
-        expected = np.full((nflags, cur.shape[1] + child.shape[1] - 1), math.inf)
+        expected = [[inf] * (cur.shape[1] + child.shape[1] - 1) for _ in range(nflags)]
         for (s_prev, sc), (cost, s_new) in trans.items():
-            for j in range(expected.shape[1]):
+            for j in range(len(expected[0])):
                 for jc in range(max(0, j - cur.shape[1] + 1), min(j, child.shape[1] - 1) + 1):
-                    cell = cur[s_prev][j - jc] + child[sc][jc] + cost
-                    expected[s_new][j] = min(expected[s_new][j], cell)
-        assert np.array_equal(profile._merge(cur, child, mode), expected)
+                    cell = int(cur[s_prev][j - jc]) + int(child[sc][jc]) + cost
+                    expected[s_new][j] = min(inf, expected[s_new][j], cell)
+        merged = profile._merge(cur, child, mode)
+        assert merged.dtype == np.int32
+        assert merged.tolist() == expected
 
 
 def _live_table_peak(monkeypatch, tree, mode):
@@ -318,9 +336,9 @@ def _live_table_peak(monkeypatch, tree, mode):
 def _per_vertex_table_peak(tree, rows):
     """Peak table bytes of a DP that merges at every vertex, replayed from
     subtree sizes: children merge in ascending id order, a table of a
-    subtree with w vertices has rows x (w + 1) float64 cells, and the
-    partial table and the child's table are dropped after each merge."""
-    cell = 8 * rows
+    subtree with w vertices has rows x (w + 1) cells of the DP's dtype, and
+    the partial table and the child's table are dropped after each merge."""
+    cell = profile._base_table("edge").itemsize * rows
     size = [1] * tree.n
     live = peak = 0
     for v in postorder(tree):
@@ -419,3 +437,41 @@ def test_witness_attains_profile_on_repeated_subtrees(tree, data):
         s = witness_subset(tree, i, mode)
         assert len(s) == i
         assert boundary(tree, s) == values[i - 1]
+
+
+def test_sentinel_headroom_and_base_table():
+    """Two sentinel cells plus the largest transition cost, the largest sum
+    _min_plus and the witness scan can form, fit in int32; the one-vertex
+    table holds the sentinel in every cell but its two feasible ones."""
+    max_cost = max(cost for trans in (profile._EDGE_TRANS, profile._VERTEX_TRANS)
+                   for cost, _ in trans.values())
+    assert 0 <= 2 * profile._INF + max_cost <= np.iinfo(np.int32).max
+    for mode in ("edge", "vertex"):
+        base = profile._base_table(mode)
+        assert base.dtype == np.int32
+        expected = np.full(base.shape, profile._INF)
+        expected[0, 0] = expected[profile._MODES[mode].in_flag, 1] = 0
+        assert base.tolist() == expected.tolist()
+
+
+@settings(deadline=None)
+@given(labelled_trees(60))
+@example(generate_tree("path", {"n": 60}))
+@example(generate_tree("star", {"n": 60}))
+@example(generate_tree("complete_tary", {"t": 3, "d": 3}))
+def test_stage_tables_are_int32_within_sentinel(tree):
+    """Every stage table is int32 with cells in [0, _INF], and cells no
+    subset can reach hold _INF exactly: the root outside a subtree that
+    selects all w of its vertices, and the root selected with none."""
+    for mode in ("edge", "vertex"):
+        in_flag = profile._MODES[mode].in_flag
+        cls, stages = profile._run_dp(tree, mode, profile.DEFAULT_DP_CAP, keep_stages=True)
+        for tabs in stages:
+            for tab in tabs:
+                assert tab.dtype == np.int32
+                assert tab.min() >= 0 and tab.max() <= profile._INF
+        for v in range(tree.n):
+            final = stages[cls[v]][-1]
+            w = final.shape[1] - 1
+            assert final[0][w] == profile._INF
+            assert final[in_flag][0] == profile._INF
