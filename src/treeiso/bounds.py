@@ -40,24 +40,14 @@ class FluxCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class SandwichCheck:
-    edge_peak: int
-    vertex_peak: int
-    delta: int
-    passed: bool
-
-
 def flux_assignment(tree: RootedTree, members, weights: WeightTable) -> FluxAssignment:
     """Label boundary edges of the subset with signed subtree weights."""
     subset = frozenset(members)
-    for v in subset:
-        if not (0 <= v < tree.n):
-            raise ValueError(f"vertex {v} out of range [0, {tree.n})")
-    root_value = tree.n if tree.root in subset else 0
+    inside = tree.membership(subset)
+    root_value = tree.n if inside[tree.root] else 0
     edge_values = {}
     for v, p in tree.edges():
-        v_in, p_in = v in subset, p in subset
+        v_in, p_in = inside[v], inside[p]
         if v_in == p_in:
             edge_values[(v, p)] = 0
         elif v_in:
@@ -75,11 +65,6 @@ def check_flux_conservation(tree: RootedTree, members, weights: WeightTable = No
     total = assignment.total()
     expected = len(assignment.subset)
     return FluxCheck(total=total, expected=expected, passed=total == expected)
-
-
-def binomial(a: int, b: int) -> int:
-    """Exact C(a, b) for nonnegative integers; 0 when b > a."""
-    return math.comb(a, b)
 
 
 def cut_count_upper_bound(eta: int, k: int) -> int:
@@ -155,15 +140,9 @@ def prefix_upper_bounds(tree: RootedTree):
     return edge_ub, vertex_ub
 
 
-def sandwich_check(profile: IsoProfile, delta: int) -> SandwichCheck:
+def sandwich_check(profile: IsoProfile, delta: int) -> bool:
     """Peak sandwich: edge_peak >= vertex_peak and delta*vertex_peak >= edge_peak."""
-    passed = (
+    return (
         profile.edge_peak >= profile.vertex_peak
         and delta * profile.vertex_peak >= profile.edge_peak
-    )
-    return SandwichCheck(
-        edge_peak=profile.edge_peak,
-        vertex_peak=profile.vertex_peak,
-        delta=delta,
-        passed=passed,
     )

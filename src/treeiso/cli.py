@@ -4,8 +4,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .profile import SizeCapError, compute_profile
-from .report import TreeEntry, analyze_tree, emit, sweep_rows, verify_suite
+from .profile import DEFAULT_DP_CAP, DEFAULT_ORACLE_LIMIT, SizeCapError, compute_profile
+from .report import FORMATS, TreeEntry, analyze_tree, emit, sweep_rows, verify_suite
 from .tree import (
     DEFAULT_MAX_VERTICES,
     GenerationError,
@@ -51,24 +51,33 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None, help="output path (default: stdout)")
     gen.set_defaults(func=_cmd_generate)
 
-    prof = sub.add_parser("profile", help="exact edge/vertex profiles of a tree file")
+    # Flags shared by the commands that run the DP and emit a report.
+    report_flags = argparse.ArgumentParser(add_help=False)
+    report_flags.add_argument("--dp-cap", type=int, default=DEFAULT_DP_CAP)
+    report_flags.add_argument("--out", default=None)
+    # Flags shared by the commands that check bounds.
+    check_flags = argparse.ArgumentParser(add_help=False)
+    check_flags.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    check_flags.add_argument("--seed", type=int, default=0)
+    check_flags.add_argument("--k-max", type=int, default=None)
+
+    prof = sub.add_parser(
+        "profile", parents=[report_flags], help="exact edge/vertex profiles of a tree file"
+    )
     prof.add_argument("tree")
-    prof.add_argument("--format", choices=("csv", "json"), default="csv")
-    prof.add_argument("--dp-cap", type=int, default=50_000)
-    prof.add_argument("--out", default=None)
+    prof.add_argument("--format", choices=FORMATS, default="csv")
     prof.set_defaults(func=_cmd_profile)
 
-    bnd = sub.add_parser("bounds", help="full bounds report for a tree file")
+    bnd = sub.add_parser(
+        "bounds", parents=[report_flags, check_flags], help="full bounds report for a tree file"
+    )
     bnd.add_argument("tree")
-    bnd.add_argument("--format", choices=("csv", "json"), default="json")
-    bnd.add_argument("--dp-cap", type=int, default=50_000)
-    bnd.add_argument("--oracle-limit", type=int, default=20)
-    bnd.add_argument("--k-max", type=int, default=None)
-    bnd.add_argument("--seed", type=int, default=0)
-    bnd.add_argument("--out", default=None)
+    bnd.add_argument("--format", choices=FORMATS, default="json")
     bnd.set_defaults(func=_cmd_bounds)
 
-    ver = sub.add_parser("verify", help="run the verification suite over trees")
+    ver = sub.add_parser(
+        "verify", parents=[report_flags, check_flags], help="run the verification suite over trees"
+    )
     ver.add_argument("trees", nargs="*", help="tree files (json or parent-list)")
     ver.add_argument(
         "--gen",
@@ -77,20 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KIND:K=V,...",
         help="generated tree spec, repeatable (e.g. --gen complete_tary:t=2,d=3)",
     )
-    ver.add_argument("--format", choices=("csv", "json"), default="json")
-    ver.add_argument("--oracle-limit", type=int, default=20)
-    ver.add_argument("--dp-cap", type=int, default=50_000)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--k-max", type=int, default=None)
-    ver.add_argument("--out", default=None)
+    ver.add_argument("--format", choices=FORMATS, default="json")
     ver.set_defaults(func=_cmd_verify)
 
     tables = sub.add_parser(
-        "paper-tables", help="peak/bound sweep over complete t-ary trees"
+        "paper-tables", parents=[report_flags], help="peak/bound sweep over complete t-ary trees"
     )
-    tables.add_argument("--format", choices=("csv", "json"), default="csv")
-    tables.add_argument("--dp-cap", type=int, default=50_000)
-    tables.add_argument("--out", default=None)
+    tables.add_argument("--format", choices=FORMATS, default="csv")
     tables.set_defaults(func=_cmd_tables)
 
     return parser
@@ -189,7 +191,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    rows = sweep_rows(max_vertices=args.dp_cap, dp_cap=args.dp_cap)
+    rows = sweep_rows(max_vertices=args.dp_cap)
     emit(rows, args.format, args.out)
     return 0
 

@@ -147,28 +147,19 @@ class IsoProfile:
 
 def edge_boundary_size(tree: RootedTree, members) -> int:
     """Number of edges with exactly one endpoint in the given vertex set."""
-    inside = _membership(tree, members)
+    inside = tree.membership(members)
     return sum(1 for v, p in tree.edges() if inside[v] != inside[p])
 
 
 def vertex_boundary_size(tree: RootedTree, members) -> int:
     """Number of vertices outside the set adjacent to at least one member."""
-    inside = _membership(tree, members)
+    inside = tree.membership(members)
     adj = tree.adjacency()
     return sum(
         1
         for v in range(tree.n)
         if not inside[v] and any(inside[u] for u in adj[v])
     )
-
-
-def _membership(tree: RootedTree, members) -> list:
-    inside = [False] * tree.n
-    for v in members:
-        if not (0 <= v < tree.n):
-            raise ValueError(f"vertex {v} out of range [0, {tree.n})")
-        inside[v] = True
-    return inside
 
 
 def brute_force_profiles(tree: RootedTree, limit: int = DEFAULT_ORACLE_LIMIT):

@@ -19,6 +19,8 @@ from .bounds import (
     sandwich_check,
 )
 from .profile import (
+    DEFAULT_DP_CAP,
+    DEFAULT_ORACLE_LIMIT,
     IsoProfile,
     SizeCapError,
     brute_force_profiles,
@@ -26,7 +28,10 @@ from .profile import (
 )
 from .tree import RootedTree, generate_tree, subtree_weights
 
-DEFAULT_FLUX_SUBSETS = 32
+FORMATS = ("csv", "json")
+# Random subsets per tree in the flux-conservation check, the empty and the
+# full set included.
+FLUX_SUBSETS = 32
 FLOAT_TOL = 1e-9
 
 SWEEP_BINARY_DEPTHS = tuple(range(2, 14))
@@ -134,10 +139,9 @@ def analyze_tree(
     tree: RootedTree,
     source: dict = None,
     *,
-    oracle_limit: int = 20,
+    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     k_max: int = None,
-    dp_cap: int = 50_000,
-    flux_subsets: int = DEFAULT_FLUX_SUBSETS,
+    dp_cap: int = DEFAULT_DP_CAP,
     suite_seed: int = 0,
     flux_counter: int = 0,
 ) -> BoundsReport:
@@ -173,7 +177,7 @@ def analyze_tree(
     flux_seed = suite_seed * 1_000_003 + flux_counter
     rng = random.Random(flux_seed)
     subsets = [frozenset(), frozenset(range(n))]
-    for _ in range(max(0, flux_subsets - 2)):
+    for _ in range(FLUX_SUBSETS - 2):
         bits = rng.getrandbits(n)
         subsets.append(frozenset(v for v in range(n) if (bits >> v) & 1))
     flux_failures = []
@@ -239,13 +243,13 @@ def analyze_tree(
         )
     )
 
-    sandwich = sandwich_check(profile, delta)
+    sandwich_ok = sandwich_check(profile, delta)
     verdicts.append(
         Verdict(
             "sandwich: edge_peak >= vertex_peak >= edge_peak/delta",
-            sandwich.passed,
-            f"edge_peak = {sandwich.edge_peak}, vertex_peak = {sandwich.vertex_peak}, "
-            f"delta = {sandwich.delta}",
+            sandwich_ok,
+            f"edge_peak = {profile.edge_peak}, vertex_peak = {profile.vertex_peak}, "
+            f"delta = {delta}",
         )
     )
 
@@ -261,27 +265,19 @@ def analyze_tree(
     if source.get("kind") == "complete_tary":
         t = source["params"]["t"]
         d = weights.depth
-        findings.append(
-            Verdict(
-                "tary_edge_upper_td: edge_peak <= t*d",
-                profile.edge_peak <= t * d,
-                f"edge_peak = {profile.edge_peak}, t*d = {t * d}",
+        for name, peak, label, ceiling in (
+            ("tary_edge_upper_td", "edge_peak", "t*d", t * d),
+            ("tary_edge_upper_(t-1)d", "edge_peak", "(t-1)*d", (t - 1) * d),
+            ("tary_vertex_upper_d", "vertex_peak", "d", d),
+        ):
+            value = getattr(profile, peak)
+            findings.append(
+                Verdict(
+                    f"{name}: {peak} <= {label}",
+                    value <= ceiling,
+                    f"{peak} = {value}, {label} = {ceiling}",
+                )
             )
-        )
-        findings.append(
-            Verdict(
-                "tary_edge_upper_(t-1)d: edge_peak <= (t-1)*d",
-                profile.edge_peak <= (t - 1) * d,
-                f"edge_peak = {profile.edge_peak}, (t-1)*d = {(t - 1) * d}",
-            )
-        )
-        findings.append(
-            Verdict(
-                "tary_vertex_upper_d: vertex_peak <= d",
-                profile.vertex_peak <= d,
-                f"vertex_peak = {profile.vertex_peak}, d = {d}",
-            )
-        )
 
     return BoundsReport(
         tree={**source, "n": n, "depth": weights.depth, "delta": delta, "eta": weights.eta},
@@ -300,7 +296,7 @@ def analyze_tree(
             "prefix_edge_max": max(edge_ub),
             "prefix_vertex_max": max(vertex_ub),
             "corollary3_be_lb": be_lb,
-            "sandwich_pass": sandwich.passed,
+            "sandwich_pass": sandwich_ok,
         },
         derived=derived_parameter_bounds(profile, delta),
         flux={"suite_seed": suite_seed, "counter": flux_counter, "subsets": len(subsets)},
@@ -312,11 +308,10 @@ def analyze_tree(
 def verify_suite(
     items,
     *,
-    oracle_limit: int = 20,
+    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     k_max: int = None,
-    dp_cap: int = 50_000,
+    dp_cap: int = DEFAULT_DP_CAP,
     seed: int = 0,
-    flux_subsets: int = DEFAULT_FLUX_SUBSETS,
 ) -> SuiteResult:
     """Run every check on a list of trees; items are RootedTree or TreeEntry.
 
@@ -340,7 +335,6 @@ def verify_suite(
                     oracle_limit=oracle_limit,
                     k_max=k_max,
                     dp_cap=dp_cap,
-                    flux_subsets=flux_subsets,
                     suite_seed=seed,
                     flux_counter=counter,
                 )
@@ -359,7 +353,7 @@ def verify_suite(
             "oracle_limit": oracle_limit,
             "k_max": k_max,
             "dp_cap": dp_cap,
-            "flux_subsets": flux_subsets,
+            "flux_subsets": FLUX_SUBSETS,
         },
         reports=reports,
         errors=errors,
@@ -367,14 +361,15 @@ def verify_suite(
     )
 
 
-def sweep_rows(max_vertices: int = 50_000, dp_cap: int = 50_000) -> list:
+def sweep_rows(max_vertices: int = DEFAULT_DP_CAP) -> list:
     """Peak measurements across complete t-ary trees at desk scale.
 
     Binary trees for depths 2..13 plus branching factors 3, 4, 5 and 9 with
-    every depth >= 2 that stays within max_vertices.  Each row carries both
-    peaks, the certified lower bound p, the trend ratios edge_peak/d and
-    vertex_peak*sqrt(t)/d, the t*d / (t-1)*d / d upper-bound values, and
-    whether the cut-count bound held for every k up to the edge peak.
+    every depth >= 2 that stays within max_vertices, which also caps the DP.
+    Each row carries both peaks, the certified lower bound p, the trend
+    ratios edge_peak/d and vertex_peak*sqrt(t)/d, the t*d / (t-1)*d / d
+    upper-bound values, and whether the cut-count bound held for every k up
+    to the edge peak.
     """
     rows = []
     for t in (2,) + SWEEP_TARY_BRANCHING:
@@ -389,7 +384,7 @@ def sweep_rows(max_vertices: int = 50_000, dp_cap: int = 50_000) -> list:
         for d in depths:
             tree = generate_tree("complete_tary", {"t": t, "d": d})
             weights = subtree_weights(tree)
-            profile = compute_profile(tree, dp_cap)
+            profile = compute_profile(tree, max_vertices)
             p = edge_peak_lower_bound(tree.n, weights.eta)
             _, ok = _cut_count_table(profile.edge_values, weights.eta, profile.edge_peak)
             rows.append(
@@ -419,7 +414,7 @@ def emit(obj, fmt: str = "json", destination=None) -> None:
     destination None or '-' means standard output; otherwise a file path.
     Identical inputs produce identical bytes.
     """
-    if fmt not in ("csv", "json"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown output format {fmt!r}, expected 'csv' or 'json'")
     text = _render(obj, fmt)
     if destination is None or destination == "-":
@@ -430,26 +425,37 @@ def emit(obj, fmt: str = "json", destination=None) -> None:
 
 
 def _render(obj, fmt: str) -> str:
+    """The JSON payload, or the CSV header and rows, of one emittable object."""
     if isinstance(obj, IsoProfile):
-        if fmt == "csv":
-            lines = ["i,b_e,b_v"]
-            for idx in range(obj.n):
-                lines.append(f"{idx + 1},{obj.edge_values[idx]},{obj.vertex_values[idx]}")
-            return "\n".join(lines) + "\n"
-        return json.dumps(obj.to_dict(), indent=2) + "\n"
-    if isinstance(obj, BoundsReport):
-        if fmt == "csv":
-            return _kv_csv(_flatten_dict(obj.to_dict()))
-        return json.dumps(obj.to_dict(), indent=2) + "\n"
-    if isinstance(obj, SuiteResult):
-        if fmt == "csv":
-            return _suite_csv(obj)
-        return json.dumps(obj.to_dict(), indent=2) + "\n"
-    if isinstance(obj, list):
-        if fmt == "csv":
-            return _rows_csv(obj)
-        return json.dumps(obj, indent=2) + "\n"
-    raise TypeError(f"cannot emit object of type {type(obj).__name__}")
+        payload = obj.to_dict()
+        header = ["i", "b_e", "b_v"]
+        rows = [[i + 1, e, v] for i, (e, v) in enumerate(zip(obj.edge_values, obj.vertex_values))]
+    elif isinstance(obj, BoundsReport):
+        payload = obj.to_dict()
+        header, rows = ["field", "value"], _flatten_dict(payload)
+    elif isinstance(obj, SuiteResult):
+        payload = obj.to_dict()
+        header = ["source", "n", "depth", "delta", "eta", "edge_peak", "vertex_peak", "p", "status"]
+        rows = [
+            [_source_label(r.tree), *(r.tree[key] for key in header[1:5])]
+            + [r.profile["edge_peak"], r.profile["vertex_peak"], r.bounds["p"]]
+            + ["pass" if r.passed else "fail"]
+            for r in obj.reports
+        ]
+        rows += [[_source_label(e["source"]), *[""] * 7, f"error: {e['error']}"] for e in obj.errors]
+    elif isinstance(obj, list):
+        payload = obj
+        header = list(obj[0]) if obj else []
+        rows = [[row.get(k) for k in header] for row in obj]
+    else:
+        raise TypeError(f"cannot emit object of type {type(obj).__name__}")
+    if fmt != "csv":
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _flatten_dict(value, prefix: str = "") -> list:
@@ -465,56 +471,8 @@ def _flatten_dict(value, prefix: str = "") -> list:
     return pairs
 
 
-def _kv_csv(pairs) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["field", "value"])
-    for key, value in pairs:
-        writer.writerow([key, value])
-    return buf.getvalue()
-
-
 def _source_label(source: dict) -> str:
     for key in ("path", "spec", "kind", "label", "index"):
         if key in source:
             return str(source[key])
     return json.dumps(source, sort_keys=True)
-
-
-def _suite_csv(result: SuiteResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["source", "n", "depth", "delta", "eta", "edge_peak", "vertex_peak", "p", "status"]
-    )
-    for rep in result.reports:
-        writer.writerow(
-            [
-                _source_label(rep.tree),
-                rep.tree["n"],
-                rep.tree["depth"],
-                rep.tree["delta"],
-                rep.tree["eta"],
-                rep.profile["edge_peak"],
-                rep.profile["vertex_peak"],
-                rep.bounds["p"],
-                "pass" if rep.passed else "fail",
-            ]
-        )
-    for err in result.errors:
-        writer.writerow(
-            [_source_label(err["source"]), "", "", "", "", "", "", "", f"error: {err['error']}"]
-        )
-    return buf.getvalue()
-
-
-def _rows_csv(rows: list) -> str:
-    if not rows:
-        return "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    keys = list(rows[0].keys())
-    writer.writerow(keys)
-    for row in rows:
-        writer.writerow([row.get(k) for k in keys])
-    return buf.getvalue()

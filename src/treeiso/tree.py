@@ -94,6 +94,16 @@ class RootedTree:
             children=tuple(tuple(c) for c in kids),
         )
 
+    def membership(self, members) -> list:
+        """inside[v] is True exactly for the given vertices; ValueError for
+        an id outside 0..n-1."""
+        inside = [False] * self.n
+        for v in members:
+            if not (0 <= v < self.n):
+                raise ValueError(f"vertex {v} out of range [0, {self.n})")
+            inside[v] = True
+        return inside
+
     def edges(self) -> list:
         """All edges as (child, parent) pairs, ascending child id."""
         return [(v, self.parent[v]) for v in range(self.n) if v != self.root]
@@ -341,27 +351,19 @@ def _decode_prufer(seq: list, n: int) -> RootedTree:
 def subtree_weights(tree: RootedTree) -> WeightTable:
     """Subtree sizes, their distinct values, and the depth, in one post-order pass."""
     weight = [1] * tree.n
+    height = [1] * tree.n
     for v in postorder(tree):
         p = tree.parent[v]
         if p is not None:
             weight[p] += weight[v]
-    level = [0] * tree.n
-    level[tree.root] = 1
-    depth = 1
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        for c in tree.children[v]:
-            level[c] = level[v] + 1
-            if level[c] > depth:
-                depth = level[c]
-            stack.append(c)
+            if height[v] >= height[p]:
+                height[p] = height[v] + 1
     distinct = tuple(sorted(set(weight)))
     return WeightTable(
         weight=tuple(weight),
         distinct_weights=distinct,
         eta=len(distinct),
-        depth=depth,
+        depth=height[tree.root],
     )
 
 

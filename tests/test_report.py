@@ -198,7 +198,7 @@ def test_emit_stdout(capsys):
 
 
 def test_sweep_rows_small():
-    rows = sweep_rows(max_vertices=100, dp_cap=100)
+    rows = sweep_rows(max_vertices=100)
     assert rows
     for row in rows:
         assert row["n"] <= 100
@@ -210,8 +210,52 @@ def test_sweep_rows_small():
 
 
 def test_sweep_rows_emit(tmp_path):
-    rows = sweep_rows(max_vertices=50, dp_cap=50)
+    rows = sweep_rows(max_vertices=50)
     out = tmp_path / "rows.csv"
     emit(rows, "csv", str(out))
     header = out.read_text().splitlines()[0]
     assert header.startswith("t,d,n,eta,edge_peak,vertex_peak,p")
+
+
+SUITE_HEADER = "source,n,depth,delta,eta,edge_peak,vertex_peak,p,status\n"
+BAD_ROW = '"bad, ""x"".json",,,,,,,,error: malformed json: boom\n'
+
+
+def test_render_pins_csv_bytes():
+    """Exact CSV text of every emittable type; any change here changes reports."""
+    path3 = generate_tree("path", {"n": 3})
+    assert _render(compute_profile(path3), "csv") == "i,b_e,b_v\n1,1,1\n2,1,1\n3,0,0\n"
+
+    good = TreeEntry(source={"path": "good.json"}, tree=generate_tree("path", {"n": 4}))
+    bad = TreeEntry(source={"path": 'bad, "x".json'}, error="malformed json: boom")
+    assert _render(verify_suite([good, bad]), "csv") == (
+        SUITE_HEADER + "good.json,4,4,2,4,1,1,1,pass\n" + BAD_ROW
+    )
+    assert _render(verify_suite([bad]), "csv") == SUITE_HEADER + BAD_ROW
+
+    assert _render([], "csv") == "\n"
+
+    report = analyze_tree(bin3(), {"kind": "complete_tary", "params": {"t": 2, "d": 3}})
+    assert _render(report, "csv").startswith(
+        "field,value\n"
+        "tree.kind,complete_tary\n"
+        "tree.params.t,2\n"
+        "tree.params.d,3\n"
+        "tree.n,7\n"
+        "tree.depth,3\n"
+        "tree.delta,3\n"
+        "tree.eta,3\n"
+        "profile.edge_peak,2\n"
+        "profile.vertex_peak,1\n"
+        "profile.edge_argpeak,2\n"
+        "profile.vertex_argpeak,1\n"
+        "bounds.eta,3\n"
+        "bounds.depth,3\n"
+        "bounds.delta,3\n"
+        "bounds.p,1\n"
+        "bounds.theorem1.0.k,0\n"
+    )
+
+    for fmt in ("csv", "json"):
+        with pytest.raises(TypeError):
+            _render(object(), fmt)
