@@ -20,6 +20,7 @@ profiles are computed in exact integer arithmetic.
 """
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 from functools import reduce
 
@@ -41,6 +42,13 @@ _ORACLE_CHUNK = 1 << 16
 # counts of at most n, far below it, and 2 * _INF + 1 still fits in int32,
 # so no sum of two cells plus a unit cost overflows.
 _INF = np.iinfo(np.int32).max // 2 - 1
+
+# _min_plus kernel choice (see its docstring).  At most _BLOCK_CELLS sums
+# per block keep the block scratch at most 256 KiB.  The two thresholds are
+# where the kernels' times crossed on a 2-vCPU Xeon VM.
+_BLOCK_CELLS = 32_768
+_MIN_BLOCK_ROWS = 4
+_ROW_LOOP_MAX = 4
 
 # Flag values for the edge DP rows.
 _E_OUT, _E_IN = 0, 1
@@ -91,6 +99,12 @@ def _mode(nflags: int, in_flag: int, trans: dict) -> _Mode:
 
 
 _MODES = {"edge": _mode(2, _E_IN, _EDGE_TRANS), "vertex": _mode(3, _V_IN, _VERTEX_TRANS)}
+
+# (tree, its _subtree_classes) while compute_profile runs on it, so that the
+# edge and vertex DPs share one class computation and edge_profile and
+# vertex_profile keep their signatures.  Only compute_profile sets it, and
+# it resets it on return.
+_shared_classes = contextvars.ContextVar("_shared_classes", default=None)
 
 
 class SizeCapError(ValueError):
@@ -237,9 +251,13 @@ def _profile(tree: RootedTree, mode: str, size_cap: int):
 
 
 def compute_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP) -> IsoProfile:
-    return IsoProfile.from_values(
-        edge_profile(tree, size_cap), vertex_profile(tree, size_cap)
-    )
+    token = _shared_classes.set((tree, _subtree_classes(tree, size_cap)))
+    try:
+        return IsoProfile.from_values(
+            edge_profile(tree, size_cap), vertex_profile(tree, size_cap)
+        )
+    finally:
+        _shared_classes.reset(token)
 
 
 def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_DP_CAP):
@@ -318,14 +336,30 @@ def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """Lower out (a.size + b.size - 1 cells) to the min-plus convolution of
     a and b where that is smaller.
 
-    All three are int32 and cells at or above _INF are infeasible.  Cells
-    of a and b are at most _INF + 1 (a sentinel plus a unit cost), and rows
-    of a at or above _INF are skipped, so no sum exceeds 2 * _INF and none
-    overflows.  out holds at most _INF, so np.minimum saturates every
-    infeasible sum back to _INF without a further pass.
+    All three are int32 and cells at or above _INF are infeasible.  Every
+    cell of a and b is at most _INF + 1 (a saturated table cell plus a unit
+    cost) and at least one of the two is a table row, capped at _INF, so no
+    sum exceeds 2 * _INF + 1, which fits in int32.  out holds at most _INF,
+    so np.minimum saturates every infeasible sum back to _INF without a
+    further pass.
+
+    Both kernels are exact, so the choice moves time only.  The row loop
+    pays two numpy calls per cell of the short side; it is kept where
+    blocks do not pay: a short side of at most _ROW_LOOP_MAX cells (every
+    merge of a path, and of any leaf child, has a 2-cell side), and a long
+    side so long that a block would hold fewer than _MIN_BLOCK_ROWS rows,
+    where the loop is bound by cell work, not by calls.
     """
     if b.size < a.size:
         a, b = b, a
+    if a.size <= _ROW_LOOP_MAX or _BLOCK_CELLS // b.size < _MIN_BLOCK_ROWS:
+        _min_plus_rows(a, b, out)
+    else:
+        _min_plus_blocks(a, b, out)
+
+
+def _min_plus_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """_min_plus one row of a at a time; rows at or above _INF are skipped."""
     scratch = np.empty(b.size, dtype=np.int32)
     for i, v in enumerate(a.tolist()):
         if v >= _INF:
@@ -335,7 +369,32 @@ def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.minimum(seg, scratch, out=seg)
 
 
-def _subtree_classes(tree: RootedTree):
+def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """_min_plus over blocks of r = min(a.size, _BLOCK_CELLS // b.size) rows
+    of a, with a.size <= b.size <= _BLOCK_CELLS.
+
+    The sums a[i + k] + b of a block fill the first lb cells of row k of an
+    (r, lb + r) scratch whose last r columns hold _INF for the whole call.
+    Read flat with a row length of lb + r - 1, row k starts k cells
+    earlier, so its column c holds a[i + k] + b[c - k] or _INF, and one min
+    over the rows is the block's share of out[i : i + lb + r - 1].  A last,
+    shorter block reads only its own rows, and the columns past the end of
+    out are _INF.  The scratch has r * (lb + r) <= 2 * _BLOCK_CELLS cells,
+    since r * lb <= _BLOCK_CELLS and r <= lb.
+    """
+    lb = b.size
+    r = min(a.size, _BLOCK_CELLS // lb)
+    z = np.full((r, lb + r), _INF, dtype=np.int32)
+    flat = z.ravel()
+    for i in range(0, a.size, r):
+        rows = a[i : i + r]
+        np.add(rows[:, None], b, out=z[: rows.size, :lb])
+        skew = flat[: rows.size * (lb + r - 1)].reshape(rows.size, lb + r - 1)
+        seg = out[i : i + lb + r - 1]
+        np.minimum(seg, skew.min(axis=0)[: seg.size], out=seg)
+
+
+def _subtree_classes(tree: RootedTree, size_cap: int):
     """Class id per vertex and the child-class tuple of each class.
 
     A vertex's class is the interned tuple of its children's classes in
@@ -344,8 +403,11 @@ def _subtree_classes(tree: RootedTree):
     the DP runs the same merges on the same tables for them.  Classes are
     numbered in post-order of first appearance, which puts every child
     class before its parents.  The interning map is dropped on return so
-    that it never adds to the DP's peak memory.
+    that it never adds to the DP's peak memory.  Trees above size_cap raise
+    SizeCapError before any work.
     """
+    if tree.n > size_cap:
+        raise SizeCapError(f"tree has {tree.n} vertices, above the DP size cap {size_cap}")
     ids = {}
     cls = [0] * tree.n
     for v in postorder(tree):
@@ -366,11 +428,14 @@ def _run_dp(tree: RootedTree, mode: str, size_cap: int, keep_stages: bool = Fals
     Returns the root table, or (class id per vertex, stage list per class)
     when keep_stages is set for witness backtracking; stage m of a class is
     its table after merging its first m children, and its last stage is its
-    final table.  Trees above size_cap raise SizeCapError.
+    final table.  Trees above size_cap raise SizeCapError.  Inside
+    compute_profile, the classes it computed for the tree are reused.
     """
-    if tree.n > size_cap:
-        raise SizeCapError(f"tree has {tree.n} vertices, above the DP size cap {size_cap}")
-    cls, keys = _subtree_classes(tree)
+    shared = _shared_classes.get()
+    if shared is not None and shared[0] is tree:
+        cls, keys = shared[1]
+    else:
+        cls, keys = _subtree_classes(tree, size_cap)
     uses = [0] * len(keys)
     for key in keys:
         for c in key:

@@ -472,7 +472,18 @@ def _flatten_dict(value, prefix: str = "") -> list:
 
 
 def _source_label(source: dict) -> str:
+    """A suite entry's CSV label: its file path or spec as given, the
+    --gen spec of a generated tree (seed left out when 0), else its label
+    or index."""
     for key in ("path", "spec", "kind", "label", "index"):
         if key in source:
-            return str(source[key])
+            return _gen_spec(source) if key == "kind" else str(source[key])
     return json.dumps(source, sort_keys=True)
+
+
+def _gen_spec(source: dict) -> str:
+    params = dict(source.get("params") or {})
+    if source.get("seed"):
+        params["seed"] = source["seed"]
+    args = ",".join(f"{key}={value}" for key, value in params.items())
+    return f"{source['kind']}:{args}" if args else str(source["kind"])

@@ -1,7 +1,9 @@
 """Shared tree families for the test suite."""
 from __future__ import annotations
 
-from treeiso import generate_tree
+from collections import deque
+
+from treeiso import RootedTree, generate_tree
 
 
 def structured_trees(max_n: int):
@@ -39,3 +41,21 @@ def random_trees(count: int, max_n: int, seed0: int = 0):
         seed = seed0 * 100_000 + i
         trees.append((f"{kind}:n={n},seed={seed}", generate_tree(kind, {"n": n}, seed=seed)))
     return trees
+
+
+def reroot(tree: RootedTree, root: int) -> RootedTree:
+    """The same unrooted tree rooted at root, parents set by breadth-first
+    search from it."""
+    adj = tree.adjacency()
+    parents = [None] * tree.n
+    seen = [False] * tree.n
+    seen[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                parents[u] = v
+                queue.append(u)
+    return RootedTree.from_parents(parents, root)

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior and exit codes."""
+import csv
 import json
 import subprocess
 import sys
@@ -82,6 +83,23 @@ def test_verify_deterministic_output(tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_verify_csv_labels_generated_trees_by_spec(tmp_path):
+    """Each --gen row of the suite CSV is labelled with the spec that
+    regenerates its tree, so trees of one kind stay apart; file paths and
+    failed specs keep their labels."""
+    tree_path = tmp_path / "t.json"
+    main(["generate", "path", "-p", "n=5", "--out", str(tree_path)])
+    specs = ["complete_tary:t=2,d=3", "complete_tary:t=3,d=3", "random_prufer:n=9,seed=4"]
+    args = ["verify", str(tree_path), "--gen", "star:n=5,seed=0", "--gen", "nosuch:n=3"]
+    for spec in specs:
+        args += ["--gen", spec]
+    out_path = tmp_path / "suite.csv"
+    assert main(args + ["--format", "csv", "--out", str(out_path)]) == 2
+    rows = list(csv.reader(out_path.read_text().splitlines()))
+    assert [row[0] for row in rows[1:]] == [str(tree_path), "star:n=5", *specs, "nosuch:n=3"]
+    assert rows[-1][-1].startswith("error:")
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):

@@ -25,7 +25,7 @@ from treeiso import (
 )
 from treeiso import profile
 from treeiso.tree import postorder
-from helpers import random_trees, structured_trees
+from helpers import random_trees, reroot, structured_trees
 
 # Frozen from brute_force_profiles; the oracle tests below recompute them.
 STAR5_EDGE = [1, 2, 2, 1, 0]
@@ -278,6 +278,21 @@ def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges)
             assert calls == [mode] * merges
 
 
+# Table widths that reach every _min_plus branch: a short side of at most
+# _ROW_LOOP_MAX cells (row loop), blocks whose last one is shorter (120 or
+# 121 rows against 300 cells, on either side of the merge), and a long
+# side too long for a block of _MIN_BLOCK_ROWS rows (row loop again).
+_LONG = profile._BLOCK_CELLS // profile._MIN_BLOCK_ROWS + 1
+KERNEL_WIDTHS = [
+    (profile._ROW_LOOP_MAX, 40),
+    (profile._ROW_LOOP_MAX + 1, profile._ROW_LOOP_MAX + 1),
+    (120, 300),
+    (300, 121),
+    (3, _LONG),
+    (_LONG, profile._ROW_LOOP_MAX + 2),
+]
+
+
 @pytest.mark.parametrize(
     "mode, trans", [("edge", profile._EDGE_TRANS), ("vertex", profile._VERTEX_TRANS)]
 )
@@ -298,17 +313,45 @@ def test_merge_follows_transition_table(mode, trans):
             dtype=np.int32,
         )
 
-    for _ in range(60):
-        cur, child = table(rng.randint(1, 7)), table(rng.randint(1, 7))
-        expected = [[inf] * (cur.shape[1] + child.shape[1] - 1) for _ in range(nflags)]
+    widths = [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(60)] + KERNEL_WIDTHS
+    for cur_width, child_width in widths:
+        cur, child = table(cur_width), table(child_width)
+        expected = [[inf] * (cur_width + child_width - 1) for _ in range(nflags)]
         for (s_prev, sc), (cost, s_new) in trans.items():
-            for j in range(len(expected[0])):
-                for jc in range(max(0, j - cur.shape[1] + 1), min(j, child.shape[1] - 1) + 1):
-                    cell = int(cur[s_prev][j - jc]) + int(child[sc][jc]) + cost
-                    expected[s_new][j] = min(inf, expected[s_new][j], cell)
+            row = expected[s_new]
+            for i, x in enumerate(cur[s_prev].tolist()):
+                for jc, y in enumerate(child[sc].tolist()):
+                    row[i + jc] = min(inf, row[i + jc], x + y + cost)
         merged = profile._merge(cur, child, mode)
         assert merged.dtype == np.int32
-        assert merged.tolist() == expected
+        assert merged.tolist() == expected, (cur_width, child_width)
+
+
+def test_row_and_block_kernels_agree(monkeypatch):
+    """Both _min_plus kernels give the same row on every call the DP makes,
+    on the small-tree corpus and on complete trees large enough for blocks
+    whose last one is shorter, and _min_plus gives that row too."""
+    kernel = profile._min_plus
+    ragged = 0
+
+    def both(a, b, out):
+        nonlocal ragged
+        short, long = (a, b) if a.size <= b.size else (b, a)
+        rows, blocks = out.copy(), out.copy()
+        profile._min_plus_rows(short, long, rows)
+        profile._min_plus_blocks(short, long, blocks)
+        assert np.array_equal(rows, blocks), (short.size, long.size)
+        kernel(a, b, out)
+        assert np.array_equal(out, rows), (short.size, long.size)
+        ragged += short.size % (profile._BLOCK_CELLS // long.size) not in (0, short.size)
+
+    monkeypatch.setattr(profile, "_min_plus", both)
+    trees = [tree for _, tree in structured_trees(16) + random_trees(500, 16)]
+    trees += [generate_tree("complete_tary", {"t": 2, "d": 12}),
+              generate_tree("complete_tary", {"t": 3, "d": 8})]
+    for tree in trees:
+        compute_profile(tree)
+    assert ragged
 
 
 def _live_table_peak(monkeypatch, tree, mode):
@@ -437,6 +480,54 @@ def test_witness_attains_profile_on_repeated_subtrees(tree, data):
         s = witness_subset(tree, i, mode)
         assert len(s) == i
         assert boundary(tree, s) == values[i - 1]
+
+
+# Trees past the oracle's ceiling, with merges large enough for the block
+# kernel; the complete binary tree with 255 vertices makes 128 x 129 merges.
+large_trees = st.one_of(
+    labelled_trees(300),
+    st.builds(
+        lambda t, d: generate_tree("complete_tary", {"t": t, "d": d}),
+        st.integers(2, 3),
+        st.integers(4, 5),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(large_trees)
+@example(generate_tree("complete_tary", {"t": 2, "d": 8}))
+def test_edge_profile_is_complement_symmetric(tree):
+    """A set and its complement cut the same edges: b_e(i) = b_e(n - i)."""
+    values = edge_profile(tree)
+    assert all(values[i - 1] == values[tree.n - i - 1] for i in range(1, tree.n))
+
+
+@settings(deadline=None, max_examples=40)
+@given(large_trees, st.integers(min_value=0))
+@example(generate_tree("complete_tary", {"t": 2, "d": 8}), 191)
+def test_profiles_invariant_under_rerooting(tree, k):
+    """Both profiles depend on the unrooted tree alone, though another root
+    changes the subtree classes, the merge order and the table shapes."""
+    assert compute_profile(reroot(tree, k % tree.n)) == compute_profile(tree)
+
+
+def test_compute_profile_builds_subtree_classes_once(monkeypatch):
+    """compute_profile runs the edge and the vertex DP on one set of
+    subtree classes; edge_profile and witness_subset still build their own."""
+    calls = []
+    classes = profile._subtree_classes
+    monkeypatch.setattr(
+        profile, "_subtree_classes", lambda tree, cap: calls.append(tree.n) or classes(tree, cap)
+    )
+    tree = generate_tree("random_prufer", {"n": 30}, seed=5)
+    assert compute_profile(tree) == IsoProfile.from_values(edge_profile(tree), vertex_profile(tree))
+    witness_subset(tree, 7, "vertex")
+    assert calls == [30] * 4
+    with pytest.raises(SizeCapError):
+        compute_profile(tree, size_cap=29)
+    assert calls == [30] * 5
+    assert profile._shared_classes.get() is None
 
 
 def test_sentinel_headroom_and_base_table():
