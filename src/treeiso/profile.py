@@ -37,6 +37,12 @@ ORACLE_MAX_VERTICES = 24
 # Subsets the oracle evaluates per numpy pass, so that its working arrays
 # stay at a few MiB whatever n is.
 _ORACLE_CHUNK = 1 << 16
+# Most cells, summed over every flag row of every kept stage, that one
+# witness DP may hold: 2**26 int32 cells are 256 MiB.  It is checked before
+# any table exists (see _witness_cells).  A path with n = 2000 queried at
+# i = n/2 keeps about 3 million vertex-mode cells; one with n = 50,000 would
+# keep about 1.9 billion.
+WITNESS_MAX_CELLS = 2**26
 
 # Infeasible-cell sentinel of the int32 DP tables.  Feasible cells are cut
 # counts of at most n, far below it, and 2 * _INF + 1 still fits in int32,
@@ -81,7 +87,8 @@ class _Mode:
 
     into[s] lists, for new parent flag s, each previous parent flag that
     leads to s with its (child flag, cost) pairs, both in ascending flag
-    order.  base is the table of a vertex alone: flag 0, or in_flag.
+    order.  base is the table of a vertex alone: flag 0, or in_flag.  It is
+    read-only and shared by every class, since no DP writes a table in place.
     """
 
     in_flag: int
@@ -95,6 +102,7 @@ def _mode(nflags: int, in_flag: int, trans: dict) -> _Mode:
         into[s_new].setdefault(s_prev, []).append((sc, cost))
     base = np.full((nflags, 2), _INF, dtype=np.int32)
     base[0, 0] = base[in_flag, 1] = 0
+    base.setflags(write=False)
     return _Mode(in_flag, [list(g.items()) for g in into], base)
 
 
@@ -265,15 +273,44 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
 
     Deterministic: DP splits are re-read in a fixed scan order (previous
     flag, then child flag, then child allocation, each ascending), children
-    in ascending-id merge order, so ties always resolve the same way.
+    in ascending-id merge order, so ties always resolve the same way.  The
+    DP keeps only the stage cells a size-i subset can reach, and raises
+    SizeCapError before building any table when they would exceed
+    WITNESS_MAX_CELLS.
+    """
+    return witness_subsets(tree, [i], mode, size_cap)[i]
+
+
+def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_DP_CAP) -> dict:
+    """{i: witness_subset(tree, i, mode)} for every i in sizes, from one DP.
+
+    The stages keep the cells any of the sizes can reach (see
+    _witness_stages), so the sets and their tie order are those of
+    witness_subset.
     """
     rules = _MODES.get(mode)
     if rules is None:
         raise ValueError(f"mode must be 'edge' or 'vertex', got {mode!r}")
-    if not (1 <= i <= tree.n):
-        raise ValueError(f"subset size {i} out of range [1, {tree.n}]")
-    cls, stages = _run_dp(tree, mode, size_cap, keep_stages=True)
-    s_star = int(np.argmin(stages[cls[tree.root]][-1][:, i]))
+    sizes = sorted(set(sizes))
+    for i in sizes:
+        if not (1 <= i <= tree.n):
+            raise ValueError(f"subset size {i} out of range [1, {tree.n}]")
+    if not sizes:
+        return {}
+    cls, stages = _witness_stages(tree, mode, size_cap, sizes[0], sizes[-1])
+    return {i: _backtrack(tree, rules, cls, stages, i) for i in sizes}
+
+
+def _backtrack(tree: RootedTree, rules: _Mode, cls, stages, i: int) -> frozenset:
+    """The size-i witness read back from _witness_stages' tables.
+
+    Cell j of a stage (lo, table) is table[:, j - lo].  A split of cell j
+    between a stage and a child pairs cells whose windows hold them; every
+    split the full-width tables would match is one of those pairs, in the
+    same scan order.
+    """
+    lo, root_tab = stages[cls[tree.root]][-1]
+    s_star = int(np.argmin(root_tab[:, i - lo]))
 
     selected = []
     work = [(tree.root, i, s_star)]
@@ -283,58 +320,64 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
         tabs = stages[cls[v]]
         for m in range(len(kids), 0, -1):
             child = kids[m - 1]
-            value = tabs[m][s_after][j]
-            prev_tab = tabs[m - 1]
-            child_tab = stages[cls[child]][-1]
-            hi = min(j, child_tab.shape[1] - 1)
-            lo = max(0, j - (prev_tab.shape[1] - 1))
+            lo, tab = tabs[m]
+            value = tab[s_after][j - lo]
+            prev_lo, prev_tab = tabs[m - 1]
+            child_lo, child_tab = stages[cls[child]][-1]
+            # Child cell x of child_tab pairs with cell d - x of prev_tab.
+            d = j - prev_lo - child_lo
+            first = max(0, d - (prev_tab.shape[1] - 1))
+            last = min(d, child_tab.shape[1] - 1)
             found = next(
                 (
-                    (s_prev, sc, jc)
+                    (s_prev, sc, x)
                     for s_prev, terms in rules.into[s_after]
+                    for prev_row in (prev_tab[s_prev],)
                     for sc, cost in terms
-                    for jc in range(lo, hi + 1)
-                    if prev_tab[s_prev][j - jc] + child_tab[sc][jc] + cost == value
+                    for child_row in (child_tab[sc],)
+                    for x in range(first, last + 1)
+                    if prev_row[d - x] + child_row[x] + cost == value
                 ),
                 None,
             )
             if found is None:
                 raise AssertionError("DP backtracking failed to find a split")
-            s_prev, sc, jc = found
-            work.append((child, jc, sc))
-            j -= jc
+            s_prev, sc, x = found
+            work.append((child, child_lo + x, sc))
+            j -= child_lo + x
             s_after = s_prev
         # Base table: the vertex alone.
         if s_after == rules.in_flag:
             selected.append(v)
-        if tabs[0][s_after][j] != 0:
+        lo, base = tabs[0]
+        if base[s_after][j - lo] != 0:
             raise AssertionError("DP backtracking reached an infeasible base cell")
     return frozenset(selected)
 
 
-def _base_table(mode: str) -> np.ndarray:
-    return _MODES[mode].base.copy()
-
-
-def _merge(cur: np.ndarray, child: np.ndarray, mode: str) -> np.ndarray:
+def _merge(cur: np.ndarray, child: np.ndarray, mode: str, skip: int = 0, width=None) -> np.ndarray:
     """cur with one more child merged in, by the mode's transition table.
 
     Row s of the result is the minimum, over the transitions into s, of
     cur[s_prev] min-plus (child[sc] + cost).  Child rows that share s_prev
-    are combined first, so each (s_prev -> s) pair costs one min-plus.
+    are combined first, so each (s_prev -> s) pair costs one min-plus.  The
+    result holds only the width cells from cell skip on (all of them by
+    default); no wider row is ever allocated.
     """
     rules = _MODES[mode]
-    out = np.full((len(rules.into), cur.shape[1] + child.shape[1] - 1), _INF, dtype=np.int32)
+    if width is None:
+        width = cur.shape[1] + child.shape[1] - 1
+    out = np.full((len(rules.into), width), _INF, dtype=np.int32)
     for row, into in zip(out, rules.into):
         for s_prev, terms in into:
             eff = reduce(np.minimum, [child[sc] + cost if cost else child[sc] for sc, cost in terms])
-            _min_plus(cur[s_prev], eff, row)
+            _min_plus(cur[s_prev], eff, row, skip)
     return out
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Lower out (a.size + b.size - 1 cells) to the min-plus convolution of
-    a and b where that is smaller.
+def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int = 0) -> None:
+    """Lower out to cells skip .. skip + out.size - 1 of the min-plus
+    convolution of a and b (a.size + b.size - 1 cells) where that is smaller.
 
     All three are int32 and cells at or above _INF are infeasible.  Every
     cell of a and b is at most _INF + 1 (a saturated table cell plus a unit
@@ -353,23 +396,35 @@ def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     if b.size < a.size:
         a, b = b, a
     if a.size <= _ROW_LOOP_MAX or _BLOCK_CELLS // b.size < _MIN_BLOCK_ROWS:
-        _min_plus_rows(a, b, out)
+        _min_plus_rows(a, b, out, skip)
     else:
-        _min_plus_blocks(a, b, out)
+        _min_plus_blocks(a, b, out, skip)
 
 
-def _min_plus_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """_min_plus one row of a at a time; rows at or above _INF are skipped."""
-    scratch = np.empty(b.size, dtype=np.int32)
-    for i, v in enumerate(a.tolist()):
+def _min_plus_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -> None:
+    """_min_plus one row of a at a time; rows at or above _INF are skipped.
+
+    Row i lands on out[i - skip : i - skip + b.size]; a row reaching past
+    either end of out lands with the cells of b that fall inside it.
+    """
+    lb = b.size
+    last = out.size - lb
+    scratch = np.empty(lb, dtype=np.int32)
+    for start, v in enumerate(a.tolist(), -skip):
         if v >= _INF:
             continue
-        np.add(b, v, out=scratch)
-        seg = out[i : i + b.size]
-        np.minimum(seg, scratch, out=seg)
+        if 0 <= start <= last:
+            np.add(b, v, out=scratch)
+            seg = out[start : start + lb]
+            np.minimum(seg, scratch, out=seg)
+        elif -lb < start < out.size:
+            k0 = -start if start < 0 else 0
+            k1 = out.size - start if start > last else lb
+            seg = out[start + k0 : start + k1]
+            np.minimum(seg, b[k0:k1] + v, out=seg)
 
 
-def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -> None:
     """_min_plus over blocks of r = min(a.size, _BLOCK_CELLS // b.size) rows
     of a, with a.size <= b.size <= _BLOCK_CELLS.
 
@@ -377,21 +432,26 @@ def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     (r, lb + r) scratch whose last r columns hold _INF for the whole call.
     Read flat with a row length of lb + r - 1, row k starts k cells
     earlier, so its column c holds a[i + k] + b[c - k] or _INF, and one min
-    over the rows is the block's share of out[i : i + lb + r - 1].  A last,
-    shorter block reads only its own rows, and the columns past the end of
-    out are _INF.  The scratch has r * (lb + r) <= 2 * _BLOCK_CELLS cells,
-    since r * lb <= _BLOCK_CELLS and r <= lb.
+    over the rows is the block's share of convolution cells i .. i + lb + r
+    - 2, of which the columns that land in out are kept; a block with none
+    is skipped.  A last, shorter block reads only its own rows.  The
+    scratch has r * (lb + r) <= 2 * _BLOCK_CELLS cells, since r * lb <=
+    _BLOCK_CELLS and r <= lb.
     """
     lb = b.size
     r = min(a.size, _BLOCK_CELLS // lb)
     z = np.full((r, lb + r), _INF, dtype=np.int32)
     flat = z.ravel()
     for i in range(0, a.size, r):
+        start = i - skip
+        c0, c1 = max(0, -start), min(lb + r - 1, out.size - start)
+        if c0 >= c1:
+            continue
         rows = a[i : i + r]
         np.add(rows[:, None], b, out=z[: rows.size, :lb])
         skew = flat[: rows.size * (lb + r - 1)].reshape(rows.size, lb + r - 1)
-        seg = out[i : i + lb + r - 1]
-        np.minimum(seg, skew.min(axis=0)[: seg.size], out=seg)
+        seg = out[start + c0 : start + c1]
+        np.minimum(seg, skew.min(axis=0)[c0:c1], out=seg)
 
 
 def _subtree_classes(tree: RootedTree, size_cap: int):
@@ -418,18 +478,15 @@ def _subtree_classes(tree: RootedTree, size_cap: int):
     return cls, list(ids)
 
 
-def _run_dp(tree: RootedTree, mode: str, size_cap: int, keep_stages: bool = False):
-    """Post-order DP over the tree, one merge chain per subtree class.
+def _run_dp(tree: RootedTree, mode: str, size_cap: int) -> np.ndarray:
+    """Post-order DP over the tree, one merge chain per subtree class; the
+    root table.
 
     Tables are merged once per class of _subtree_classes, and every vertex
     of a class uses its table.  A class table is dropped once every class
-    that merges it has done so; nothing outlives the call.
-
-    Returns the root table, or (class id per vertex, stage list per class)
-    when keep_stages is set for witness backtracking; stage m of a class is
-    its table after merging its first m children, and its last stage is its
-    final table.  Trees above size_cap raise SizeCapError.  Inside
-    compute_profile, the classes it computed for the tree are reused.
+    that merges it has done so; nothing outlives the call.  Trees above
+    size_cap raise SizeCapError.  Inside compute_profile, the classes it
+    computed for the tree are reused.
     """
     shared = _shared_classes.get()
     if shared is not None and shared[0] is tree:
@@ -440,21 +497,72 @@ def _run_dp(tree: RootedTree, mode: str, size_cap: int, keep_stages: bool = Fals
     for key in keys:
         for c in key:
             uses[c] += 1
+    base = _MODES[mode].base
     final = [None] * len(keys)
-    stages = [None] * len(keys) if keep_stages else None
     for k, key in enumerate(keys):
-        table = _base_table(mode)
-        if keep_stages:
-            stages[k] = [table]
+        table = base
         for c in key:
             table = _merge(table, final[c], mode)
-            if keep_stages:
-                stages[k].append(table)
-            else:
-                uses[c] -= 1
-                if not uses[c]:
-                    final[c] = None
+            uses[c] -= 1
+            if not uses[c]:
+                final[c] = None
         final[k] = table
-    if keep_stages:
-        return cls, stages
     return final[cls[tree.root]]
+
+
+def _witness_cells(keys, n: int, i_min: int, i_max: int, nflags: int) -> int:
+    """Cells the stages of _witness_stages hold, over all flag rows, from the
+    class keys alone (child classes come first): one window per stage."""
+    gap = n - i_min
+    size = []
+    total = (min(1, i_max) - max(0, 1 - gap) + 1) * len(keys)
+    for key in keys:
+        s = 1
+        for c in key:
+            s += size[c]
+            total += min(s, i_max) - max(0, s - gap) + 1
+        size.append(s)
+    return total * nflags
+
+
+def _witness_stages(tree: RootedTree, mode: str, size_cap: int, i_min: int, i_max: int):
+    """The DP of _run_dp with every stage kept for subsets of i_min .. i_max
+    vertices: (class id per vertex, stage list per class).
+
+    Stage m of a class is (lo, table) after merging its first m children:
+    table[:, j - lo] is cell j for the cells j in [lo, hi] that such a
+    subset can reach, and no other cell is stored.  For a stage over s
+    vertices, hi = min(s, i_max), and lo = max(0, i_min - (n - s)), since
+    the n - s vertices outside it hold at most n - s of the subset.  Each
+    kept cell equals the full-width DP's: a split of it into a stage cell
+    and a child cell outside their windows would give one of them more
+    selected vertices than its subtree has, or leave the vertices outside
+    it too few.  The last stage is the class's final table.  Trees above
+    size_cap raise SizeCapError, and so do stages that would hold more than
+    WITNESS_MAX_CELLS cells, before any table is built.
+    """
+    n = tree.n
+    cls, keys = _subtree_classes(tree, size_cap)
+    base = _MODES[mode].base
+    cells = _witness_cells(keys, n, i_min, i_max, base.shape[0])
+    if cells > WITNESS_MAX_CELLS:
+        raise SizeCapError(
+            f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
+        )
+    gap = n - i_min
+    base = base[:, max(0, 1 - gap) : min(1, i_max) + 1]
+    size = []
+    stages = []
+    for key in keys:
+        s = 1
+        tabs = [(max(0, 1 - gap), base)]
+        for c in key:
+            cur_lo, cur = tabs[-1]
+            child_lo, child = stages[c][-1]
+            s += size[c]
+            lo = max(0, s - gap)
+            table = _merge(cur, child, mode, lo - cur_lo - child_lo, min(s, i_max) - lo + 1)
+            tabs.append((lo, table))
+        size.append(s)
+        stages.append(tabs)
+    return cls, stages

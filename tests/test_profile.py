@@ -22,6 +22,7 @@ from treeiso import (
     vertex_boundary_size,
     vertex_profile,
     witness_subset,
+    witness_subsets,
 )
 from treeiso import profile
 from treeiso.tree import postorder
@@ -192,6 +193,10 @@ def test_witness_argument_errors():
         witness_subset(tree, 8, "edge")
     with pytest.raises(ValueError):
         witness_subset(tree, 3, "boundary")
+    with pytest.raises(ValueError):
+        witness_subsets(tree, [3, 8], "edge")
+    with pytest.raises(ValueError):
+        witness_subsets(tree, [3], "boundary")
 
 
 def test_profile_determinism():
@@ -265,9 +270,9 @@ def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges)
     calls = []
     merge = profile._merge
 
-    def counted(cur, child, mode):
+    def counted(cur, child, mode, *window):
         calls.append(mode)
-        return merge(cur, child, mode)
+        return merge(cur, child, mode, *window)
 
     monkeypatch.setattr(profile, "_merge", counted)
     tree = generate_tree(kind, params)
@@ -325,25 +330,36 @@ def test_merge_follows_transition_table(mode, trans):
         merged = profile._merge(cur, child, mode)
         assert merged.dtype == np.int32
         assert merged.tolist() == expected, (cur_width, child_width)
+        full = cur_width + child_width - 1
+        for skip, width in {(0, full), (0, 1), (full - 1, 1), (1, full - 2),
+                            (rng.randint(0, full - 1), rng.randint(1, full))}:
+            width = min(width, full - skip)
+            if width < 1:
+                continue
+            window = profile._merge(cur, child, mode, skip, width)
+            assert window.tolist() == [row[skip : skip + width] for row in expected], (
+                cur_width, child_width, skip, width)
 
 
 def test_row_and_block_kernels_agree(monkeypatch):
     """Both _min_plus kernels give the same row on every call the DP makes,
     on the small-tree corpus and on complete trees large enough for blocks
-    whose last one is shorter, and _min_plus gives that row too."""
+    whose last one is shorter, and _min_plus gives that row too.  The
+    witness DP's calls, which fill a window of the row, are checked too."""
     kernel = profile._min_plus
-    ragged = 0
+    ragged = windowed = 0
 
-    def both(a, b, out):
-        nonlocal ragged
+    def both(a, b, out, skip=0):
+        nonlocal ragged, windowed
         short, long = (a, b) if a.size <= b.size else (b, a)
         rows, blocks = out.copy(), out.copy()
-        profile._min_plus_rows(short, long, rows)
-        profile._min_plus_blocks(short, long, blocks)
-        assert np.array_equal(rows, blocks), (short.size, long.size)
-        kernel(a, b, out)
-        assert np.array_equal(out, rows), (short.size, long.size)
+        profile._min_plus_rows(short, long, rows, skip)
+        profile._min_plus_blocks(short, long, blocks, skip)
+        assert np.array_equal(rows, blocks), (short.size, long.size, skip)
+        kernel(a, b, out, skip)
+        assert np.array_equal(out, rows), (short.size, long.size, skip)
         ragged += short.size % (profile._BLOCK_CELLS // long.size) not in (0, short.size)
+        windowed += out.size < a.size + b.size - 1 and short.size > profile._ROW_LOOP_MAX
 
     monkeypatch.setattr(profile, "_min_plus", both)
     trees = [tree for _, tree in structured_trees(16) + random_trees(500, 16)]
@@ -351,7 +367,10 @@ def test_row_and_block_kernels_agree(monkeypatch):
               generate_tree("complete_tary", {"t": 3, "d": 8})]
     for tree in trees:
         compute_profile(tree)
-    assert ragged
+    for tree in trees[-2:] + [generate_tree("random_recursive", {"n": 400}, seed=2)]:
+        for mode in ("edge", "vertex"):
+            witness_subsets(tree, [tree.n // 3, tree.n // 2], mode)
+    assert ragged and windowed
 
 
 def _live_table_peak(monkeypatch, tree, mode):
@@ -369,9 +388,8 @@ def _live_table_peak(monkeypatch, tree, mode):
         weakref.finalize(table, release, table.nbytes)
         return table
 
-    merge, base = profile._merge, profile._base_table
+    merge = profile._merge
     monkeypatch.setattr(profile, "_merge", lambda cur, child, m: track(merge(cur, child, m)))
-    monkeypatch.setattr(profile, "_base_table", lambda m: track(base(m)))
     (edge_profile if mode == "edge" else vertex_profile)(tree)
     return peak
 
@@ -381,7 +399,7 @@ def _per_vertex_table_peak(tree, rows):
     subtree sizes: children merge in ascending id order, a table of a
     subtree with w vertices has rows x (w + 1) cells of the DP's dtype, and
     the partial table and the child's table are dropped after each merge."""
-    cell = profile._base_table("edge").itemsize * rows
+    cell = profile._MODES["edge"].base.itemsize * rows
     size = [1] * tree.n
     live = peak = 0
     for v in postorder(tree):
@@ -533,13 +551,15 @@ def test_compute_profile_builds_subtree_classes_once(monkeypatch):
 def test_sentinel_headroom_and_base_table():
     """Two sentinel cells plus the largest transition cost, the largest sum
     _min_plus and the witness scan can form, fit in int32; the one-vertex
-    table holds the sentinel in every cell but its two feasible ones."""
+    table holds the sentinel in every cell but its two feasible ones, and
+    is read-only, since every class shares it."""
     max_cost = max(cost for trans in (profile._EDGE_TRANS, profile._VERTEX_TRANS)
                    for cost, _ in trans.values())
     assert 0 <= 2 * profile._INF + max_cost <= np.iinfo(np.int32).max
     for mode in ("edge", "vertex"):
-        base = profile._base_table(mode)
+        base = profile._MODES[mode].base
         assert base.dtype == np.int32
+        assert not base.flags.writeable
         expected = np.full(base.shape, profile._INF)
         expected[0, 0] = expected[profile._MODES[mode].in_flag, 1] = 0
         assert base.tolist() == expected.tolist()
@@ -552,17 +572,108 @@ def test_sentinel_headroom_and_base_table():
 @example(generate_tree("complete_tary", {"t": 3, "d": 3}))
 def test_stage_tables_are_int32_within_sentinel(tree):
     """Every stage table is int32 with cells in [0, _INF], and cells no
-    subset can reach hold _INF exactly: the root outside a subtree that
-    selects all w of its vertices, and the root selected with none."""
+    subset can reach hold _INF exactly, wherever they fall inside the
+    stage's window: the root outside a subtree that selects all w of its
+    vertices, and the root selected with none."""
+    n = tree.n
     for mode in ("edge", "vertex"):
         in_flag = profile._MODES[mode].in_flag
-        cls, stages = profile._run_dp(tree, mode, profile.DEFAULT_DP_CAP, keep_stages=True)
-        for tabs in stages:
-            for tab in tabs:
-                assert tab.dtype == np.int32
-                assert tab.min() >= 0 and tab.max() <= profile._INF
-        for v in range(tree.n):
-            final = stages[cls[v]][-1]
-            w = final.shape[1] - 1
-            assert final[0][w] == profile._INF
-            assert final[in_flag][0] == profile._INF
+        for i_min, i_max in {(1, n), (max(1, n // 2), max(1, n // 2)), (n, n)}:
+            cls, stages = profile._witness_stages(tree, mode, profile.DEFAULT_DP_CAP, i_min, i_max)
+            for tabs in stages:
+                for _, tab in tabs:
+                    assert tab.dtype == np.int32
+                    assert tab.min() >= 0 and tab.max() <= profile._INF
+            for v, w in enumerate(_subtree_sizes(tree)):
+                lo, final = stages[cls[v]][-1]
+                if w < lo + final.shape[1]:
+                    assert final[0][w - lo] == profile._INF
+                if lo == 0:
+                    assert final[in_flag][0] == profile._INF
+        root = profile._run_dp(tree, mode, profile.DEFAULT_DP_CAP)
+        assert root[0][n] == profile._INF
+        assert root[in_flag][0] == profile._INF
+
+
+def _subtree_sizes(tree):
+    size = [1] * tree.n
+    for v in postorder(tree):
+        size[v] += sum(size[c] for c in tree.children[v])
+    return size
+
+
+@settings(deadline=None, max_examples=25)
+@given(labelled_trees(60))
+@example(generate_tree("path", {"n": 60}))
+@example(generate_tree("star", {"n": 60}))
+@example(generate_tree("complete_tary", {"t": 3, "d": 3}))
+def test_windowed_stages_are_slices_of_full_width_stages(tree):
+    """The stages kept for size i are the full-width stages (sizes 1..n,
+    whose windows are [0, s] below the root) cut to their windows, and the
+    full-width root stage is the profile DP's root table from cell 1 on."""
+    n = tree.n
+    cap = profile.DEFAULT_DP_CAP
+    for mode in ("edge", "vertex"):
+        cls, full = profile._witness_stages(tree, mode, cap, 1, n)
+        root = profile._run_dp(tree, mode, cap)
+        assert full[cls[tree.root]][-1][1].tolist() == root[:, 1:].tolist()
+        for i in range(1, n + 1):
+            _, stages = profile._witness_stages(tree, mode, cap, i, i)
+            for tabs, ref_tabs in zip(stages, full, strict=True):
+                for (lo, tab), (ref_lo, ref) in zip(tabs, ref_tabs, strict=True):
+                    assert 0 <= lo - ref_lo and 1 <= tab.shape[1]
+                    assert tab.tolist() == ref[:, lo - ref_lo : lo - ref_lo + tab.shape[1]].tolist()
+
+
+def test_witness_subsets_match_witness_subset():
+    """One DP over the union window of many sizes gives each size the set
+    its own query gives, and the pinned sets of WITNESS_SETS."""
+    for label, tree in structured_trees(9) + random_trees(30, 14, seed0=8):
+        sizes = range(1, tree.n + 1)
+        for mode in ("edge", "vertex"):
+            every = witness_subsets(tree, sizes, mode)
+            assert every == {i: witness_subset(tree, i, mode) for i in sizes}, label
+            i = tree.n // 2 + 1
+            assert witness_subset(tree, i, mode) == witness_subsets(tree, [i], mode)[i], label
+    for (name, mode), expected in WITNESS_SETS.items():
+        kind, params, seed = WITNESS_TREES[name]
+        got = witness_subsets(generate_tree(kind, params, seed=seed), expected, mode)
+        assert {i: sorted(s) for i, s in got.items()} == expected, (name, mode)
+    assert witness_subsets(bin3(), [], "edge") == {}
+
+
+def test_witness_cells_predicts_the_kept_stages():
+    """_witness_cells, from class keys and sizes alone, equals the cells of
+    the stages the witness DP keeps, for single sizes and size ranges."""
+    cap = profile.DEFAULT_DP_CAP
+    for label, tree in structured_trees(10) + random_trees(20, 40, seed0=3):
+        n = tree.n
+        keys = profile._subtree_classes(tree, cap)[1]
+        for mode in ("edge", "vertex"):
+            nflags = profile._MODES[mode].base.shape[0]
+            for i_min, i_max in {(1, n), (1, 1), (n, n), (n // 2 + 1, n // 2 + 1),
+                                 (n // 3 + 1, 2 * n // 3 + 1)}:
+                _, stages = profile._witness_stages(tree, mode, cap, i_min, i_max)
+                kept = sum(tab.size for tabs in stages for _, tab in tabs)
+                assert profile._witness_cells(keys, n, i_min, i_max, nflags) == kept, label
+
+
+def test_witness_refuses_over_budget_before_building_tables():
+    """A path with n = 50,000 at i = n/2 would keep about 1.9 billion
+    cells; it is refused from the class keys alone, with a peak of a few
+    MiB.  The witness workload's widest query, a path with n = 2000 at
+    i = n/2, stays within the budget."""
+    tree = generate_tree("path", {"n": 50_000})
+    for mode in ("edge", "vertex"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="budget"):
+                witness_subset(tree, tree.n // 2, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, mode
+    small = generate_tree("path", {"n": 2000})
+    keys = profile._subtree_classes(small, small.n)[1]
+    cells = profile._witness_cells(keys, 2000, 1000, 1000, 3)
+    assert cells <= profile.WITNESS_MAX_CELLS
