@@ -33,13 +33,6 @@ class FluxAssignment:
         return self.root_value + sum(self.edge_values.values())
 
 
-@dataclass(frozen=True)
-class FluxCheck:
-    total: int
-    expected: int
-    passed: bool
-
-
 def flux_assignment(tree: RootedTree, members, weights: WeightTable) -> FluxAssignment:
     """Label boundary edges of the subset with signed subtree weights."""
     subset = frozenset(members)
@@ -57,14 +50,12 @@ def flux_assignment(tree: RootedTree, members, weights: WeightTable) -> FluxAssi
     return FluxAssignment(root_value=root_value, edge_values=edge_values, subset=subset)
 
 
-def check_flux_conservation(tree: RootedTree, members, weights: WeightTable = None) -> FluxCheck:
-    """Verify that the flux labels sum to |S|; holds for every subset."""
+def check_flux_conservation(tree: RootedTree, members, weights: WeightTable = None) -> bool:
+    """Whether the flux labels sum to |S|; true for every subset."""
     if weights is None:
         weights = subtree_weights(tree)
     assignment = flux_assignment(tree, members, weights)
-    total = assignment.total()
-    expected = len(assignment.subset)
-    return FluxCheck(total=total, expected=expected, passed=total == expected)
+    return assignment.total() == len(assignment.subset)
 
 
 def cut_count_upper_bound(eta: int, k: int) -> int:

@@ -255,7 +255,11 @@ def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
 
 
 def _profile(tree: RootedTree, mode: str, size_cap: int):
-    return [int(x) for x in np.min(_run_dp(tree, mode, size_cap), axis=0)[1:]]
+    shared = _shared_classes.get()
+    classes = shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap)
+    for _, (_, root) in _stages(tree, mode, classes, 1, tree.n):
+        pass
+    return [int(x) for x in np.min(root, axis=0)]
 
 
 def compute_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP) -> IsoProfile:
@@ -355,18 +359,16 @@ def _backtrack(tree: RootedTree, rules: _Mode, cls, stages, i: int) -> frozenset
     return frozenset(selected)
 
 
-def _merge(cur: np.ndarray, child: np.ndarray, mode: str, skip: int = 0, width=None) -> np.ndarray:
+def _merge(cur: np.ndarray, child: np.ndarray, mode: str, skip: int, width: int) -> np.ndarray:
     """cur with one more child merged in, by the mode's transition table.
 
     Row s of the result is the minimum, over the transitions into s, of
     cur[s_prev] min-plus (child[sc] + cost).  Child rows that share s_prev
     are combined first, so each (s_prev -> s) pair costs one min-plus.  The
-    result holds only the width cells from cell skip on (all of them by
-    default); no wider row is ever allocated.
+    result holds only the width cells from cell skip on; no wider row is
+    ever allocated.
     """
     rules = _MODES[mode]
-    if width is None:
-        width = cur.shape[1] + child.shape[1] - 1
     out = np.full((len(rules.into), width), _INF, dtype=np.int32)
     for row, into in zip(out, rules.into):
         for s_prev, terms in into:
@@ -375,7 +377,7 @@ def _merge(cur: np.ndarray, child: np.ndarray, mode: str, skip: int = 0, width=N
     return out
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int = 0) -> None:
+def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -> None:
     """Lower out to cells skip .. skip + out.size - 1 of the min-plus
     convolution of a and b (a.size + b.size - 1 cells) where that is smaller.
 
@@ -478,91 +480,81 @@ def _subtree_classes(tree: RootedTree, size_cap: int):
     return cls, list(ids)
 
 
-def _run_dp(tree: RootedTree, mode: str, size_cap: int) -> np.ndarray:
-    """Post-order DP over the tree, one merge chain per subtree class; the
-    root table.
+def _window(s: int, n: int, i_min: int, i_max: int):
+    """(lo, width) of the cells a stage over s of the n vertices keeps for
+    subsets of i_min .. i_max vertices; (0, n) keeps all s + 1 of them.
 
-    Tables are merged once per class of _subtree_classes, and every vertex
-    of a class uses its table.  A class table is dropped once every class
-    that merges it has done so; nothing outlives the call.  Trees above
-    size_cap raise SizeCapError.  Inside compute_profile, the classes it
-    computed for the tree are reused.
+    The stage holds at most min(s, i_max) of the subset and, since the n - s
+    vertices outside it hold at most n - s, at least i_min - (n - s).  A
+    kept cell equals the full-width DP's: a split of it into cells outside
+    their windows would put more of the subset in a subtree than it has
+    vertices, or leave the vertices outside it too few.
     """
-    shared = _shared_classes.get()
-    if shared is not None and shared[0] is tree:
-        cls, keys = shared[1]
-    else:
-        cls, keys = _subtree_classes(tree, size_cap)
+    # Not max/min: this runs once per merge, and they cost 3x as much.
+    lo = i_min - (n - s) if i_min > n - s else 0
+    return lo, (s if s < i_max else i_max) - lo + 1
+
+
+def _stages(tree: RootedTree, mode: str, classes, i_min: int, i_max: int):
+    """Post-order DP over the tree, one merge chain per class of
+    _subtree_classes: yields (class id, (lo, table)) for every stage.
+
+    Stage m of a class is its table after its first m children (stage 0 is
+    the vertex alone); table[:, j - lo] is cell j, for the _window cells
+    alone.  A class's last stage, used by all its vertices, is kept until
+    every class that merges it has done so; nothing else is kept.
+    """
+    n = tree.n
+    keys = classes[1]
     uses = [0] * len(keys)
     for key in keys:
         for c in key:
             uses[c] += 1
-    base = _MODES[mode].base
+    lo, width = _window(1, n, i_min, i_max)
+    base = lo, _MODES[mode].base[:, lo : lo + width]
+    size = [0] * len(keys)
     final = [None] * len(keys)
     for k, key in enumerate(keys):
-        table = base
+        s, stage = 1, base
+        yield k, stage
         for c in key:
-            table = _merge(table, final[c], mode)
+            (cur_lo, cur), (child_lo, child) = stage, final[c]
+            s += size[c]
+            lo, width = _window(s, n, i_min, i_max)
+            stage = lo, _merge(cur, child, mode, lo - cur_lo - child_lo, width)
             uses[c] -= 1
             if not uses[c]:
                 final[c] = None
-        final[k] = table
-    return final[cls[tree.root]]
+            yield k, stage
+        size[k] = s
+        final[k] = stage
 
 
 def _witness_cells(keys, n: int, i_min: int, i_max: int, nflags: int) -> int:
     """Cells the stages of _witness_stages hold, over all flag rows, from the
     class keys alone (child classes come first): one window per stage."""
-    gap = n - i_min
     size = []
-    total = (min(1, i_max) - max(0, 1 - gap) + 1) * len(keys)
+    total = _window(1, n, i_min, i_max)[1] * len(keys)
     for key in keys:
         s = 1
         for c in key:
             s += size[c]
-            total += min(s, i_max) - max(0, s - gap) + 1
+            total += _window(s, n, i_min, i_max)[1]
         size.append(s)
     return total * nflags
 
 
 def _witness_stages(tree: RootedTree, mode: str, size_cap: int, i_min: int, i_max: int):
-    """The DP of _run_dp with every stage kept for subsets of i_min .. i_max
-    vertices: (class id per vertex, stage list per class).
-
-    Stage m of a class is (lo, table) after merging its first m children:
-    table[:, j - lo] is cell j for the cells j in [lo, hi] that such a
-    subset can reach, and no other cell is stored.  For a stage over s
-    vertices, hi = min(s, i_max), and lo = max(0, i_min - (n - s)), since
-    the n - s vertices outside it hold at most n - s of the subset.  Each
-    kept cell equals the full-width DP's: a split of it into a stage cell
-    and a child cell outside their windows would give one of them more
-    selected vertices than its subtree has, or leave the vertices outside
-    it too few.  The last stage is the class's final table.  Trees above
-    size_cap raise SizeCapError, and so do stages that would hold more than
-    WITNESS_MAX_CELLS cells, before any table is built.
-    """
-    n = tree.n
-    cls, keys = _subtree_classes(tree, size_cap)
-    base = _MODES[mode].base
-    cells = _witness_cells(keys, n, i_min, i_max, base.shape[0])
+    """(class id per vertex, list per class of its _stages) for subsets of
+    i_min .. i_max vertices.  Trees above size_cap raise SizeCapError, and
+    so do stages above WITNESS_MAX_CELLS cells, before any table is built."""
+    classes = _subtree_classes(tree, size_cap)
+    cells = _witness_cells(classes[1], tree.n, i_min, i_max, _MODES[mode].base.shape[0])
     if cells > WITNESS_MAX_CELLS:
         raise SizeCapError(
             f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
         )
-    gap = n - i_min
-    base = base[:, max(0, 1 - gap) : min(1, i_max) + 1]
-    size = []
-    stages = []
-    for key in keys:
-        s = 1
-        tabs = [(max(0, 1 - gap), base)]
-        for c in key:
-            cur_lo, cur = tabs[-1]
-            child_lo, child = stages[c][-1]
-            s += size[c]
-            lo = max(0, s - gap)
-            table = _merge(cur, child, mode, lo - cur_lo - child_lo, min(s, i_max) - lo + 1)
-            tabs.append((lo, table))
-        size.append(s)
-        stages.append(tabs)
-    return cls, stages
+    stages = [[] for _ in classes[1]]
+    for k, stage in _stages(tree, mode, classes, i_min, i_max):
+        stages[k].append(stage)
+    return classes[0], stages

@@ -15,6 +15,7 @@ from .bounds import (
     count_sizes_with_cut_at_most,
     cut_count_upper_bound,
     edge_peak_lower_bound,
+    flux_assignment,
     prefix_upper_bounds,
     sandwich_check,
 )
@@ -182,9 +183,9 @@ def analyze_tree(
         subsets.append(frozenset(v for v in range(n) if (bits >> v) & 1))
     flux_failures = []
     for s in subsets:
-        chk = check_flux_conservation(tree, s, weights)
-        if not chk.passed:
-            flux_failures.append(f"|S|={chk.expected} sum={chk.total}")
+        if not check_flux_conservation(tree, s, weights):
+            total = flux_assignment(tree, s, weights).total()
+            flux_failures.append(f"|S|={len(s)} sum={total}")
     verdicts.append(
         Verdict(
             "flux_conservation: f(root) + sum_e f(e) == |S|",
@@ -382,7 +383,7 @@ def sweep_rows(max_vertices: int = DEFAULT_DP_CAP) -> list:
                 depths.append(d)
                 d += 1
         for d in depths:
-            tree = generate_tree("complete_tary", {"t": t, "d": d})
+            tree = generate_tree("complete_tary", {"t": t, "d": d}, max_vertices=max_vertices)
             weights = subtree_weights(tree)
             profile = compute_profile(tree, max_vertices)
             p = edge_peak_lower_bound(tree.n, weights.eta)

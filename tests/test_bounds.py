@@ -61,8 +61,7 @@ def test_flux_subtree_of_binary():
     fa = flux_assignment(tree, {1, 3, 4}, w)
     assert fa.edge_values[(1, 0)] == 3
     assert fa.total() == 3
-    chk = check_flux_conservation(tree, {1, 3, 4}, w)
-    assert chk.passed and chk.total == 3 and chk.expected == 3
+    assert check_flux_conservation(tree, {1, 3, 4}, w) is True
 
 
 def test_flux_value_alphabet():
@@ -89,8 +88,7 @@ def test_flux_all_subsets_small_trees():
         w = subtree_weights(tree)
         for mask in range(1 << tree.n):
             s = frozenset(v for v in range(tree.n) if (mask >> v) & 1)
-            chk = check_flux_conservation(tree, s, w)
-            assert chk.passed, (label, mask, chk)
+            assert check_flux_conservation(tree, s, w) is True, (label, mask)
 
 
 def test_flux_out_of_range_vertex():

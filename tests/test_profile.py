@@ -327,10 +327,10 @@ def test_merge_follows_transition_table(mode, trans):
             for i, x in enumerate(cur[s_prev].tolist()):
                 for jc, y in enumerate(child[sc].tolist()):
                     row[i + jc] = min(inf, row[i + jc], x + y + cost)
-        merged = profile._merge(cur, child, mode)
+        full = cur_width + child_width - 1
+        merged = profile._merge(cur, child, mode, 0, full)
         assert merged.dtype == np.int32
         assert merged.tolist() == expected, (cur_width, child_width)
-        full = cur_width + child_width - 1
         for skip, width in {(0, full), (0, 1), (full - 1, 1), (1, full - 2),
                             (rng.randint(0, full - 1), rng.randint(1, full))}:
             width = min(width, full - skip)
@@ -349,7 +349,7 @@ def test_row_and_block_kernels_agree(monkeypatch):
     kernel = profile._min_plus
     ragged = windowed = 0
 
-    def both(a, b, out, skip=0):
+    def both(a, b, out, skip):
         nonlocal ragged, windowed
         short, long = (a, b) if a.size <= b.size else (b, a)
         rows, blocks = out.copy(), out.copy()
@@ -389,7 +389,9 @@ def _live_table_peak(monkeypatch, tree, mode):
         return table
 
     merge = profile._merge
-    monkeypatch.setattr(profile, "_merge", lambda cur, child, m: track(merge(cur, child, m)))
+    monkeypatch.setattr(
+        profile, "_merge", lambda cur, child, m, *window: track(merge(cur, child, m, *window))
+    )
     (edge_profile if mode == "edge" else vertex_profile)(tree)
     return peak
 
@@ -530,6 +532,27 @@ def test_profiles_invariant_under_rerooting(tree, k):
     assert compute_profile(reroot(tree, k % tree.n)) == compute_profile(tree)
 
 
+@settings(deadline=None, max_examples=20)
+@given(large_trees, st.integers(min_value=0))
+@example(generate_tree("complete_tary", {"t": 2, "d": 8}), 191)
+def test_witnesses_attain_profile_above_the_oracle(tree, k):
+    """Past the oracle's ceiling, on the tree and on a reroot of it, one
+    witness_subsets call per mode gives a set of each size i whose
+    boundary, counted from the definition, is the profile value b(i)."""
+    for t in (tree, reroot(tree, k % tree.n)):
+        prof = compute_profile(t)
+        sizes = {i for i in (1, t.n // 4, t.n // 2, 3 * t.n // 4, t.n - 1) if i >= 1}
+        for mode, boundary, values in (
+            ("edge", edge_boundary_size, prof.edge_values),
+            ("vertex", vertex_boundary_size, prof.vertex_values),
+        ):
+            witnesses = witness_subsets(t, sizes, mode)
+            assert sorted(witnesses) == sorted(sizes)
+            for i, s in witnesses.items():
+                assert len(s) == i
+                assert boundary(t, s) == values[i - 1], (mode, i)
+
+
 def test_compute_profile_builds_subtree_classes_once(monkeypatch):
     """compute_profile runs the edge and the vertex DP on one set of
     subtree classes; edge_profile and witness_subset still build their own."""
@@ -590,9 +613,17 @@ def test_stage_tables_are_int32_within_sentinel(tree):
                     assert final[0][w - lo] == profile._INF
                 if lo == 0:
                     assert final[in_flag][0] == profile._INF
-        root = profile._run_dp(tree, mode, profile.DEFAULT_DP_CAP)
+        root = _full_root_table(tree, mode)
         assert root[0][n] == profile._INF
         assert root[in_flag][0] == profile._INF
+
+
+def _full_root_table(tree, mode):
+    """The root table over every cell 0..n: the last stage of _stages(..., 0, n)."""
+    classes = profile._subtree_classes(tree, profile.DEFAULT_DP_CAP)
+    for _, (_, table) in profile._stages(tree, mode, classes, 0, tree.n):
+        pass
+    return table
 
 
 def _subtree_sizes(tree):
@@ -615,7 +646,7 @@ def test_windowed_stages_are_slices_of_full_width_stages(tree):
     cap = profile.DEFAULT_DP_CAP
     for mode in ("edge", "vertex"):
         cls, full = profile._witness_stages(tree, mode, cap, 1, n)
-        root = profile._run_dp(tree, mode, cap)
+        root = _full_root_table(tree, mode)
         assert full[cls[tree.root]][-1][1].tolist() == root[:, 1:].tolist()
         for i in range(1, n + 1):
             _, stages = profile._witness_stages(tree, mode, cap, i, i)

@@ -1,4 +1,5 @@
 """Derived parameter bounds, per-tree reports, the suite, and emission."""
+import functools
 import json
 
 import pytest
@@ -90,6 +91,19 @@ def test_report_self_consistency():
         assert verdict.passed == count_ok, label
         p_verdict = next(v for v in report.verdicts if v.name.startswith("edge_peak_lb"))
         assert p_verdict.passed == (b["p"] <= report.profile["edge_peak"]), label
+
+
+def test_flux_failure_detail_names_size_and_sum(monkeypatch):
+    """A failed flux check names each failing subset by |S| and its label sum."""
+    import treeiso.report as report_mod
+
+    monkeypatch.setattr(
+        report_mod, "check_flux_conservation", lambda tree, s, w: len(s) < tree.n
+    )
+    report = analyze_tree(bin3(), {"label": "bin3"})
+    verdict = next(v for v in report.verdicts if v.name.startswith("flux_conservation"))
+    assert not verdict.passed
+    assert verdict.details == "32 subsets checked, failures: ['|S|=7 sum=7']"
 
 
 def test_verify_suite_passes_and_exit_status():
@@ -207,6 +221,25 @@ def test_sweep_rows_small():
         assert row["eta"] == row["d"]
     tary = {row["t"] for row in rows}
     assert tary == {2, 3, 4, 5, 9}
+
+
+def test_sweep_rows_generates_up_to_its_own_cap(monkeypatch):
+    """sweep_rows passes its cap to generate_tree, so a generator default
+    below the cap cannot end the sweep early."""
+    import treeiso.report as report_mod
+
+    monkeypatch.setattr(
+        report_mod, "generate_tree", functools.partial(generate_tree, max_vertices=100)
+    )
+    rows = sweep_rows(max_vertices=200)
+    expected = [
+        (t, d)
+        for t in (2, 3, 4, 5, 9)
+        for d in range(2, 14)
+        if (t**d - 1) // (t - 1) <= 200
+    ]
+    assert [(row["t"], row["d"]) for row in rows] == expected
+    assert max(row["n"] for row in rows) == 156
 
 
 def test_sweep_rows_emit(tmp_path):
