@@ -103,29 +103,24 @@ def prefix_upper_bounds(tree: RootedTree):
     """Boundary sizes of every post-order prefix, as (edge_ub, vertex_ub).
 
     The i-th prefix is the first i vertices of the post-order traversal;
-    its boundaries dominate the true profile entrywise and stay below
-    (max_degree - 1) * depth and depth respectively.  Computed
+    its boundaries dominate the true profile entrywise.  Computed
     incrementally in O(n) total.
     """
-    adj = tree.adjacency()
-    inside = [False] * tree.n
-    selected_neighbors = [0] * tree.n
     cut = 0
     phi = 0
     edge_ub = []
     vertex_ub = []
     for v in postorder(tree):
-        inside[v] = True
-        if selected_neighbors[v] > 0:
+        # Post-order adds v after its children and before its parent: the
+        # child edges stop being cut and the parent edge starts; v leaves
+        # the vertex boundary if it has a child, and its parent joins it
+        # with its first child.
+        kids, p = tree.children[v], tree.parent[v]
+        cut += (p is not None) - len(kids)
+        if kids:
             phi -= 1
-        for u in adj[v]:
-            if inside[u]:
-                cut -= 1
-            else:
-                cut += 1
-                selected_neighbors[u] += 1
-                if selected_neighbors[u] == 1:
-                    phi += 1
+        if p is not None and tree.children[p][0] == v:
+            phi += 1
         edge_ub.append(cut)
         vertex_ub.append(phi)
     return edge_ub, vertex_ub

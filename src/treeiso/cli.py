@@ -173,7 +173,7 @@ def _cmd_verify(args) -> int:
     for spec in args.gen:
         try:
             kind, params, seed = _parse_gen_spec(spec)
-            tree = generate_tree(kind, params, seed=seed)
+            tree = generate_tree(kind, params, seed=seed, max_vertices=args.dp_cap)
             entries.append(
                 TreeEntry(source={"kind": kind, "params": params, "seed": seed}, tree=tree)
             )

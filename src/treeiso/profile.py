@@ -66,7 +66,7 @@ _V_OUT_UNTOUCHED, _V_OUT_TOUCHED, _V_IN = 0, 1, 2
 # Transition tables: (parent flag, child-root flag) -> (merge cost, new parent flag).
 # Flag 0 is the flag of an unselected vertex before any child is merged.
 _EDGE_TRANS = {
-    (s, sc): (0 if s == sc else 1, s) for s in (0, 1) for sc in (0, 1)
+    (s, sc): (0 if s == sc else 1, s) for s in (_E_OUT, _E_IN) for sc in (_E_OUT, _E_IN)
 }
 _VERTEX_TRANS = {
     (_V_OUT_UNTOUCHED, _V_OUT_UNTOUCHED): (0, _V_OUT_UNTOUCHED),

@@ -156,9 +156,9 @@ def analyze_tree(
     if k_max is not None and k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     source = dict(source or {})
+    profile = compute_profile(tree, dp_cap)
     weights = subtree_weights(tree)
     delta = tree.max_degree()
-    profile = compute_profile(tree, dp_cap)
     n = tree.n
     verdicts = []
     findings = []

@@ -50,6 +50,7 @@ class RootedTree:
             raise TreeFormatError("malformed tree: vertex count must be positive")
         if not (0 <= root < n):
             raise TreeFormatError(f"out-of-range id: root {root} not in [0, {n})")
+        kids = [[] for _ in range(n)]
         for v, p in enumerate(parents):
             if p is None:
                 continue
@@ -57,6 +58,7 @@ class RootedTree:
                 raise TreeFormatError(f"malformed tree: parent of vertex {v} is not an integer")
             if not (0 <= p < n):
                 raise TreeFormatError(f"out-of-range id: vertex {v} has parent {p} not in [0, {n})")
+            kids[p].append(v)
         if parents[root] is not None:
             raise TreeFormatError(
                 f"duplicate parent entry: declared root {root} also has parent {parents[root]}"
@@ -66,33 +68,19 @@ class RootedTree:
                 raise TreeFormatError(
                     f"disconnected forest: vertex {v} has no parent but root is {root}"
                 )
-        # Reachability: every vertex must reach the root by parent links.
-        # state: 0 unvisited, 1 on current chain, 2 known good.
-        state = [0] * n
-        state[root] = 2
-        for start in range(n):
-            if state[start]:
-                continue
-            chain = []
-            v = start
-            while state[v] == 0:
-                state[v] = 1
-                chain.append(v)
+        tree = cls(n=n, root=root, parent=tuple(parents), children=tuple(map(tuple, kids)))
+        # A vertex is reached from the root exactly when its parent chain
+        # ends there.  The chain of the smallest unreached vertex runs into
+        # a cycle; name the first vertex it repeats.
+        order = postorder(tree)
+        if len(order) < n:
+            v = tree.membership(order).index(False)
+            chain = set()
+            while v not in chain:
+                chain.add(v)
                 v = parents[v]
-            if state[v] == 1:
-                raise TreeFormatError(f"cycle detected: vertex {v} never reaches the root")
-            for u in chain:
-                state[u] = 2
-        kids = [[] for _ in range(n)]
-        for v, p in enumerate(parents):
-            if p is not None:
-                kids[p].append(v)
-        return cls(
-            n=n,
-            root=root,
-            parent=tuple(parents),
-            children=tuple(tuple(c) for c in kids),
-        )
+            raise TreeFormatError(f"cycle detected: vertex {v} never reaches the root")
+        return tree
 
     def membership(self, members) -> list:
         """inside[v] is True exactly for the given vertices; ValueError for
@@ -369,14 +357,12 @@ def subtree_weights(tree: RootedTree) -> WeightTable:
 
 def postorder(tree: RootedTree) -> list:
     """Vertices with every subtree listed before its root; children ascend by id."""
+    # Reversed pre-order that visits children in descending id order.
     order = []
-    stack = [(tree.root, 0)]
+    stack = [tree.root]
     while stack:
-        v, idx = stack.pop()
-        kids = tree.children[v]
-        if idx < len(kids):
-            stack.append((v, idx + 1))
-            stack.append((kids[idx], 0))
-        else:
-            order.append(v)
+        v = stack.pop()
+        order.append(v)
+        stack.extend(tree.children[v])
+    order.reverse()
     return order

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from hypothesis import strategies as st
+
 from treeiso import RootedTree, generate_tree
 
 
@@ -59,3 +61,20 @@ def reroot(tree: RootedTree, root: int) -> RootedTree:
                 parents[u] = v
                 queue.append(u)
     return RootedTree.from_parents(parents, root)
+
+
+@st.composite
+def labelled_trees(draw, max_n=14):
+    """Random recursive shapes under a random labelling, root included."""
+    n = draw(st.integers(1, max_n))
+    parents = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    return relabel(RootedTree.from_parents(parents, 0), draw(st.permutations(range(n))))
+
+
+def relabel(tree, perm):
+    """The same tree with vertex v renamed perm[v]; children keep ascending ids,
+    so the merge order, and with it the subtree classes, change."""
+    parents = [None] * tree.n
+    for v, p in enumerate(tree.parent):
+        parents[perm[v]] = None if p is None else perm[p]
+    return RootedTree.from_parents(parents, perm[tree.root])

@@ -23,7 +23,7 @@ from treeiso import (
     vertex_profile,
 )
 from treeiso.profile import IsoProfile
-from helpers import random_trees, structured_trees
+from helpers import random_trees, reroot, structured_trees
 
 BIN3_EDGE = [1, 2, 1, 1, 2, 1, 0]
 
@@ -186,6 +186,42 @@ def test_prefix_matches_direct_evaluation():
             prefix = set(order[:i])
             assert edge_ub[i - 1] == edge_boundary_size(tree, prefix), label
             assert vertex_ub[i - 1] == vertex_boundary_size(tree, prefix), label
+
+
+def _prefix_upper_bounds_reference(tree):
+    """The adjacency-list version prefix_upper_bounds used before."""
+    adj = tree.adjacency()
+    inside = [False] * tree.n
+    selected_neighbors = [0] * tree.n
+    cut = 0
+    phi = 0
+    edge_ub = []
+    vertex_ub = []
+    for v in postorder(tree):
+        inside[v] = True
+        if selected_neighbors[v] > 0:
+            phi -= 1
+        for u in adj[v]:
+            if inside[u]:
+                cut -= 1
+            else:
+                cut += 1
+                selected_neighbors[u] += 1
+                if selected_neighbors[u] == 1:
+                    phi += 1
+        edge_ub.append(cut)
+        vertex_ub.append(phi)
+    return edge_ub, vertex_ub
+
+
+def test_prefix_matches_adjacency_version_on_reroots():
+    for label, tree in structured_trees(30) + random_trees(200, 120, seed0=41):
+        for root in sorted({tree.root, tree.n // 2, tree.n - 1}):
+            rerooted = reroot(tree, root)
+            assert prefix_upper_bounds(rerooted) == _prefix_upper_bounds_reference(rerooted), (
+                label,
+                root,
+            )
 
 
 def test_prefix_dominance_and_ceilings():

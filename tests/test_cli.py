@@ -77,6 +77,19 @@ def test_verify_malformed_file_exits_nonzero(tmp_path):
     assert len(suite["reports"]) == 1
 
 
+def test_verify_gen_above_dp_cap_is_a_generation_error(tmp_path):
+    """--gen builds no tree larger than --dp-cap; the spec is reported as
+    an input error, as a bad generator parameter is."""
+    out_path = tmp_path / "suite.json"
+    args = ["verify", "--gen", "path:n=50", "--gen", "path:n=60", "--dp-cap", "50"]
+    assert main(args + ["--out", str(out_path)]) == 2
+    suite = json.loads(out_path.read_text())
+    assert [rep["tree"]["n"] for rep in suite["reports"]] == [50]
+    assert suite["errors"] == [
+        {"source": {"spec": "path:n=60"}, "error": "tree would have 60 vertices, above the limit of 50"}
+    ]
+
+
 def test_verify_deterministic_output(tmp_path):
     args = ["verify", "--gen", "random_recursive:n=12,seed=3", "--gen", "star:n=8", "--seed", "7"]
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"

@@ -26,7 +26,7 @@ from treeiso import (
 )
 from treeiso import profile
 from treeiso.tree import postorder
-from helpers import random_trees, reroot, structured_trees
+from helpers import labelled_trees, random_trees, relabel, reroot, structured_trees
 
 # Frozen from brute_force_profiles; the oracle tests below recompute them.
 STAR5_EDGE = [1, 2, 2, 1, 0]
@@ -435,23 +435,6 @@ def test_shared_tables_freed_at_last_use(monkeypatch, kind, params):
         assert _live_table_peak(monkeypatch, tree, mode) <= _per_vertex_table_peak(tree, rows)
 
 
-@st.composite
-def labelled_trees(draw, max_n=14):
-    """Random recursive shapes under a random labelling, root included."""
-    n = draw(st.integers(1, max_n))
-    parents = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
-    return _relabel(RootedTree.from_parents(parents, 0), draw(st.permutations(range(n))))
-
-
-def _relabel(tree, perm):
-    """The same tree with vertex v renamed perm[v]; children keep ascending ids,
-    so the merge order, and with it the subtree classes, change."""
-    parents = [None] * tree.n
-    for v, p in enumerate(tree.parent):
-        parents[perm[v]] = None if p is None else perm[p]
-    return RootedTree.from_parents(parents, perm[tree.root])
-
-
 def _spider(legs, length):
     parents = [None]
     for _ in range(legs):
@@ -485,7 +468,7 @@ def test_dp_matches_oracle_property(tree):
 @given(st.one_of(labelled_trees(40), repeated_subtree_trees), st.data())
 def test_profiles_invariant_under_relabelling(tree, data):
     perm = data.draw(st.permutations(range(tree.n)))
-    assert compute_profile(_relabel(tree, perm)) == compute_profile(tree)
+    assert compute_profile(relabel(tree, perm)) == compute_profile(tree)
 
 
 @settings(deadline=None)

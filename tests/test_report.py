@@ -5,6 +5,7 @@ import json
 import pytest
 
 from treeiso import (
+    SizeCapError,
     compute_profile,
     derived_parameter_bounds,
     emit,
@@ -130,6 +131,17 @@ def test_verify_suite_cap_violation_is_reported():
     result = verify_suite(entries, dp_cap=50)
     assert result.exit_status == 2
     assert "cap" in result.errors[0]["error"]
+
+
+def test_analyze_tree_checks_dp_cap_before_other_work(monkeypatch):
+    import treeiso.report as report_mod
+
+    def refuse(tree):
+        raise AssertionError("subtree_weights ran before the DP cap check")
+
+    monkeypatch.setattr(report_mod, "subtree_weights", refuse)
+    with pytest.raises(SizeCapError):
+        analyze_tree(generate_tree("path", {"n": 60}), dp_cap=50)
 
 
 def test_verify_suite_exit_one_on_verdict_failure(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from treeiso import (
     GenerationError,
+    RootedTree,
     TreeFormatError,
     generate_tree,
     parse_tree,
@@ -12,7 +13,7 @@ from treeiso import (
     serialize_tree,
     subtree_weights,
 )
-from helpers import random_trees, structured_trees
+from helpers import labelled_trees, random_trees, structured_trees
 
 PATH3_JSON = b'{"n":3,"root":0,"parent":[null,0,1]}'
 PATH3_TEXT = b"3\n0\n-1 0 1"
@@ -38,6 +39,11 @@ def test_two_parentless_vertices_rejected():
 def test_cycle_rejected():
     with pytest.raises(TreeFormatError, match="cycle"):
         parse_tree(b'{"n":3,"root":0,"parent":[null,2,1]}', "json")
+
+
+def test_cycle_names_the_first_repeated_vertex_of_the_smallest_unreached_chain():
+    with pytest.raises(TreeFormatError, match="^cycle detected: vertex 2 never reaches the root$"):
+        parse_tree(b'{"n":5,"root":0,"parent":[null,2,3,4,2]}', "json")
 
 
 def test_self_loop_rejected():
@@ -256,3 +262,123 @@ def test_postorder_structure_on_random_trees():
             block = order[pos[v] - sub_size[v] + 1 : pos[v] + 1]
             assert v in block and len(block) == sub_size[v], label
         assert order[-1] == tree.root
+
+
+def _postorder_reference(tree):
+    """The (vertex, child-index) stack walk postorder used before."""
+    order = []
+    stack = [(tree.root, 0)]
+    while stack:
+        v, idx = stack.pop()
+        kids = tree.children[v]
+        if idx < len(kids):
+            stack.append((v, idx + 1))
+            stack.append((kids[idx], 0))
+        else:
+            order.append(v)
+    return order
+
+
+@settings(deadline=None)
+@given(labelled_trees(60))
+def test_postorder_equals_child_index_walk(tree):
+    assert postorder(tree) == _postorder_reference(tree)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("path", {"n": 5000}),
+        ("star", {"n": 500}),
+        ("complete_tary", {"t": 3, "d": 6}),
+        ("caterpillar", {"spine": 30, "legs": 4}),
+    ],
+)
+def test_postorder_equals_child_index_walk_on_large_trees(kind, params):
+    tree = generate_tree(kind, params)
+    assert postorder(tree) == _postorder_reference(tree)
+
+
+def _from_parents_reference(parents, root):
+    """The validator from_parents used before: the same checks in the same
+    order, then a 0/1/2 chain-state walk for reachability."""
+    n = len(parents)
+    if n < 1:
+        raise TreeFormatError("malformed tree: vertex count must be positive")
+    if not (0 <= root < n):
+        raise TreeFormatError(f"out-of-range id: root {root} not in [0, {n})")
+    for v, p in enumerate(parents):
+        if p is None:
+            continue
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TreeFormatError(f"malformed tree: parent of vertex {v} is not an integer")
+        if not (0 <= p < n):
+            raise TreeFormatError(f"out-of-range id: vertex {v} has parent {p} not in [0, {n})")
+    if parents[root] is not None:
+        raise TreeFormatError(
+            f"duplicate parent entry: declared root {root} also has parent {parents[root]}"
+        )
+    for v, p in enumerate(parents):
+        if p is None and v != root:
+            raise TreeFormatError(
+                f"disconnected forest: vertex {v} has no parent but root is {root}"
+            )
+    state = [0] * n
+    state[root] = 2
+    for start in range(n):
+        if state[start]:
+            continue
+        chain = []
+        v = start
+        while state[v] == 0:
+            state[v] = 1
+            chain.append(v)
+            v = parents[v]
+        if state[v] == 1:
+            raise TreeFormatError(f"cycle detected: vertex {v} never reaches the root")
+        for u in chain:
+            state[u] = 2
+    kids = [[] for _ in range(n)]
+    for v, p in enumerate(parents):
+        if p is not None:
+            kids[p].append(v)
+    return RootedTree(n, root, tuple(parents), tuple(tuple(c) for c in kids))
+
+
+def _outcome(build, parents, root):
+    try:
+        tree = build(parents, root)
+    except (TreeFormatError, TypeError) as exc:
+        return type(exc), str(exc)
+    return tree, type(tree.root), tree.children
+
+
+_ODD_ENTRIES = st.sampled_from([None, True, False, 1.0, 0.5, "1"])
+
+
+@st.composite
+def parent_arrays(draw, max_n=14):
+    """(parents, root): a relabelled tree, with up to three entries replaced by
+    another id (which can close a cycle with a tail), a self-loop, an
+    out-of-range id or a non-integer, and sometimes a bad root."""
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(n)))
+    parents = [None] * n
+    for k in range(1, n):
+        parents[order[k]] = order[draw(st.integers(0, k - 1))]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        v = draw(st.integers(0, n - 1))
+        parents[v] = draw(st.one_of(st.integers(-1, n), st.just(v), _ODD_ENTRIES))
+    root = order[0] if n else 0
+    if draw(st.integers(0, 9)) == 0:
+        root = draw(st.one_of(st.integers(-1, n), st.booleans(), st.just(1.0)))
+    return parents, root
+
+
+@settings(deadline=None, max_examples=500)
+@given(parent_arrays())
+def test_from_parents_matches_chain_state_validator(case):
+    parents, root = case
+    assert _outcome(RootedTree.from_parents, parents, root) == _outcome(
+        _from_parents_reference, parents, root
+    )
