@@ -4,11 +4,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .profile import DEFAULT_DP_CAP, DEFAULT_ORACLE_LIMIT, SizeCapError, compute_profile
+from .profile import DEFAULT_DP_CAP, DEFAULT_ORACLE_LIMIT, compute_profile
 from .report import FORMATS, TreeEntry, analyze_tree, emit, sweep_rows, verify_suite
 from .tree import (
     DEFAULT_MAX_VERTICES,
-    GenerationError,
     TREE_FORMATS,
     TREE_KINDS,
     TreeFormatError,
@@ -23,7 +22,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TreeFormatError, GenerationError, SizeCapError, ValueError, OSError) as exc:
+    # TreeFormatError, GenerationError and SizeCapError are ValueErrors.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -177,7 +177,7 @@ def _cmd_verify(args) -> int:
             entries.append(
                 TreeEntry(source={"kind": kind, "params": params, "seed": seed}, tree=tree)
             )
-        except (GenerationError, ValueError) as exc:
+        except ValueError as exc:
             entries.append(TreeEntry(source={"spec": spec}, error=str(exc)))
     result = verify_suite(
         entries,

@@ -495,53 +495,53 @@ def _window(s: int, n: int, i_min: int, i_max: int):
     return lo, (s if s < i_max else i_max) - lo + 1
 
 
+def _schedule(keys, n: int, i_min: int, i_max: int):
+    """Every DP stage over the class keys of _subtree_classes, in DP order,
+    for subsets of i_min .. i_max of the n vertices: yields (class id, child
+    class merged or None for stage 0, the vertex alone, lo, width), where
+    (lo, width) is the stage's _window.  Child classes come first in keys."""
+    size = [0] * len(keys)
+    lo, width = _window(1, n, i_min, i_max)
+    for k, key in enumerate(keys):
+        s = 1
+        yield k, None, lo, width
+        for c in key:
+            s += size[c]
+            yield (k, c) + _window(s, n, i_min, i_max)
+        size[k] = s
+
+
 def _stages(tree: RootedTree, mode: str, classes, i_min: int, i_max: int):
     """Post-order DP over the tree, one merge chain per class of
-    _subtree_classes: yields (class id, (lo, table)) for every stage.
-
-    Stage m of a class is its table after its first m children (stage 0 is
-    the vertex alone); table[:, j - lo] is cell j, for the _window cells
-    alone.  A class's last stage, used by all its vertices, is kept until
-    every class that merges it has done so; nothing else is kept.
+    _subtree_classes: yields (class id, (lo, table)) for every stage of
+    _schedule, with table[:, j - lo] cell j.  A class's last stage, used
+    by all its vertices, is kept until every class that merges it has done
+    so; nothing else is kept.
     """
-    n = tree.n
     keys = classes[1]
     uses = [0] * len(keys)
     for key in keys:
         for c in key:
             uses[c] += 1
-    lo, width = _window(1, n, i_min, i_max)
-    base = lo, _MODES[mode].base[:, lo : lo + width]
-    size = [0] * len(keys)
+    base = _MODES[mode].base
     final = [None] * len(keys)
-    for k, key in enumerate(keys):
-        s, stage = 1, base
-        yield k, stage
-        for c in key:
+    for k, c, lo, width in _schedule(keys, tree.n, i_min, i_max):
+        if c is None:
+            stage = lo, base[:, lo : lo + width]
+        else:
             (cur_lo, cur), (child_lo, child) = stage, final[c]
-            s += size[c]
-            lo, width = _window(s, n, i_min, i_max)
             stage = lo, _merge(cur, child, mode, lo - cur_lo - child_lo, width)
             uses[c] -= 1
             if not uses[c]:
                 final[c] = None
-            yield k, stage
-        size[k] = s
         final[k] = stage
+        yield k, stage
 
 
 def _witness_cells(keys, n: int, i_min: int, i_max: int, nflags: int) -> int:
     """Cells the stages of _witness_stages hold, over all flag rows, from the
-    class keys alone (child classes come first): one window per stage."""
-    size = []
-    total = _window(1, n, i_min, i_max)[1] * len(keys)
-    for key in keys:
-        s = 1
-        for c in key:
-            s += size[c]
-            total += _window(s, n, i_min, i_max)[1]
-        size.append(s)
-    return total * nflags
+    class keys alone: the widths of _schedule's stages."""
+    return nflags * sum(width for _, _, _, width in _schedule(keys, n, i_min, i_max))
 
 
 def _witness_stages(tree: RootedTree, mode: str, size_cap: int, i_min: int, i_max: int):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from .bounds import (
     analytic_peak_lower_bounds,
     check_flux_conservation,
+    # Not called here since _cut_count_table counts in one pass; kept as a
+    # name of this module, which bench/spans.py wraps for its timing span.
     count_sizes_with_cut_at_most,
     cut_count_upper_bound,
     edge_peak_lower_bound,
@@ -27,7 +30,7 @@ from .profile import (
     brute_force_profiles,
     compute_profile,
 )
-from .tree import RootedTree, generate_tree, subtree_weights
+from .tree import GenerationError, RootedTree, generate_tree, subtree_weights
 
 FORMATS = ("csv", "json")
 # Random subsets per tree in the flux-conservation check, the empty and the
@@ -126,10 +129,17 @@ def _cut_count_table(edge_values, eta: int, k_cap: int):
     """Rows {k, ell, bound} for k = 0..k_cap, where ell(k) counts the
     cardinalities with minimum edge boundary <= k and bound is
     2*C(2*eta + k, k); and whether ell <= bound in every row."""
+    # One pass: at[k] counts the cardinalities whose minimum is exactly k,
+    # and ell is their running sum.
+    at = [0] * (k_cap + 1)
+    for value in edge_values:
+        if value <= k_cap:
+            at[value] += 1
     table = []
     ok = True
-    for k in range(k_cap + 1):
-        ell = count_sizes_with_cut_at_most(edge_values, k)
+    ell = 0
+    for k, count in enumerate(at):
+        ell += count
         bound = cut_count_upper_bound(eta, k)
         table.append({"k": k, "ell": ell, "bound": str(bound)})
         ok = ok and ell <= bound
@@ -366,7 +376,8 @@ def sweep_rows(max_vertices: int = DEFAULT_DP_CAP) -> list:
     """Peak measurements across complete t-ary trees at desk scale.
 
     Binary trees for depths 2..13 plus branching factors 3, 4, 5 and 9 with
-    every depth >= 2 that stays within max_vertices, which also caps the DP.
+    every depth >= 2, each t up to the first depth that generate_tree
+    refuses for more than max_vertices vertices, which also caps the DP.
     Each row carries both peaks, the certified lower bound p, the trend
     ratios edge_peak/d and vertex_peak*sqrt(t)/d, the t*d / (t-1)*d / d
     upper-bound values, and whether the cut-count bound held for every k up
@@ -374,16 +385,11 @@ def sweep_rows(max_vertices: int = DEFAULT_DP_CAP) -> list:
     """
     rows = []
     for t in (2,) + SWEEP_TARY_BRANCHING:
-        if t == 2:
-            depths = [d for d in SWEEP_BINARY_DEPTHS if 2**d - 1 <= max_vertices]
-        else:
-            depths = []
-            d = 2
-            while (t**d - 1) // (t - 1) <= max_vertices:
-                depths.append(d)
-                d += 1
-        for d in depths:
-            tree = generate_tree("complete_tary", {"t": t, "d": d}, max_vertices=max_vertices)
+        for d in SWEEP_BINARY_DEPTHS if t == 2 else itertools.count(2):
+            try:
+                tree = generate_tree("complete_tary", {"t": t, "d": d}, max_vertices=max_vertices)
+            except GenerationError:
+                break
             weights = subtree_weights(tree)
             profile = compute_profile(tree, max_vertices)
             p = edge_peak_lower_bound(tree.n, weights.eta)

@@ -48,6 +48,8 @@ class RootedTree:
         n = len(parents)
         if n < 1:
             raise TreeFormatError("malformed tree: vertex count must be positive")
+        if not isinstance(root, int) or isinstance(root, bool):
+            raise TreeFormatError(f"malformed tree: root {root!r} is not an integer")
         if not (0 <= root < n):
             raise TreeFormatError(f"out-of-range id: root {root} not in [0, {n})")
         kids = [[] for _ in range(n)]
@@ -328,7 +330,7 @@ def _decode_prufer(seq: list, n: int) -> RootedTree:
     seen[0] = True
     queue = [0]
     for v in queue:
-        for u in sorted(adj[v]):
+        for u in adj[v]:
             if not seen[u]:
                 seen[u] = True
                 parents[u] = v

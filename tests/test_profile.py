@@ -657,8 +657,9 @@ def test_witness_subsets_match_witness_subset():
 
 
 def test_witness_cells_predicts_the_kept_stages():
-    """_witness_cells, from class keys and sizes alone, equals the cells of
-    the stages the witness DP keeps, for single sizes and size ranges."""
+    """_schedule, from class keys alone, gives the (lo, width) of every stage
+    the witness DP keeps, class by class and in order, and _witness_cells
+    their total cells, for single sizes and size ranges."""
     cap = profile.DEFAULT_DP_CAP
     for label, tree in structured_trees(10) + random_trees(20, 40, seed0=3):
         n = tree.n
@@ -668,6 +669,11 @@ def test_witness_cells_predicts_the_kept_stages():
             for i_min, i_max in {(1, n), (1, 1), (n, n), (n // 2 + 1, n // 2 + 1),
                                  (n // 3 + 1, 2 * n // 3 + 1)}:
                 _, stages = profile._witness_stages(tree, mode, cap, i_min, i_max)
+                planned = [[] for _ in keys]
+                for k, c, lo, width in profile._schedule(keys, n, i_min, i_max):
+                    assert c == (keys[k][len(planned[k]) - 1] if planned[k] else None), label
+                    planned[k].append((lo, width))
+                assert planned == [[(lo, tab.shape[1]) for lo, tab in tabs] for tabs in stages], label
                 kept = sum(tab.size for tabs in stages for _, tab in tabs)
                 assert profile._witness_cells(keys, n, i_min, i_max, nflags) == kept, label
 

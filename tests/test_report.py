@@ -7,12 +7,15 @@ import pytest
 from treeiso import (
     SizeCapError,
     compute_profile,
+    count_sizes_with_cut_at_most,
+    cut_count_upper_bound,
     derived_parameter_bounds,
     emit,
     generate_tree,
+    subtree_weights,
     verify_suite,
 )
-from treeiso.report import TreeEntry, analyze_tree, _render, sweep_rows
+from treeiso.report import TreeEntry, _cut_count_table, analyze_tree, _render, sweep_rows
 from helpers import random_trees, structured_trees
 
 
@@ -221,6 +224,24 @@ def test_emit_stdout(capsys):
     emit(compute_profile(bin3()), "csv", None)
     captured = capsys.readouterr()
     assert captured.out.startswith("i,b_e,b_v")
+
+
+def test_cut_count_table_matches_per_k_count():
+    """The one-pass table equals count_sizes_with_cut_at_most at every k,
+    up to the edge peak and for a k_cap below it."""
+    trees = structured_trees(12) + random_trees(40, 60, seed0=7)
+    trees.append(("star:n=2000", generate_tree("star", {"n": 2000})))
+    for label, tree in trees:
+        prof = compute_profile(tree)
+        eta = subtree_weights(tree).eta
+        for k_cap in {prof.edge_peak, prof.edge_peak // 2, 0}:
+            table, ok = _cut_count_table(prof.edge_values, eta, k_cap)
+            expected = [count_sizes_with_cut_at_most(prof.edge_values, k) for k in range(k_cap + 1)]
+            assert [row["k"] for row in table] == list(range(k_cap + 1)), label
+            assert [row["ell"] for row in table] == expected, label
+            assert ok == all(
+                ell <= cut_count_upper_bound(eta, k) for k, ell in enumerate(expected)
+            ), label
 
 
 def test_sweep_rows_small():

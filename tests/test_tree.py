@@ -61,6 +61,14 @@ def test_out_of_range_root_rejected():
         parse_tree(b'{"n":2,"root":7,"parent":[null,0]}', "json")
 
 
+def test_non_integer_root_rejected():
+    """A float root is not an index, and a bool root would serialize as
+    "root":true, which parse_tree rejects."""
+    for parents, root in (([None, 0], 1.0), ([1, None], True)):
+        with pytest.raises(TreeFormatError, match="not an integer"):
+            RootedTree.from_parents(parents, root)
+
+
 def test_root_with_parent_rejected():
     with pytest.raises(TreeFormatError, match="duplicate parent"):
         parse_tree(b'{"n":2,"root":0,"parent":[1,0]}', "json")
@@ -305,6 +313,8 @@ def _from_parents_reference(parents, root):
     n = len(parents)
     if n < 1:
         raise TreeFormatError("malformed tree: vertex count must be positive")
+    if not isinstance(root, int) or isinstance(root, bool):
+        raise TreeFormatError(f"malformed tree: root {root!r} is not an integer")
     if not (0 <= root < n):
         raise TreeFormatError(f"out-of-range id: root {root} not in [0, {n})")
     for v, p in enumerate(parents):
