@@ -32,10 +32,11 @@ DEFAULT_DP_CAP = 50_000
 DEFAULT_ORACLE_LIMIT = 20
 # Largest tree the oracle enumerates, whatever limit it is given.  This
 # bounds time, not memory (see _ORACLE_CHUNK): the time doubles with every
-# vertex, and a path with n = 24 took about 4 s on a 2-vCPU Xeon VM.
+# vertex, and a path, a star or a random tree with n = 24 took 0.04-0.05 s
+# on a 2-vCPU Xeon VM.
 ORACLE_MAX_VERTICES = 24
-# Subsets the oracle evaluates per numpy pass, so that its working arrays
-# stay at a few MiB whatever n is.
+# Subsets the oracle evaluates per chunk, so that its working arrays stay
+# at a few MiB whatever n is.
 _ORACLE_CHUNK = 1 << 16
 # Most cells, summed over every flag row of every kept stage, that one
 # witness DP may hold: 2**26 int32 cells are 256 MiB.  It is checked before
@@ -187,39 +188,59 @@ def vertex_boundary_size(tree: RootedTree, members) -> int:
 def brute_force_profiles(tree: RootedTree, limit: int = DEFAULT_ORACLE_LIMIT):
     """Exact profiles by evaluating the boundary of every one of the 2^n subsets.
 
-    Independent of the dynamic program: subsets are enumerated as bitmasks
-    and both boundary sizes are read straight off the definitions, in
-    chunks of _ORACLE_CHUNK subsets.  Returns (edge_values, vertex_values)
-    indexed like IsoProfile.  Trees above limit or ORACLE_MAX_VERTICES
-    raise SizeCapError before any allocation.
+    Independent of the dynamic program: it reads only the parent and
+    children of each vertex and the two boundary definitions.  A subset S
+    is a bitmask with bit v for vertex v.  With K(S) the OR of the child
+    bits of every u in S, bit v of K(S) is set exactly when parent(v) is in
+    S, and with N(S) the OR of the neighbour bits of every u in S,
+
+        edge boundary   = popcount((S ^ K(S)) & nonroot)
+        vertex boundary = popcount(N(S) & ~S)
+
+    where nonroot has every bit but the root's.  K and N are tabulated over
+    the low L = min(n, 16) bits by doubling; each chunk of _ORACLE_CHUNK
+    subsets shares its high bits H, so K(S) = K[low] | K[H], and the
+    per-size minima are one reduceat over the low masks sorted by popcount,
+    shifted by popcount(H).  Returns (edge_values, vertex_values) indexed
+    like IsoProfile.  Trees above limit or ORACLE_MAX_VERTICES raise
+    SizeCapError before any allocation.
     """
     n = tree.n
     limit = min(limit, ORACLE_MAX_VERTICES)
     if n > limit:
         raise SizeCapError(f"tree has {n} vertices, above the oracle limit {limit}")
-    edges = tree.edges()
-    adj = tree.adjacency()
-    nbr_masks = [sum(1 << u for u in adj[v]) for v in range(n)]
+    kid = [sum(1 << c for c in tree.children[u]) for u in range(n)]
+    nbr = [m if p is None else m | 1 << p for m, p in zip(kid, tree.parent)]
+    low_bits = min(n, _ORACLE_CHUNK.bit_length() - 1)
+    counts = np.bitwise_count(np.arange(1 << low_bits, dtype=np.uint32))
+    low = np.argsort(counts, kind="stable").astype(np.uint32)
+    starts = np.searchsorted(counts[low], np.arange(low_bits + 1))
+    kid_low, kid_high = _or_table(kid[:low_bits])[low], _or_table(kid[low_bits:])
+    nbr_low, nbr_high = _or_table(nbr[:low_bits])[low], _or_table(nbr[low_bits:])
+    nonroot = ((1 << n) - 1) ^ (1 << tree.root)
     sentinel = np.iinfo(np.int64).max
     edge_best = np.full(n + 1, sentinel, dtype=np.int64)
     vert_best = np.full(n + 1, sentinel, dtype=np.int64)
-    for start in range(0, 1 << n, _ORACLE_CHUNK):
-        masks = np.arange(start, min(start + _ORACLE_CHUNK, 1 << n), dtype=np.int64)
-        size = np.zeros(masks.size, dtype=np.int64)
-        for v in range(n):
-            size += (masks >> v) & 1
-        cut = np.zeros(masks.size, dtype=np.int64)
-        for v, p in edges:
-            cut += ((masks >> v) ^ (masks >> p)) & 1
-        touched = np.zeros(masks.size, dtype=np.int64)
-        for v, nbr_mask in enumerate(nbr_masks):
-            touched += (((masks >> v) & 1) == 0) & ((masks & nbr_mask) != 0)
-        np.minimum.at(edge_best, size, cut)
-        np.minimum.at(vert_best, size, touched)
+    for h in range(1 << (n - low_bits)):
+        masks = low | (h << low_bits)
+        cut = np.bitwise_count((masks ^ (kid_low | kid_high[h])) & nonroot)
+        touched = np.bitwise_count((nbr_low | nbr_high[h]) & ~masks)
+        sizes = slice(h.bit_count(), h.bit_count() + low_bits + 1)
+        np.minimum(edge_best[sizes], np.minimum.reduceat(cut, starts), out=edge_best[sizes])
+        np.minimum(vert_best[sizes], np.minimum.reduceat(touched, starts), out=vert_best[sizes])
     return (
         [int(x) for x in edge_best[1:]],
         [int(x) for x in vert_best[1:]],
     )
+
+
+def _or_table(masks):
+    """Table over every bitmask S below 2^len(masks) of the OR of masks[u]
+    over the bits u of S, built by doubling."""
+    table = np.zeros(1 << len(masks), dtype=np.uint32)
+    for b, m in enumerate(masks):
+        np.bitwise_or(table[: 1 << b], m, out=table[1 << b : 2 << b])
+    return table
 
 
 def peaks(values):

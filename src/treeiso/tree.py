@@ -10,14 +10,16 @@ from typing import Sequence
 DEFAULT_MAX_VERTICES = 1_000_000
 
 TREE_FORMATS = ("json", "parent-list")
-TREE_KINDS = (
-    "complete_tary",
-    "path",
-    "star",
-    "caterpillar",
-    "random_recursive",
-    "random_prufer",
-)
+# Each generator kind and the only parameters it accepts.
+_KIND_PARAMS = {
+    "complete_tary": ("t", "d"),
+    "path": ("n",),
+    "star": ("n",),
+    "caterpillar": ("spine", "legs"),
+    "random_recursive": ("n",),
+    "random_prufer": ("n",),
+}
+TREE_KINDS = tuple(_KIND_PARAMS)
 
 
 class TreeFormatError(ValueError):
@@ -229,10 +231,16 @@ def generate_tree(
       random_recursive n vertices, vertex k attached to a uniform earlier vertex
       random_prufer    uniform labeled tree on n vertices rooted at 0
 
-    Random kinds draw from random.Random(seed); the other kinds ignore the seed.
+    Any other parameter raises GenerationError.  Random kinds draw from
+    random.Random(seed); the other kinds ignore the seed.
     """
     if kind not in TREE_KINDS:
         raise GenerationError(f"unknown tree kind {kind!r}, expected one of {TREE_KINDS}")
+    for key in params:
+        if key not in _KIND_PARAMS[kind]:
+            raise GenerationError(
+                f"unknown generator parameter {key!r} for {kind}, expected {_KIND_PARAMS[kind]}"
+            )
     if kind == "complete_tary":
         t, d = _need(params, "t"), _need(params, "d")
         if t < 2 or d < 1:

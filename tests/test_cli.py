@@ -141,6 +141,26 @@ def test_bad_generator_params_is_usage_error(capsys):
     assert main(["generate", "path", "-p", "n=x"]) == 2
 
 
+def test_unknown_generator_parameter_is_usage_error(tmp_path, capsys):
+    """A key the kind does not read is an input error (exit 2), from
+    generate and from verify --gen alike."""
+    assert main(["generate", "random_prufer", "-p", "n=6", "-p", "sed=3"]) == 2
+    assert "unknown generator parameter 'sed'" in capsys.readouterr().err
+    # The seed is --seed, not a generator parameter.
+    assert main(["generate", "random_prufer", "-p", "n=6", "-p", "seed=3"]) == 2
+    assert "unknown generator parameter 'seed'" in capsys.readouterr().err
+    out_path = tmp_path / "suite.json"
+    assert main(["verify", "--gen", "path:n=5,foo=1", "--out", str(out_path)]) == 2
+    suite = json.loads(out_path.read_text())
+    assert suite["reports"] == []
+    assert suite["errors"] == [
+        {
+            "source": {"spec": "path:n=5,foo=1"},
+            "error": "unknown generator parameter 'foo' for path, expected ('n',)",
+        }
+    ]
+
+
 def test_unwritable_out_is_usage_error(capsys, tmp_path):
     tree_path = tmp_path / "t.json"
     main(["generate", "path", "-p", "n=4", "--out", str(tree_path)])

@@ -60,9 +60,19 @@ def test_single_vertex():
     assert vertex_profile(one) == [0]
 
 
+def _shuffled(trees, seed):
+    """Each tree rerooted at a random vertex under a random labelling."""
+    rng = random.Random(seed)
+    return [
+        (f"{label} rerooted", relabel(reroot(tree, rng.randrange(tree.n)), rng.sample(range(tree.n), tree.n)))
+        for label, tree in trees
+    ]
+
+
 def test_oracle_against_naive_enumeration():
     """The bitmask oracle agrees with a from-the-definition subset scan."""
-    for label, tree in random_trees(24, 8, seed0=1) + structured_trees(7):
+    trees = random_trees(24, 8, seed0=1) + structured_trees(7)
+    for label, tree in trees + _shuffled(trees, seed=4):
         n = tree.n
         naive_edge = []
         naive_vertex = []
@@ -74,6 +84,63 @@ def test_oracle_against_naive_enumeration():
                 min(vertex_boundary_size(tree, s) for s in itertools.combinations(range(n), i))
             )
         assert brute_force_profiles(tree) == (naive_edge, naive_vertex), label
+
+
+def _oracle_reference(tree):
+    """The oracle as one numpy pass per vertex and per edge over each chunk
+    of 2^16 subsets: size, cut and touched counted bit by bit."""
+    n = tree.n
+    nbr_masks = [sum(1 << u for u in adj) for adj in tree.adjacency()]
+    sentinel = np.iinfo(np.int64).max
+    edge_best = np.full(n + 1, sentinel, dtype=np.int64)
+    vert_best = np.full(n + 1, sentinel, dtype=np.int64)
+    for start in range(0, 1 << n, 1 << 16):
+        masks = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.int64)
+        size = np.zeros(masks.size, dtype=np.int64)
+        for v in range(n):
+            size += (masks >> v) & 1
+        cut = np.zeros(masks.size, dtype=np.int64)
+        for v, p in tree.edges():
+            cut += ((masks >> v) ^ (masks >> p)) & 1
+        touched = np.zeros(masks.size, dtype=np.int64)
+        for v, nbr_mask in enumerate(nbr_masks):
+            touched += (((masks >> v) & 1) == 0) & ((masks & nbr_mask) != 0)
+        np.minimum.at(edge_best, size, cut)
+        np.minimum.at(vert_best, size, touched)
+    return [int(x) for x in edge_best[1:]], [int(x) for x in vert_best[1:]]
+
+
+def _internal_high(tree):
+    """The tree relabelled so that the root takes the top id and the other
+    internal vertices the ids below it: above n = 16 they sit in the high
+    bits that each chunk of the oracle shares."""
+    order = sorted(range(tree.n), key=lambda v: (v == tree.root, len(tree.children[v]) > 0, v))
+    perm = [0] * tree.n
+    for label, v in enumerate(order):
+        perm[v] = label
+    return relabel(tree, perm)
+
+
+def test_oracle_high_bits_match_reference():
+    """At n = 15..18 the high-bit tables of the popcount oracle are read
+    (n > 16) or not (n <= 16); both agree with the per-edge and per-vertex
+    enumeration, on rerooted trees with random labels and with the root and
+    internal vertices on the top bits."""
+    rng = random.Random(15)
+    trees = []
+    for n in range(15, 19):
+        for kind in ("random_prufer", "random_recursive", "path", "star"):
+            tree = generate_tree(kind, {"n": n}, seed=n)
+            trees.append((f"{kind}:n={n}", reroot(tree, rng.randrange(n))))
+    trees.append(("caterpillar:spine=6,legs=2", generate_tree("caterpillar", {"spine": 6, "legs": 2})))
+    trees.append(("complete_tary:t=2,d=4", generate_tree("complete_tary", {"t": 2, "d": 4})))
+    high = [(f"{label} internal-high", _internal_high(tree)) for label, tree in trees]
+    for label, tree in high:
+        if tree.n > 16:
+            assert tree.root == tree.n - 1, label
+            assert all(tree.children[v] for v in range(16, tree.n)), label
+    for label, tree in high + _shuffled(trees, seed=16):
+        assert brute_force_profiles(tree) == _oracle_reference(tree), label
 
 
 def test_dp_matches_oracle_small():
@@ -227,7 +294,7 @@ def test_oracle_refuses_above_its_ceiling_without_allocating():
 
 def test_oracle_memory_is_bounded_by_its_chunk():
     """The oracle enumerates subsets in fixed chunks, so at n = 20 its
-    tracemalloc peak stays a few MiB, not the 2^20-entry arrays' 42 MiB."""
+    tracemalloc peak stays a few MiB, not the 2^20-entry arrays' 26 MiB."""
     tree = generate_tree("random_prufer", {"n": 20}, seed=3)
     tracemalloc.start()
     try:

@@ -201,6 +201,14 @@ def test_generator_param_errors():
         generate_tree("path", {})
     with pytest.raises(GenerationError, match="unknown tree kind"):
         generate_tree("binary_heap", {"n": 3})
+    # Each kind accepts exactly its own parameters; a misspelt or foreign
+    # key is an error, not silently ignored.
+    with pytest.raises(GenerationError, match="unknown generator parameter 'sed'"):
+        generate_tree("random_prufer", {"n": 6, "sed": 3})
+    with pytest.raises(GenerationError, match="unknown generator parameter 'n' for complete_tary"):
+        generate_tree("complete_tary", {"t": 2, "d": 3, "n": 7})
+    with pytest.raises(GenerationError, match="unknown generator parameter 't' for caterpillar"):
+        generate_tree("caterpillar", {"spine": 2, "legs": 1, "t": 2})
 
 
 def test_generator_size_limit():
