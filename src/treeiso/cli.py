@@ -192,6 +192,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_tables(args) -> int:
     rows = sweep_rows(max_vertices=args.dp_cap)
+    if not rows:
+        raise ValueError(f"no swept tree has at most --dp-cap {args.dp_cap} vertices")
     emit(rows, args.format, args.out)
     return 0
 

@@ -50,9 +50,14 @@ WITNESS_MAX_CELLS = 2**26
 # so no sum of two cells plus a unit cost overflows.
 _INF = np.iinfo(np.int32).max // 2 - 1
 
-# _min_plus kernel choice (see its docstring).  At most _BLOCK_CELLS sums
-# per block keep the block scratch at most 256 KiB.  The two thresholds are
-# where the kernels' times crossed on a 2-vCPU Xeon VM.
+# Merge route choice (see _merge and _min_plus).  A merge with a side of at
+# most _ROW_LOOP_MAX cells runs the short-side kernel; a wider one runs the
+# per-pair min-plus, blocked unless its long side is too long for a block of
+# _MIN_BLOCK_ROWS rows.  At most _BLOCK_CELLS sums per block keep the block
+# scratch at most 256 KiB.  The thresholds are where the routes' times
+# crossed on a 2-vCPU Xeon VM; for _ROW_LOOP_MAX, timed on the merges of
+# the benchmark workloads, a 4-cell short side was faster than blocks in
+# vertex mode and slower in edge mode, and a 5-cell one slower in both.
 _BLOCK_CELLS = 32_768
 _MIN_BLOCK_ROWS = 4
 _ROW_LOOP_MAX = 4
@@ -90,21 +95,66 @@ class _Mode:
     leads to s with its (child flag, cost) pairs, both in ascending flag
     order.  base is the table of a vertex alone: flag 0, or in_flag.  It is
     read-only and shared by every class, since no DP writes a table in place.
+    child_runs and cur_runs are into compiled for _merge_short, with the
+    child or the current table as the short side (see _short_runs).
     """
 
     in_flag: int
     into: list
     base: np.ndarray
+    child_runs: tuple
+    cur_runs: tuple
 
 
 def _mode(nflags: int, in_flag: int, trans: dict) -> _Mode:
     into = [{} for _ in range(nflags)]
     for (s_prev, sc), (cost, s_new) in sorted(trans.items()):
         into[s_new].setdefault(s_prev, []).append((sc, cost))
+    into = [list(g.items()) for g in into]
     base = np.full((nflags, 2), _INF, dtype=np.int32)
     base[0, 0] = base[in_flag, 1] = 0
     base.setflags(write=False)
-    return _Mode(in_flag, [list(g.items()) for g in into], base)
+    return _Mode(in_flag, into, base, _short_runs(into, True), _short_runs(into, False))
+
+
+def _short_runs(into: list, child_short: bool) -> tuple:
+    """The transitions of into as row runs for _merge_short, grouped by the
+    flag of the short side: the child when child_short, else cur.
+
+    runs[f] lists, for short-side flag f, tuples (long_rows, new_rows,
+    cost) of two equal-length slices and an (r, 1) int32 column: the
+    terms long-side flag long_rows.start + k -> new parent flag
+    new_rows.start + k, k < r, with merge cost cost[k].  cost is None when
+    every cost is 0.  A run is a maximal stretch of terms, in ascending
+    long-side flag, where that flag and the new flag both step by one, so
+    one 2-D slice of each table serves it.  Every term is in exactly one
+    run.
+    """
+    terms = sorted(
+        (sc, s_prev, cost, s_new) if child_short else (s_prev, sc, cost, s_new)
+        for s_new, pairs in enumerate(into)
+        for s_prev, sc_terms in pairs
+        for sc, cost in sc_terms
+    )
+    runs = [[] for _ in into]
+    for short, s_long, cost, s_new in terms:
+        group = runs[short]
+        r = len(group[-1][2]) if group else 0
+        if r and group[-1][:2] == (s_long - r, s_new - r):
+            group[-1][2].append(cost)
+        else:
+            group.append((s_long, s_new, [cost]))
+    return tuple(
+        tuple(
+            (
+                slice(s_long, s_long + len(costs)),
+                slice(s_new, s_new + len(costs)),
+                np.array(costs, dtype=np.int32)[:, None] if any(costs) else None,
+            )
+            for s_long, s_new, costs in group
+        )
+        for group in runs
+    )
 
 
 _MODES = {"edge": _mode(2, _E_IN, _EDGE_TRANS), "vertex": _mode(3, _V_IN, _VERTEX_TRANS)}
@@ -384,17 +434,73 @@ def _merge(cur: np.ndarray, child: np.ndarray, mode: str, skip: int, width: int)
     """cur with one more child merged in, by the mode's transition table.
 
     Row s of the result is the minimum, over the transitions into s, of
-    cur[s_prev] min-plus (child[sc] + cost).  Child rows that share s_prev
-    are combined first, so each (s_prev -> s) pair costs one min-plus.  The
-    result holds only the width cells from cell skip on; no wider row is
-    ever allocated.
+    cur[s_prev] min-plus (child[sc] + cost), saturated at _INF.  The result
+    holds only the width cells from cell skip on; no wider row is ever
+    allocated.  A merge with a side of at most _ROW_LOOP_MAX cells (a leaf
+    child, a vertex alone, a small subtree) runs _merge_short, at a few
+    numpy calls per finite cell of that side.  A wider one runs
+    _merge_pairs, one _min_plus per (s_prev -> s) pair.  All routes are
+    exact, so the choice moves time only.
     """
     rules = _MODES[mode]
-    out = np.full((len(rules.into), width), _INF, dtype=np.int32)
+    # Not min(): this runs once per merge.
+    short = cur.shape[1] if cur.shape[1] < child.shape[1] else child.shape[1]
+    if short <= _ROW_LOOP_MAX:
+        return _merge_short(cur, child, rules, skip, width)
+    return _merge_pairs(cur, child, rules, skip, width)
+
+
+def _merge_short(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: int):
+    """_merge walking the finite cells of the short side: the child, or cur
+    when cur has fewer cells, with the runs of _short_runs for that side.
+
+    Short cell x of flag f, value v, lands on out cells x - skip + j for
+    the cells j of the long side that fall in the window, k0 <= j < k1.
+    Each run of runs[f] then lowers out[new_rows, those cells] to
+    long[long_rows, k0:k1] + v + cost: one 2-D np.minimum, after an np.add
+    when the run has a cost, and one np.add per cell, shared by its runs,
+    when v is nonzero.  Every sum is at most _INF + n + 1 and out holds at
+    most _INF, so np.minimum saturates it.
+    """
+    out = _empty_table(rules, width)
+    if child.shape[1] <= cur.shape[1]:
+        short, long, runs = child, cur, rules.child_runs
+    else:
+        short, long, runs = cur, child, rules.cur_runs
+    lb = long.shape[1]
+    for row, group in zip(short.tolist(), runs):
+        for start, v in enumerate(row, -skip):
+            if v >= _INF:
+                continue
+            k0 = -start if start < 0 else 0
+            k1 = width - start if width - start < lb else lb
+            if k0 >= k1:
+                continue
+            cells = slice(start + k0, start + k1)
+            moved = long[:, k0:k1] + v if v else long[:, k0:k1]
+            for long_rows, new_rows, cost in group:
+                seg = out[new_rows, cells]
+                block = moved[long_rows]
+                np.minimum(seg, block if cost is None else block + cost, out=seg)
+    return out
+
+
+def _merge_pairs(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: int):
+    """_merge one (s_prev -> s) pair at a time: child rows that share s_prev
+    are combined first, into eff, so each pair costs one _min_plus."""
+    out = _empty_table(rules, width)
     for row, into in zip(out, rules.into):
         for s_prev, terms in into:
             eff = reduce(np.minimum, [child[sc] + cost if cost else child[sc] for sc, cost in terms])
             _min_plus(cur[s_prev], eff, row, skip)
+    return out
+
+
+def _empty_table(rules: _Mode, width: int) -> np.ndarray:
+    """A table of width cells per flag row, every cell _INF."""
+    # Not np.full: this runs once per merge, and it costs twice as much.
+    out = np.empty((len(rules.into), width), dtype=np.int32)
+    out.fill(_INF)
     return out
 
 
@@ -409,16 +515,15 @@ def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -> None:
     so np.minimum saturates every infeasible sum back to _INF without a
     further pass.
 
-    Both kernels are exact, so the choice moves time only.  The row loop
-    pays two numpy calls per cell of the short side; it is kept where
-    blocks do not pay: a short side of at most _ROW_LOOP_MAX cells (every
-    merge of a path, and of any leaf child, has a 2-cell side), and a long
-    side so long that a block would hold fewer than _MIN_BLOCK_ROWS rows,
-    where the loop is bound by cell work, not by calls.
+    Both kernels are exact, so the choice moves time only.  The blocked
+    kernel runs unless the long side is so long that a block would hold
+    fewer than _MIN_BLOCK_ROWS rows; there the row loop, which pays two
+    numpy calls per cell of the short side, is bound by cell work, not by
+    calls, and beats blocks.
     """
     if b.size < a.size:
         a, b = b, a
-    if a.size <= _ROW_LOOP_MAX or _BLOCK_CELLS // b.size < _MIN_BLOCK_ROWS:
+    if _BLOCK_CELLS // b.size < _MIN_BLOCK_ROWS:
         _min_plus_rows(a, b, out, skip)
     else:
         _min_plus_blocks(a, b, out, skip)

@@ -175,6 +175,18 @@ def test_paper_tables_small(tmp_path):
     assert len(lines) > 5
 
 
+def test_paper_tables_with_no_tree_under_the_cap_is_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "tables.csv"
+    for cap in ("-1", "0", "2"):
+        for fmt in ("csv", "json"):
+            args = ["paper-tables", "--dp-cap", cap, "--format", fmt, "--out", str(out_path)]
+            assert main(args) == 2
+            assert f"--dp-cap {cap} " in capsys.readouterr().err
+            assert not out_path.exists()
+    assert main(["paper-tables", "--dp-cap", "3", "--out", str(out_path)]) == 0
+    assert len(out_path.read_text().splitlines()) == 2
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "treeiso.cli", "generate", "path", "-p", "n=2"],

@@ -350,31 +350,68 @@ def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges)
             assert calls == [mode] * merges
 
 
-# Table widths that reach every _min_plus branch: a short side of at most
-# _ROW_LOOP_MAX cells (row loop), blocks whose last one is shorter (120 or
-# 121 rows against 300 cells, on either side of the merge), and a long
-# side too long for a block of _MIN_BLOCK_ROWS rows (row loop again).
+# (cur, child) table widths that reach every _merge route by name:
+# _merge_short with the child as the short side and with cur as it, at 1, 2
+# and _ROW_LOOP_MAX cells (each also windowed with skip > 0 below) and
+# against a long side above 8192 cells; _merge_pairs through
+# _min_plus_blocks, with blocks whose last one is shorter (120 or 121 rows
+# against 300 cells, on either side of the merge); and _merge_pairs through
+# _min_plus_rows, whose long side is too long for a block of
+# _MIN_BLOCK_ROWS rows.
 _LONG = profile._BLOCK_CELLS // profile._MIN_BLOCK_ROWS + 1
 KERNEL_WIDTHS = [
-    (profile._ROW_LOOP_MAX, 40),
+    (40, 1),
+    (40, 2),
+    (40, profile._ROW_LOOP_MAX),
+    (1, 40),
+    (2, 40),
+    (profile._ROW_LOOP_MAX, 39),
+    (3, _LONG),
     (profile._ROW_LOOP_MAX + 1, profile._ROW_LOOP_MAX + 1),
     (120, 300),
     (300, 121),
-    (3, _LONG),
     (_LONG, profile._ROW_LOOP_MAX + 2),
 ]
+
+
+def _short_side(cur, child):
+    """("child" or "cur", its width): the side _merge_short walks."""
+    if child.shape[1] <= cur.shape[1]:
+        return "child", child.shape[1]
+    return "cur", cur.shape[1]
 
 
 @pytest.mark.parametrize(
     "mode, trans", [("edge", profile._EDGE_TRANS), ("vertex", profile._VERTEX_TRANS)]
 )
-def test_merge_follows_transition_table(mode, trans):
+def test_merge_follows_transition_table(monkeypatch, mode, trans):
     """_merge equals min over (s_prev, sc, jc) of cur[s_prev][j - jc] +
     child[sc][jc] + cost, evaluated straight from the transition table,
-    with every sum at or above profile._INF saturated to it."""
+    with every sum at or above profile._INF saturated to it.  KERNEL_WIDTHS
+    reach every route and branch named there."""
     rng = random.Random(7)
     nflags = 1 + max(s for s, _ in trans)
     inf = profile._INF
+    reached = set()
+    merge_short, rows, blocks = (
+        profile._merge_short, profile._min_plus_rows, profile._min_plus_blocks)
+
+    def spied_short(cur, child, rules, skip, width):
+        reached.add(("short",) + _short_side(cur, child) + (skip > 0,))
+        return merge_short(cur, child, rules, skip, width)
+
+    def spied_rows(a, b, out, skip):
+        reached.add("rows")
+        rows(a, b, out, skip)
+
+    def spied_blocks(a, b, out, skip):
+        ragged = a.size % (profile._BLOCK_CELLS // b.size) not in (0, a.size)
+        reached.add("ragged blocks" if ragged else "blocks")
+        blocks(a, b, out, skip)
+
+    monkeypatch.setattr(profile, "_merge_short", spied_short)
+    monkeypatch.setattr(profile, "_min_plus_rows", spied_rows)
+    monkeypatch.setattr(profile, "_min_plus_blocks", spied_blocks)
 
     def table(width):
         return np.array(
@@ -406,15 +443,42 @@ def test_merge_follows_transition_table(mode, trans):
             window = profile._merge(cur, child, mode, skip, width)
             assert window.tolist() == [row[skip : skip + width] for row in expected], (
                 cur_width, child_width, skip, width)
+    short = {("short", side, w, True) for side in ("child", "cur")
+             for w in (1, 2, profile._ROW_LOOP_MAX)}
+    assert short | {"blocks", "ragged blocks", "rows"} <= reached
+
+
+@pytest.mark.parametrize(
+    "mode, trans", [("edge", profile._EDGE_TRANS), ("vertex", profile._VERTEX_TRANS)]
+)
+def test_short_runs_hold_each_transition_once(mode, trans):
+    """Both run tables of a mode, read back term by term, are the
+    transition table: each (s_prev, sc) -> (cost, s_new) exactly once."""
+    rules = profile._MODES[mode]
+    for runs, child_short in ((rules.child_runs, True), (rules.cur_runs, False)):
+        terms = []
+        for flag, group in enumerate(runs):
+            for long_rows, new_rows, cost in group:
+                r = long_rows.stop - long_rows.start
+                assert r == new_rows.stop - new_rows.start >= 1
+                assert cost is None or (cost.dtype == np.int32 and cost.shape == (r, 1))
+                for k in range(r):
+                    s_long = long_rows.start + k
+                    key = (s_long, flag) if child_short else (flag, s_long)
+                    terms.append((key, (0 if cost is None else int(cost[k, 0]), new_rows.start + k)))
+        assert sorted(terms) == sorted(trans.items())
 
 
 def test_row_and_block_kernels_agree(monkeypatch):
-    """Both _min_plus kernels give the same row on every call the DP makes,
-    on the small-tree corpus and on complete trees large enough for blocks
-    whose last one is shorter, and _min_plus gives that row too.  The
-    witness DP's calls, which fill a window of the row, are checked too."""
+    """On every _merge call the DP makes, on the small-tree corpus, on
+    complete trees large enough for blocks whose last one is shorter and in
+    the witness DP's windowed calls, the route _merge takes equals
+    _merge_pairs, and wherever that runs _min_plus, both of its kernels
+    give the same row, and so does _min_plus itself."""
     kernel = profile._min_plus
+    merge = profile._merge
     ragged = windowed = 0
+    short = set()
 
     def both(a, b, out, skip):
         nonlocal ragged, windowed
@@ -428,7 +492,17 @@ def test_row_and_block_kernels_agree(monkeypatch):
         ragged += short.size % (profile._BLOCK_CELLS // long.size) not in (0, short.size)
         windowed += out.size < a.size + b.size - 1 and short.size > profile._ROW_LOOP_MAX
 
+    def checked(cur, child, mode, skip, width):
+        out = merge(cur, child, mode, skip, width)
+        side, w = _short_side(cur, child)
+        if w <= profile._ROW_LOOP_MAX:
+            short.add((mode, side, skip > 0))
+            pairs = profile._merge_pairs(cur, child, profile._MODES[mode], skip, width)
+            assert np.array_equal(out, pairs), (mode, cur.shape, child.shape, skip, width)
+        return out
+
     monkeypatch.setattr(profile, "_min_plus", both)
+    monkeypatch.setattr(profile, "_merge", checked)
     trees = [tree for _, tree in structured_trees(16) + random_trees(500, 16)]
     trees += [generate_tree("complete_tary", {"t": 2, "d": 12}),
               generate_tree("complete_tary", {"t": 3, "d": 8})]
@@ -438,6 +512,8 @@ def test_row_and_block_kernels_agree(monkeypatch):
         for mode in ("edge", "vertex"):
             witness_subsets(tree, [tree.n // 3, tree.n // 2], mode)
     assert ragged and windowed
+    assert short == {(m, side, sk) for m in ("edge", "vertex")
+                     for side in ("child", "cur") for sk in (False, True)}
 
 
 def _live_table_peak(monkeypatch, tree, mode):
