@@ -443,16 +443,18 @@ def _merge(cur: np.ndarray, child: np.ndarray, mode: str, skip: int, width: int)
     exact, so the choice moves time only.
     """
     rules = _MODES[mode]
-    # Not min(): this runs once per merge.
-    short = cur.shape[1] if cur.shape[1] < child.shape[1] else child.shape[1]
-    if short <= _ROW_LOOP_MAX:
-        return _merge_short(cur, child, rules, skip, width)
+    if child.shape[1] <= cur.shape[1]:
+        short, long, runs = child, cur, rules.child_runs
+    else:
+        short, long, runs = cur, child, rules.cur_runs
+    if short.shape[1] <= _ROW_LOOP_MAX:
+        return _merge_short(short, long, runs, skip, width)
     return _merge_pairs(cur, child, rules, skip, width)
 
 
-def _merge_short(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: int):
-    """_merge walking the finite cells of the short side: the child, or cur
-    when cur has fewer cells, with the runs of _short_runs for that side.
+def _merge_short(short: np.ndarray, long: np.ndarray, runs: tuple, skip: int, width: int):
+    """_merge walking the finite cells of its short side, the child or cur,
+    with the runs of _short_runs for that side.
 
     Short cell x of flag f, value v, lands on out cells x - skip + j for
     the cells j of the long side that fall in the window, k0 <= j < k1.
@@ -462,11 +464,7 @@ def _merge_short(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, wi
     when v is nonzero.  Every sum is at most _INF + n + 1 and out holds at
     most _INF, so np.minimum saturates it.
     """
-    out = _empty_table(rules, width)
-    if child.shape[1] <= cur.shape[1]:
-        short, long, runs = child, cur, rules.child_runs
-    else:
-        short, long, runs = cur, child, rules.cur_runs
+    out = _empty_table(len(runs), width)
     lb = long.shape[1]
     for row, group in zip(short.tolist(), runs):
         for start, v in enumerate(row, -skip):
@@ -488,7 +486,7 @@ def _merge_short(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, wi
 def _merge_pairs(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: int):
     """_merge one (s_prev -> s) pair at a time: child rows that share s_prev
     are combined first, into eff, so each pair costs one _min_plus."""
-    out = _empty_table(rules, width)
+    out = _empty_table(len(rules.into), width)
     for row, into in zip(out, rules.into):
         for s_prev, terms in into:
             eff = reduce(np.minimum, [child[sc] + cost if cost else child[sc] for sc, cost in terms])
@@ -496,10 +494,10 @@ def _merge_pairs(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, wi
     return out
 
 
-def _empty_table(rules: _Mode, width: int) -> np.ndarray:
-    """A table of width cells per flag row, every cell _INF."""
+def _empty_table(nflags: int, width: int) -> np.ndarray:
+    """A table of nflags rows of width cells, every cell _INF."""
     # Not np.full: this runs once per merge, and it costs twice as much.
-    out = np.empty((len(rules.into), width), dtype=np.int32)
+    out = np.empty((nflags, width), dtype=np.int32)
     out.fill(_INF)
     return out
 

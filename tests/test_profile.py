@@ -374,13 +374,6 @@ KERNEL_WIDTHS = [
 ]
 
 
-def _short_side(cur, child):
-    """("child" or "cur", its width): the side _merge_short walks."""
-    if child.shape[1] <= cur.shape[1]:
-        return "child", child.shape[1]
-    return "cur", cur.shape[1]
-
-
 @pytest.mark.parametrize(
     "mode, trans", [("edge", profile._EDGE_TRANS), ("vertex", profile._VERTEX_TRANS)]
 )
@@ -396,9 +389,10 @@ def test_merge_follows_transition_table(monkeypatch, mode, trans):
     merge_short, rows, blocks = (
         profile._merge_short, profile._min_plus_rows, profile._min_plus_blocks)
 
-    def spied_short(cur, child, rules, skip, width):
-        reached.add(("short",) + _short_side(cur, child) + (skip > 0,))
-        return merge_short(cur, child, rules, skip, width)
+    def spied_short(short, long, runs, skip, width):
+        side = "child" if runs is profile._MODES[mode].child_runs else "cur"
+        reached.add(("short", side, short.shape[1], skip > 0))
+        return merge_short(short, long, runs, skip, width)
 
     def spied_rows(a, b, out, skip):
         reached.add("rows")
@@ -494,7 +488,7 @@ def test_row_and_block_kernels_agree(monkeypatch):
 
     def checked(cur, child, mode, skip, width):
         out = merge(cur, child, mode, skip, width)
-        side, w = _short_side(cur, child)
+        side, w = ("child", child.shape[1]) if child.shape[1] <= cur.shape[1] else ("cur", cur.shape[1])
         if w <= profile._ROW_LOOP_MAX:
             short.add((mode, side, skip > 0))
             pairs = profile._merge_pairs(cur, child, profile._MODES[mode], skip, width)
