@@ -472,7 +472,7 @@ def test_row_and_block_kernels_agree(monkeypatch):
     kernel = profile._min_plus
     merge = profile._merge
     ragged = windowed = 0
-    short = set()
+    short_routes = set()
 
     def both(a, b, out, skip):
         nonlocal ragged, windowed
@@ -490,7 +490,7 @@ def test_row_and_block_kernels_agree(monkeypatch):
         out = merge(cur, child, mode, skip, width)
         side, w = ("child", child.shape[1]) if child.shape[1] <= cur.shape[1] else ("cur", cur.shape[1])
         if w <= profile._ROW_LOOP_MAX:
-            short.add((mode, side, skip > 0))
+            short_routes.add((mode, side, skip > 0))
             pairs = profile._merge_pairs(cur, child, profile._MODES[mode], skip, width)
             assert np.array_equal(out, pairs), (mode, cur.shape, child.shape, skip, width)
         return out
@@ -506,8 +506,8 @@ def test_row_and_block_kernels_agree(monkeypatch):
         for mode in ("edge", "vertex"):
             witness_subsets(tree, [tree.n // 3, tree.n // 2], mode)
     assert ragged and windowed
-    assert short == {(m, side, sk) for m in ("edge", "vertex")
-                     for side in ("child", "cur") for sk in (False, True)}
+    assert short_routes == {(m, side, sk) for m in ("edge", "vertex")
+                            for side in ("child", "cur") for sk in (False, True)}
 
 
 def _live_table_peak(monkeypatch, tree, mode):
