@@ -46,18 +46,19 @@ _ORACLE_CHUNK = 1 << 16
 WITNESS_MAX_CELLS = 2**26
 
 # Infeasible-cell sentinel of the int32 DP tables.  Feasible cells are cut
-# counts of at most n, far below it, and 2 * _INF + 1 still fits in int32,
-# so no sum of two cells plus a unit cost overflows.
+# counts of at most n, far below it.  Every sum a merge or the witness scan
+# forms adds two cells of at most _INF and at most one unit cost, so it is
+# at most 2 * _INF + 1, which fits in int32.  Every merge lowers a table
+# that holds at most _INF, so np.minimum saturates each infeasible sum back
+# to _INF without a further pass.
 _INF = np.iinfo(np.int32).max // 2 - 1
 
-# Merge route choice (see _merge and _min_plus).  A merge with a side of at
-# most _ROW_LOOP_MAX cells runs the short-side kernel; a wider one runs the
-# per-pair min-plus, blocked unless its long side is too long for a block of
-# _MIN_BLOCK_ROWS rows.  At most _BLOCK_CELLS sums per block keep the block
-# scratch at most 256 KiB.  The thresholds are where the routes' times
-# crossed on a 2-vCPU Xeon VM; for _ROW_LOOP_MAX, timed on the merges of
-# the benchmark workloads, a 4-cell short side was faster than blocks in
-# vertex mode and slower in edge mode, and a 5-cell one slower in both.
+# Merge route thresholds (the route policy is _merge's).  At most
+# _BLOCK_CELLS sums per block keep the block scratch at most 256 KiB.  The
+# thresholds are where the routes' times crossed on a 2-vCPU Xeon VM; for
+# _ROW_LOOP_MAX, timed on the merges of the benchmark workloads, a 4-cell
+# short side was faster than blocks in vertex mode and slower in edge mode,
+# and a 5-cell one slower in both.
 _BLOCK_CELLS = 32_768
 _MIN_BLOCK_ROWS = 4
 _ROW_LOOP_MAX = 4
@@ -328,7 +329,7 @@ def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
 def _profile(tree: RootedTree, mode: str, size_cap: int):
     shared = _shared_classes.get()
     classes = shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap)
-    for _, (_, root) in _stages(tree, mode, classes, 1, tree.n):
+    for _, (_, root) in _stages(tree, _MODES[mode], classes, 1, tree.n):
         pass
     return [int(x) for x in np.min(root, axis=0)]
 
@@ -372,7 +373,7 @@ def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_
             raise ValueError(f"subset size {i} out of range [1, {tree.n}]")
     if not sizes:
         return {}
-    cls, stages = _witness_stages(tree, mode, size_cap, sizes[0], sizes[-1])
+    cls, stages = _witness_stages(tree, rules, size_cap, sizes[0], sizes[-1])
     return {i: _backtrack(tree, rules, cls, stages, i) for i in sizes}
 
 
@@ -430,42 +431,48 @@ def _backtrack(tree: RootedTree, rules: _Mode, cls, stages, i: int) -> frozenset
     return frozenset(selected)
 
 
-def _merge(cur: np.ndarray, child: np.ndarray, mode: str, skip: int, width: int) -> np.ndarray:
-    """cur with one more child merged in, by the mode's transition table.
+def _merge(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: int) -> np.ndarray:
+    """cur with one more child merged in, by the transition table of rules.
 
     Row s of the result is the minimum, over the transitions into s, of
-    cur[s_prev] min-plus (child[sc] + cost), saturated at _INF.  The result
-    holds only the width cells from cell skip on; no wider row is ever
-    allocated.  A merge with a side of at most _ROW_LOOP_MAX cells (a leaf
-    child, a vertex alone, a small subtree) runs _merge_short, at a few
-    numpy calls per finite cell of that side.  A wider one runs
-    _merge_pairs, one _min_plus per (s_prev -> s) pair.  All routes are
-    exact, so the choice moves time only.
+    cur[s_prev] min-plus (child[sc] + cost), saturated at _INF, over only
+    the width cells from cell skip on; no wider row is ever allocated.
+
+    Only here is a route chosen, once per merge, from the two widths; every
+    route is exact, so the choice moves time only.  The short side is the
+    narrower table, the child on a tie.  A short side of at most
+    _ROW_LOOP_MAX cells (a leaf child, a vertex alone, a small subtree) runs
+    _merge_short, a few numpy calls per finite cell of that side.  A wider
+    one runs _merge_pairs, one min-plus per (s_prev -> s) pair, short
+    operand first: _min_plus_blocks, or _min_plus_rows when the long side is
+    too long for a block of _MIN_BLOCK_ROWS rows; there the row loop's two
+    numpy calls per short cell are bound by cell work, not by calls.
     """
-    rules = _MODES[mode]
+    out = _empty_table(len(rules.into), width)
     if child.shape[1] <= cur.shape[1]:
         short, long, runs = child, cur, rules.child_runs
     else:
         short, long, runs = cur, child, rules.cur_runs
     if short.shape[1] <= _ROW_LOOP_MAX:
-        return _merge_short(short, long, runs, skip, width)
-    return _merge_pairs(cur, child, rules, skip, width)
+        _merge_short(short, long, runs, skip, out)
+    else:
+        kernel = _min_plus_rows if long.shape[1] > _BLOCK_CELLS // _MIN_BLOCK_ROWS else _min_plus_blocks
+        _merge_pairs(cur, child, rules.into, kernel, short is cur, skip, out)
+    return out
 
 
-def _merge_short(short: np.ndarray, long: np.ndarray, runs: tuple, skip: int, width: int):
-    """_merge walking the finite cells of its short side, the child or cur,
-    with the runs of _short_runs for that side.
+def _merge_short(short: np.ndarray, long: np.ndarray, runs: tuple, skip: int, out: np.ndarray):
+    """Lower out by _merge walking the finite cells of its short side, the
+    child or cur, with the runs of _short_runs for that side.
 
     Short cell x of flag f, value v, lands on out cells x - skip + j for
     the cells j of the long side that fall in the window, k0 <= j < k1.
     Each run of runs[f] then lowers out[new_rows, those cells] to
     long[long_rows, k0:k1] + v + cost: one 2-D np.minimum, after an np.add
     when the run has a cost, and one np.add per cell, shared by its runs,
-    when v is nonzero.  Every sum is at most _INF + n + 1 and out holds at
-    most _INF, so np.minimum saturates it.
+    when v is nonzero.
     """
-    out = _empty_table(len(runs), width)
-    lb = long.shape[1]
+    lb, width = long.shape[1], out.shape[1]
     for row, group in zip(short.tolist(), runs):
         for start, v in enumerate(row, -skip):
             if v >= _INF:
@@ -480,18 +487,16 @@ def _merge_short(short: np.ndarray, long: np.ndarray, runs: tuple, skip: int, wi
                 seg = out[new_rows, cells]
                 block = moved[long_rows]
                 np.minimum(seg, block if cost is None else block + cost, out=seg)
-    return out
 
 
-def _merge_pairs(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: int):
-    """_merge one (s_prev -> s) pair at a time: child rows that share s_prev
-    are combined first, into eff, so each pair costs one _min_plus."""
-    out = _empty_table(len(rules.into), width)
-    for row, into in zip(out, rules.into):
-        for s_prev, terms in into:
+def _merge_pairs(cur, child, into: list, kernel, cur_short: bool, skip: int, out: np.ndarray):
+    """Lower out by _merge one (s_prev -> s) pair at a time: child rows that
+    share s_prev are combined first, into eff, so each pair costs one kernel
+    call, on cur[s_prev] and eff, cur first when cur_short."""
+    for row, pairs in zip(out, into):
+        for s_prev, terms in pairs:
             eff = reduce(np.minimum, [child[sc] + cost if cost else child[sc] for sc, cost in terms])
-            _min_plus(cur[s_prev], eff, row, skip)
-    return out
+            kernel(*((cur[s_prev], eff) if cur_short else (eff, cur[s_prev])), row, skip)
 
 
 def _empty_table(nflags: int, width: int) -> np.ndarray:
@@ -502,36 +507,13 @@ def _empty_table(nflags: int, width: int) -> np.ndarray:
     return out
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -> None:
-    """Lower out to cells skip .. skip + out.size - 1 of the min-plus
-    convolution of a and b (a.size + b.size - 1 cells) where that is smaller.
-
-    All three are int32 and cells at or above _INF are infeasible.  Every
-    cell of a and b is at most _INF + 1 (a saturated table cell plus a unit
-    cost) and at least one of the two is a table row, capped at _INF, so no
-    sum exceeds 2 * _INF + 1, which fits in int32.  out holds at most _INF,
-    so np.minimum saturates every infeasible sum back to _INF without a
-    further pass.
-
-    Both kernels are exact, so the choice moves time only.  The blocked
-    kernel runs unless the long side is so long that a block would hold
-    fewer than _MIN_BLOCK_ROWS rows; there the row loop, which pays two
-    numpy calls per cell of the short side, is bound by cell work, not by
-    calls, and beats blocks.
-    """
-    if b.size < a.size:
-        a, b = b, a
-    if _BLOCK_CELLS // b.size < _MIN_BLOCK_ROWS:
-        _min_plus_rows(a, b, out, skip)
-    else:
-        _min_plus_blocks(a, b, out, skip)
-
-
 def _min_plus_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -> None:
-    """_min_plus one row of a at a time; rows at or above _INF are skipped.
+    """Lower out to cells skip .. skip + out.size - 1 of the min-plus
+    convolution of a and b (a.size + b.size - 1 cells) where that is
+    smaller, one cell of a at a time; cells at or above _INF are skipped.
 
-    Row i lands on out[i - skip : i - skip + b.size]; a row reaching past
-    either end of out lands with the cells of b that fall inside it.
+    Cell i of a lands on out[i - skip : i - skip + b.size]; one reaching
+    past either end of out lands with the cells of b that fall inside it.
     """
     lb = b.size
     last = out.size - lb
@@ -551,8 +533,8 @@ def _min_plus_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -> 
 
 
 def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -> None:
-    """_min_plus over blocks of r = min(a.size, _BLOCK_CELLS // b.size) rows
-    of a, with a.size <= b.size <= _BLOCK_CELLS.
+    """_min_plus_rows over blocks of r = min(a.size, _BLOCK_CELLS // b.size)
+    cells of a, with a.size <= b.size <= _BLOCK_CELLS.
 
     The sums a[i + k] + b of a block fill the first lb cells of row k of an
     (r, lb + r) scratch whose last r columns hold _INF for the whole call.
@@ -566,7 +548,7 @@ def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -
     """
     lb = b.size
     r = min(a.size, _BLOCK_CELLS // lb)
-    z = np.full((r, lb + r), _INF, dtype=np.int32)
+    z = _empty_table(r, lb + r)
     flat = z.ravel()
     for i in range(0, a.size, r):
         start = i - skip
@@ -635,7 +617,7 @@ def _schedule(keys, n: int, i_min: int, i_max: int):
         size[k] = s
 
 
-def _stages(tree: RootedTree, mode: str, classes, i_min: int, i_max: int):
+def _stages(tree: RootedTree, rules: _Mode, classes, i_min: int, i_max: int):
     """Post-order DP over the tree, one merge chain per class of
     _subtree_classes: yields (class id, (lo, table)) for every stage of
     _schedule, with table[:, j - lo] cell j.  A class's last stage, used
@@ -647,14 +629,14 @@ def _stages(tree: RootedTree, mode: str, classes, i_min: int, i_max: int):
     for key in keys:
         for c in key:
             uses[c] += 1
-    base = _MODES[mode].base
+    base = rules.base
     final = [None] * len(keys)
     for k, c, lo, width in _schedule(keys, tree.n, i_min, i_max):
         if c is None:
             stage = lo, base[:, lo : lo + width]
         else:
             (cur_lo, cur), (child_lo, child) = stage, final[c]
-            stage = lo, _merge(cur, child, mode, lo - cur_lo - child_lo, width)
+            stage = lo, _merge(cur, child, rules, lo - cur_lo - child_lo, width)
             uses[c] -= 1
             if not uses[c]:
                 final[c] = None
@@ -668,17 +650,17 @@ def _witness_cells(keys, n: int, i_min: int, i_max: int, nflags: int) -> int:
     return nflags * sum(width for _, _, _, width in _schedule(keys, n, i_min, i_max))
 
 
-def _witness_stages(tree: RootedTree, mode: str, size_cap: int, i_min: int, i_max: int):
+def _witness_stages(tree: RootedTree, rules: _Mode, size_cap: int, i_min: int, i_max: int):
     """(class id per vertex, list per class of its _stages) for subsets of
     i_min .. i_max vertices.  Trees above size_cap raise SizeCapError, and
     so do stages above WITNESS_MAX_CELLS cells, before any table is built."""
     classes = _subtree_classes(tree, size_cap)
-    cells = _witness_cells(classes[1], tree.n, i_min, i_max, _MODES[mode].base.shape[0])
+    cells = _witness_cells(classes[1], tree.n, i_min, i_max, rules.base.shape[0])
     if cells > WITNESS_MAX_CELLS:
         raise SizeCapError(
             f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
         )
     stages = [[] for _ in classes[1]]
-    for k, stage in _stages(tree, mode, classes, i_min, i_max):
+    for k, stage in _stages(tree, rules, classes, i_min, i_max):
         stages[k].append(stage)
     return classes[0], stages

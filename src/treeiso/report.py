@@ -189,8 +189,10 @@ def analyze_tree(
     rng = random.Random(flux_seed)
     subsets = [frozenset(), frozenset(range(n))]
     for _ in range(FLUX_SUBSETS - 2):
-        bits = rng.getrandbits(n)
-        subsets.append(frozenset(v for v in range(n) if (bits >> v) & 1))
+        # Bit v of the draw is character v of its reversed binary string;
+        # shifting the bignum per vertex would take time quadratic in n.
+        bits = bin(rng.getrandbits(n))[:1:-1]
+        subsets.append(frozenset(v for v, b in enumerate(bits) if b == "1"))
     flux_failures = []
     for s in subsets:
         if not check_flux_conservation(tree, s, weights):

@@ -22,6 +22,11 @@ _KIND_PARAMS = {
 TREE_KINDS = tuple(_KIND_PARAMS)
 
 
+def _is_int(x) -> bool:
+    """x is an int and not a bool, which Python counts as one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class TreeFormatError(ValueError):
     """Tree input that fails to parse or violates rooted-tree structure."""
 
@@ -50,7 +55,7 @@ class RootedTree:
         n = len(parents)
         if n < 1:
             raise TreeFormatError("malformed tree: vertex count must be positive")
-        if not isinstance(root, int) or isinstance(root, bool):
+        if not _is_int(root):
             raise TreeFormatError(f"malformed tree: root {root!r} is not an integer")
         if not (0 <= root < n):
             raise TreeFormatError(f"out-of-range id: root {root} not in [0, {n})")
@@ -58,7 +63,7 @@ class RootedTree:
         for v, p in enumerate(parents):
             if p is None:
                 continue
-            if not isinstance(p, int) or isinstance(p, bool):
+            if not _is_int(p):
                 raise TreeFormatError(f"malformed tree: parent of vertex {v} is not an integer")
             if not (0 <= p < n):
                 raise TreeFormatError(f"out-of-range id: vertex {v} has parent {p} not in [0, {n})")
@@ -136,8 +141,9 @@ def parse_tree(text, fmt: str) -> RootedTree:
     """Parse a tree from bytes or str in 'json' or 'parent-list' format.
 
     JSON: {"n": int, "root": int, "parent": [int-or-null x n]}.
-    Parent-list: line 1 vertex count, line 2 root id, line 3 the n
-    space-separated parents with -1 marking the root.
+    Parent-list: exactly three lines, line 1 vertex count, line 2 root id,
+    line 3 the n space-separated parents with -1 marking the root; only
+    blank lines may follow.
     """
     if isinstance(text, bytes):
         try:
@@ -163,9 +169,9 @@ def _parse_json(text: str) -> RootedTree:
         if key not in obj:
             raise TreeFormatError(f"malformed json: missing field {key!r}")
     n, root, parent = obj["n"], obj["root"], obj["parent"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise TreeFormatError("malformed json: field 'n' must be an integer")
-    if not isinstance(root, int) or isinstance(root, bool):
+    if not _is_int(root):
         raise TreeFormatError("malformed json: field 'root' must be an integer")
     if not isinstance(parent, list):
         raise TreeFormatError("malformed json: field 'parent' must be an array")
@@ -200,6 +206,9 @@ def _parse_parent_list(text: str) -> RootedTree:
         except ValueError:
             raise TreeFormatError(f"malformed parent-list line 3: entry {v} ({tok!r}) is not an integer")
         parents.append(None if p == -1 else p)
+    for k, line in enumerate(lines[3:], 4):
+        if line.strip():
+            raise TreeFormatError(f"malformed parent-list line {k}: content after line 3")
     return RootedTree.from_parents(parents, root)
 
 
@@ -294,7 +303,7 @@ def _need(params: dict, key: str) -> int:
     if key not in params:
         raise GenerationError(f"missing generator parameter {key!r}")
     value = params[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise GenerationError(f"generator parameter {key!r} must be an integer, got {value!r}")
     return value
 

@@ -77,6 +77,15 @@ def test_verify_malformed_file_exits_nonzero(tmp_path):
     assert len(suite["reports"]) == 1
 
 
+def test_concatenated_parent_list_files_exit_2(tmp_path, capsys):
+    """Two parent-list trees in one file are an input error, not the first
+    tree's profile."""
+    tree_path = tmp_path / "two.txt"
+    tree_path.write_text("3\n0\n-1 0 1\n4\n0\n-1 0 1 2\n")
+    assert main(["profile", str(tree_path)]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_verify_gen_above_dp_cap_is_a_generation_error(tmp_path):
     """--gen builds no tree larger than --dp-cap; the spec is reported as
     an input error, as a bad generator parameter is."""

@@ -337,9 +337,9 @@ def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges)
     calls = []
     merge = profile._merge
 
-    def counted(cur, child, mode, *window):
-        calls.append(mode)
-        return merge(cur, child, mode, *window)
+    def counted(cur, child, rules, *window):
+        calls.append(rules)
+        return merge(cur, child, rules, *window)
 
     monkeypatch.setattr(profile, "_merge", counted)
     tree = generate_tree(kind, params)
@@ -347,7 +347,8 @@ def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges)
         for run in (dp, lambda t: witness_subset(t, t.n // 2, mode)):
             calls.clear()
             run(tree)
-            assert calls == [mode] * merges
+            assert len(calls) == merges
+            assert all(rules is profile._MODES[mode] for rules in calls)
 
 
 # (cur, child) table widths that reach every _merge route by name:
@@ -357,7 +358,8 @@ def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges)
 # _min_plus_blocks, with blocks whose last one is shorter (120 or 121 rows
 # against 300 cells, on either side of the merge); and _merge_pairs through
 # _min_plus_rows, whose long side is too long for a block of
-# _MIN_BLOCK_ROWS rows.
+# _MIN_BLOCK_ROWS rows.  Equal widths, at most _ROW_LOOP_MAX cells and
+# wider, take the child as the short side.
 _LONG = profile._BLOCK_CELLS // profile._MIN_BLOCK_ROWS + 1
 KERNEL_WIDTHS = [
     (40, 1),
@@ -367,7 +369,10 @@ KERNEL_WIDTHS = [
     (2, 40),
     (profile._ROW_LOOP_MAX, 39),
     (3, _LONG),
+    (1, 1),
+    (profile._ROW_LOOP_MAX, profile._ROW_LOOP_MAX),
     (profile._ROW_LOOP_MAX + 1, profile._ROW_LOOP_MAX + 1),
+    (57, 57),
     (120, 300),
     (300, 121),
     (_LONG, profile._ROW_LOOP_MAX + 2),
@@ -381,29 +386,40 @@ def test_merge_follows_transition_table(monkeypatch, mode, trans):
     """_merge equals min over (s_prev, sc, jc) of cur[s_prev][j - jc] +
     child[sc][jc] + cost, evaluated straight from the transition table,
     with every sum at or above profile._INF saturated to it.  KERNEL_WIDTHS
-    reach every route and branch named there."""
+    reach every route and branch named there; the pair kernels get the
+    short operand first, and a tie takes the child as the short side."""
     rng = random.Random(7)
+    rules = profile._MODES[mode]
     nflags = 1 + max(s for s, _ in trans)
     inf = profile._INF
     reached = set()
-    merge_short, rows, blocks = (
-        profile._merge_short, profile._min_plus_rows, profile._min_plus_blocks)
+    sides = []
+    merge_short, merge_pairs, rows, blocks = (
+        profile._merge_short, profile._merge_pairs, profile._min_plus_rows, profile._min_plus_blocks)
 
-    def spied_short(short, long, runs, skip, width):
-        side = "child" if runs is profile._MODES[mode].child_runs else "cur"
+    def spied_short(short, long, runs, skip, out):
+        side = "child" if runs is rules.child_runs else "cur"
+        sides.append(side)
         reached.add(("short", side, short.shape[1], skip > 0))
-        return merge_short(short, long, runs, skip, width)
+        merge_short(short, long, runs, skip, out)
+
+    def spied_pairs(cur, child, into, kernel, cur_short, skip, out):
+        sides.append("cur" if cur_short else "child")
+        merge_pairs(cur, child, into, kernel, cur_short, skip, out)
 
     def spied_rows(a, b, out, skip):
+        assert a.size <= b.size
         reached.add("rows")
         rows(a, b, out, skip)
 
     def spied_blocks(a, b, out, skip):
+        assert a.size <= b.size
         ragged = a.size % (profile._BLOCK_CELLS // b.size) not in (0, a.size)
         reached.add("ragged blocks" if ragged else "blocks")
         blocks(a, b, out, skip)
 
     monkeypatch.setattr(profile, "_merge_short", spied_short)
+    monkeypatch.setattr(profile, "_merge_pairs", spied_pairs)
     monkeypatch.setattr(profile, "_min_plus_rows", spied_rows)
     monkeypatch.setattr(profile, "_min_plus_blocks", spied_blocks)
 
@@ -426,15 +442,17 @@ def test_merge_follows_transition_table(monkeypatch, mode, trans):
                 for jc, y in enumerate(child[sc].tolist()):
                     row[i + jc] = min(inf, row[i + jc], x + y + cost)
         full = cur_width + child_width - 1
-        merged = profile._merge(cur, child, mode, 0, full)
+        sides.clear()
+        merged = profile._merge(cur, child, rules, 0, full)
         assert merged.dtype == np.int32
         assert merged.tolist() == expected, (cur_width, child_width)
+        assert sides == ["child" if child_width <= cur_width else "cur"], (cur_width, child_width)
         for skip, width in {(0, full), (0, 1), (full - 1, 1), (1, full - 2),
                             (rng.randint(0, full - 1), rng.randint(1, full))}:
             width = min(width, full - skip)
             if width < 1:
                 continue
-            window = profile._merge(cur, child, mode, skip, width)
+            window = profile._merge(cur, child, rules, skip, width)
             assert window.tolist() == [row[skip : skip + width] for row in expected], (
                 cur_width, child_width, skip, width)
     short = {("short", side, w, True) for side in ("child", "cur")
@@ -467,35 +485,37 @@ def test_row_and_block_kernels_agree(monkeypatch):
     """On every _merge call the DP makes, on the small-tree corpus, on
     complete trees large enough for blocks whose last one is shorter and in
     the witness DP's windowed calls, the route _merge takes equals
-    _merge_pairs, and wherever that runs _min_plus, both of its kernels
-    give the same row, and so does _min_plus itself."""
-    kernel = profile._min_plus
-    merge = profile._merge
+    _merge_pairs, and every call of either min-plus kernel gives the row
+    the other kernel gives."""
+    merge, rows, blocks = profile._merge, profile._min_plus_rows, profile._min_plus_blocks
     ragged = windowed = 0
     short_routes = set()
 
-    def both(a, b, out, skip):
-        nonlocal ragged, windowed
-        short, long = (a, b) if a.size <= b.size else (b, a)
-        rows, blocks = out.copy(), out.copy()
-        profile._min_plus_rows(short, long, rows, skip)
-        profile._min_plus_blocks(short, long, blocks, skip)
-        assert np.array_equal(rows, blocks), (short.size, long.size, skip)
-        kernel(a, b, out, skip)
-        assert np.array_equal(out, rows), (short.size, long.size, skip)
-        ragged += short.size % (profile._BLOCK_CELLS // long.size) not in (0, short.size)
-        windowed += out.size < a.size + b.size - 1 and short.size > profile._ROW_LOOP_MAX
+    def cross_checked(kernel, other):
+        def run(a, b, out, skip):
+            nonlocal ragged, windowed
+            expected = out.copy()
+            other(a.copy(), b.copy(), expected, skip)
+            kernel(a, b, out, skip)
+            assert np.array_equal(out, expected), (a.size, b.size, skip)
+            ragged += a.size % (profile._BLOCK_CELLS // b.size) not in (0, a.size)
+            windowed += out.size < a.size + b.size - 1 and a.size > profile._ROW_LOOP_MAX
+        return run
 
-    def checked(cur, child, mode, skip, width):
-        out = merge(cur, child, mode, skip, width)
+    def checked(cur, child, rules, skip, width):
+        out = merge(cur, child, rules, skip, width)
+        mode = next(m for m, r in profile._MODES.items() if r is rules)
         side, w = ("child", child.shape[1]) if child.shape[1] <= cur.shape[1] else ("cur", cur.shape[1])
         if w <= profile._ROW_LOOP_MAX:
             short_routes.add((mode, side, skip > 0))
-            pairs = profile._merge_pairs(cur, child, profile._MODES[mode], skip, width)
+            pairs = profile._empty_table(len(rules.into), width)
+            profile._merge_pairs(cur, child, rules.into, profile._min_plus_blocks, side == "cur",
+                                 skip, pairs)
             assert np.array_equal(out, pairs), (mode, cur.shape, child.shape, skip, width)
         return out
 
-    monkeypatch.setattr(profile, "_min_plus", both)
+    monkeypatch.setattr(profile, "_min_plus_rows", cross_checked(rows, blocks))
+    monkeypatch.setattr(profile, "_min_plus_blocks", cross_checked(blocks, rows))
     monkeypatch.setattr(profile, "_merge", checked)
     trees = [tree for _, tree in structured_trees(16) + random_trees(500, 16)]
     trees += [generate_tree("complete_tary", {"t": 2, "d": 12}),
@@ -693,7 +713,7 @@ def test_compute_profile_builds_subtree_classes_once(monkeypatch):
 
 def test_sentinel_headroom_and_base_table():
     """Two sentinel cells plus the largest transition cost, the largest sum
-    _min_plus and the witness scan can form, fit in int32; the one-vertex
+    a merge kernel and the witness scan can form, fit in int32; the one-vertex
     table holds the sentinel in every cell but its two feasible ones, and
     is read-only, since every class shares it."""
     max_cost = max(cost for trans in (profile._EDGE_TRANS, profile._VERTEX_TRANS)
@@ -722,7 +742,8 @@ def test_stage_tables_are_int32_within_sentinel(tree):
     for mode in ("edge", "vertex"):
         in_flag = profile._MODES[mode].in_flag
         for i_min, i_max in {(1, n), (max(1, n // 2), max(1, n // 2)), (n, n)}:
-            cls, stages = profile._witness_stages(tree, mode, profile.DEFAULT_DP_CAP, i_min, i_max)
+            cls, stages = profile._witness_stages(
+                tree, profile._MODES[mode], profile.DEFAULT_DP_CAP, i_min, i_max)
             for tabs in stages:
                 for _, tab in tabs:
                     assert tab.dtype == np.int32
@@ -741,7 +762,7 @@ def test_stage_tables_are_int32_within_sentinel(tree):
 def _full_root_table(tree, mode):
     """The root table over every cell 0..n: the last stage of _stages(..., 0, n)."""
     classes = profile._subtree_classes(tree, profile.DEFAULT_DP_CAP)
-    for _, (_, table) in profile._stages(tree, mode, classes, 0, tree.n):
+    for _, (_, table) in profile._stages(tree, profile._MODES[mode], classes, 0, tree.n):
         pass
     return table
 
@@ -765,11 +786,12 @@ def test_windowed_stages_are_slices_of_full_width_stages(tree):
     n = tree.n
     cap = profile.DEFAULT_DP_CAP
     for mode in ("edge", "vertex"):
-        cls, full = profile._witness_stages(tree, mode, cap, 1, n)
+        rules = profile._MODES[mode]
+        cls, full = profile._witness_stages(tree, rules, cap, 1, n)
         root = _full_root_table(tree, mode)
         assert full[cls[tree.root]][-1][1].tolist() == root[:, 1:].tolist()
         for i in range(1, n + 1):
-            _, stages = profile._witness_stages(tree, mode, cap, i, i)
+            _, stages = profile._witness_stages(tree, rules, cap, i, i)
             for tabs, ref_tabs in zip(stages, full, strict=True):
                 for (lo, tab), (ref_lo, ref) in zip(tabs, ref_tabs, strict=True):
                     assert 0 <= lo - ref_lo and 1 <= tab.shape[1]
@@ -802,10 +824,11 @@ def test_witness_cells_predicts_the_kept_stages():
         n = tree.n
         keys = profile._subtree_classes(tree, cap)[1]
         for mode in ("edge", "vertex"):
-            nflags = profile._MODES[mode].base.shape[0]
+            rules = profile._MODES[mode]
+            nflags = rules.base.shape[0]
             for i_min, i_max in {(1, n), (1, 1), (n, n), (n // 2 + 1, n // 2 + 1),
                                  (n // 3 + 1, 2 * n // 3 + 1)}:
-                _, stages = profile._witness_stages(tree, mode, cap, i_min, i_max)
+                _, stages = profile._witness_stages(tree, rules, cap, i_min, i_max)
                 planned = [[] for _ in keys]
                 for k, c, lo, width in profile._schedule(keys, n, i_min, i_max):
                     assert c == (keys[k][len(planned[k]) - 1] if planned[k] else None), label

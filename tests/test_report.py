@@ -1,6 +1,7 @@
 """Derived parameter bounds, per-tree reports, the suite, and emission."""
 import functools
 import json
+import random
 
 import pytest
 
@@ -108,6 +109,28 @@ def test_flux_failure_detail_names_size_and_sum(monkeypatch):
     verdict = next(v for v in report.verdicts if v.name.startswith("flux_conservation"))
     assert not verdict.passed
     assert verdict.details == "32 subsets checked, failures: ['|S|=7 sum=7']"
+
+
+def test_flux_subsets_are_the_bits_of_each_draw(monkeypatch):
+    """The flux check gets the empty set, the full set, then one subset per
+    getrandbits(n) draw of the report's seed: vertex v is in it exactly
+    when bit v of the draw is set."""
+    import treeiso.report as report_mod
+
+    seen = []
+    monkeypatch.setattr(
+        report_mod, "check_flux_conservation", lambda tree, s, w: seen.append(s) or True
+    )
+    for tree in (bin3(), generate_tree("random_prufer", {"n": 300}, seed=4)):
+        seen.clear()
+        analyze_tree(tree, oracle_limit=0, suite_seed=9, flux_counter=2)
+        rng = random.Random(9 * 1_000_003 + 2)
+        n = tree.n
+        draws = [rng.getrandbits(n) for _ in range(report_mod.FLUX_SUBSETS - 2)]
+        expected = [frozenset(), frozenset(range(n))] + [
+            frozenset(v for v in range(n) if (bits >> v) & 1) for bits in draws
+        ]
+        assert seen == expected
 
 
 def test_verify_suite_passes_and_exit_status():

@@ -94,6 +94,18 @@ def test_parent_list_too_few_lines_rejected():
         parse_tree(b"3\n0", "parent-list")
 
 
+def test_parent_list_content_after_line_3_rejected():
+    """A parent-list file holds exactly one tree: two concatenated files are
+    refused at the first non-blank line after line 3, and trailing blank
+    lines stay valid."""
+    with pytest.raises(TreeFormatError, match="line 4"):
+        parse_tree(b"3\n0\n-1 0 1\n4\n0\n-1 0 1 2\n", "parent-list")
+    with pytest.raises(TreeFormatError, match="line 6"):
+        parse_tree(b"3\n0\n-1 0 1\n\n \nx\n", "parent-list")
+    for tail in (b"", b"\n", b"\n\n  \n\t\n"):
+        assert parse_tree(b"3\n0\n-1 0 1" + tail, "parent-list") == parse_tree(PATH3_JSON, "json")
+
+
 def test_non_utf8_input_rejected():
     for fmt in ("json", "parent-list"):
         with pytest.raises(TreeFormatError, match="not UTF-8"):
