@@ -1,61 +1,33 @@
 """Certified bounds on isoperimetric peaks.
 
-The counting route: label every boundary edge of a subset S with a signed
-subtree weight so that the labels plus a root term sum to |S| exactly.
-Because each label is one of few values (0 or a signed distinct subtree
-weight), the number of subset sizes with a small minimum boundary is
-bounded by a binomial count, which in turn forces the edge peak upward.
+The counting route rests on one flux rule: for a subset S, vertex v gets
+f(v) = w(v) * ([v in S] - [parent(v) in S]), w the subtree weight and the
+root's parent outside S.  The labels sum to |S|, and each one off the root
+is 0 or a signed distinct subtree weight, so the number of subset sizes
+with a small minimum boundary is bounded by a binomial count, which in
+turn forces the edge peak upward.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .profile import IsoProfile
-from .tree import RootedTree, WeightTable, postorder, subtree_weights
+from .tree import RootedTree, WeightTable, postorder
 
 
-@dataclass(frozen=True)
-class FluxAssignment:
-    """Signed subtree-weight labels on the edges of one subset's boundary.
-
-    Every tree edge (child, parent) maps to 0 when it is not a boundary
-    edge, +weight(child) when the child is in the subset, -weight(child)
-    otherwise; the root contributes n when selected.  The labels always sum
-    to the subset's cardinality.
-    """
-
-    root_value: int
-    edge_values: dict
-    subset: frozenset
-
-    def total(self) -> int:
-        return self.root_value + sum(self.edge_values.values())
+def flux_labels(tree: RootedTree, members, weights: WeightTable) -> list:
+    """The flux label of every vertex: for v other than the root, the label
+    of edge (v, parent v), 0 off the boundary of S and +-w(v) on it; at the
+    root, w(root) = n when it is in S.  ValueError for an id outside 0..n-1."""
+    inside = tree.membership(members)
+    w = weights.weight
+    return [w[v] * (inside[v] - (p is not None and inside[p])) for v, p in enumerate(tree.parent)]
 
 
-def flux_assignment(tree: RootedTree, members, weights: WeightTable) -> FluxAssignment:
-    """Label boundary edges of the subset with signed subtree weights."""
+def check_flux_conservation(tree: RootedTree, members, weights: WeightTable) -> bool:
+    """Whether the flux labels sum to |S|, each vertex counted once."""
     subset = frozenset(members)
-    inside = tree.membership(subset)
-    root_value = tree.n if inside[tree.root] else 0
-    edge_values = {}
-    for v, p in tree.edges():
-        v_in, p_in = inside[v], inside[p]
-        if v_in == p_in:
-            edge_values[(v, p)] = 0
-        elif v_in:
-            edge_values[(v, p)] = weights.weight[v]
-        else:
-            edge_values[(v, p)] = -weights.weight[v]
-    return FluxAssignment(root_value=root_value, edge_values=edge_values, subset=subset)
-
-
-def check_flux_conservation(tree: RootedTree, members, weights: WeightTable = None) -> bool:
-    """Whether the flux labels sum to |S|; true for every subset."""
-    if weights is None:
-        weights = subtree_weights(tree)
-    assignment = flux_assignment(tree, members, weights)
-    return assignment.total() == len(assignment.subset)
+    return sum(flux_labels(tree, subset, weights)) == len(subset)
 
 
 def cut_count_upper_bound(eta: int, k: int) -> int:

@@ -114,7 +114,7 @@ def _parse_params(pairs) -> dict:
 def _load_tree_file(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
-    fmt = "json" if data.lstrip().startswith(b"{") else "parent-list"
+    fmt = "json" if data.lstrip().startswith((b"{", b"[")) else "parent-list"
     return parse_tree(data, fmt)
 
 

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tree import RootedTree, postorder
+from .tree import RootedTree, _is_int, postorder
 
 DEFAULT_DP_CAP = 50_000
 DEFAULT_ORACLE_LIMIT = 20
@@ -367,10 +367,13 @@ def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_
     rules = _MODES.get(mode)
     if rules is None:
         raise ValueError(f"mode must be 'edge' or 'vertex', got {mode!r}")
-    sizes = sorted(set(sizes))
+    sizes = list(sizes)
     for i in sizes:
+        if not _is_int(i):
+            raise ValueError(f"subset size must be an integer, got {i!r}")
         if not (1 <= i <= tree.n):
             raise ValueError(f"subset size {i} out of range [1, {tree.n}]")
+    sizes = sorted(set(sizes))
     if not sizes:
         return {}
     cls, stages = _witness_stages(tree, rules, size_cap, sizes[0], sizes[-1])

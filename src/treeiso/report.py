@@ -18,7 +18,7 @@ from .bounds import (
     count_sizes_with_cut_at_most,
     cut_count_upper_bound,
     edge_peak_lower_bound,
-    flux_assignment,
+    flux_labels,
     prefix_upper_bounds,
     sandwich_check,
 )
@@ -196,8 +196,7 @@ def analyze_tree(
     flux_failures = []
     for s in subsets:
         if not check_flux_conservation(tree, s, weights):
-            total = flux_assignment(tree, s, weights).total()
-            flux_failures.append(f"|S|={len(s)} sum={total}")
+            flux_failures.append(f"|S|={len(s)} sum={sum(flux_labels(tree, s, weights))}")
     verdicts.append(
         Verdict(
             "flux_conservation: f(root) + sum_e f(e) == |S|",

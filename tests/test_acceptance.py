@@ -90,7 +90,7 @@ def test_criterion_2_flux_conservation():
         bits = random.Random(87_000 + i).getrandbits(n)
         subset = frozenset(v for v in range(n) if (bits >> v) & 1)
         checked += 1
-        if not check_flux_conservation(tree, subset):
+        if not check_flux_conservation(tree, subset, subtree_weights(tree)):
             failures.append((kind, i))
     ok = not failures
     _report(

@@ -1,5 +1,7 @@
 """Flux conservation, binomial counting bounds, prefix bounds, sandwich."""
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -12,7 +14,7 @@ from treeiso import (
     edge_boundary_size,
     edge_peak_lower_bound,
     edge_profile,
-    flux_assignment,
+    flux_labels,
     generate_tree,
     parse_tree,
     postorder,
@@ -35,32 +37,32 @@ def path3():
 def test_flux_example_middle_vertex():
     tree = path3()
     w = subtree_weights(tree)
-    fa = flux_assignment(tree, {1}, w)
-    assert fa.root_value == 0
-    assert fa.edge_values[(1, 0)] == 2
-    assert fa.edge_values[(2, 1)] == -1
-    assert fa.total() == 1
+    labels = flux_labels(tree, {1}, w)
+    assert labels[tree.root] == 0
+    assert labels[1] == 2
+    assert labels[2] == -1
+    assert sum(labels) == 1
 
 
 def test_flux_empty_and_full():
     tree = path3()
     w = subtree_weights(tree)
-    empty = flux_assignment(tree, set(), w)
-    assert empty.root_value == 0
-    assert set(empty.edge_values.values()) == {0}
-    assert empty.total() == 0
-    full = flux_assignment(tree, {0, 1, 2}, w)
-    assert full.root_value == 3
-    assert set(full.edge_values.values()) == {0}
-    assert full.total() == 3
+    empty = flux_labels(tree, set(), w)
+    assert empty[tree.root] == 0
+    assert {empty[v] for v in range(tree.n) if v != tree.root} == {0}
+    assert sum(empty) == 0
+    full = flux_labels(tree, {0, 1, 2}, w)
+    assert full[tree.root] == 3
+    assert {full[v] for v in range(tree.n) if v != tree.root} == {0}
+    assert sum(full) == 3
 
 
 def test_flux_subtree_of_binary():
     tree = generate_tree("complete_tary", {"t": 2, "d": 3})
     w = subtree_weights(tree)
-    fa = flux_assignment(tree, {1, 3, 4}, w)
-    assert fa.edge_values[(1, 0)] == 3
-    assert fa.total() == 3
+    labels = flux_labels(tree, {1, 3, 4}, w)
+    assert labels[1] == 3
+    assert sum(labels) == 3
     assert check_flux_conservation(tree, {1, 3, 4}, w) is True
 
 
@@ -68,19 +70,16 @@ def test_flux_value_alphabet():
     for label, tree in random_trees(30, 12, seed0=13):
         w = subtree_weights(tree)
         members = frozenset(v for v in range(tree.n) if v % 3 != 1)
-        fa = flux_assignment(tree, members, w)
-        boundary = {
-            (v, p)
-            for v, p in tree.edges()
-            if (v in members) != (p in members)
-        }
-        for edge, value in fa.edge_values.items():
-            if edge in boundary:
+        labels = flux_labels(tree, members, w)
+        assert len(labels) == tree.n, label
+        for v, p in tree.edges():
+            value = labels[v]
+            if (v in members) != (p in members):
                 assert abs(value) in w.distinct_weights, label
-                assert (value > 0) == (edge[0] in members), label
+                assert (value > 0) == (v in members), label
             else:
                 assert value == 0, label
-        assert fa.root_value == (tree.n if tree.root in members else 0)
+        assert labels[tree.root] == (tree.n if tree.root in members else 0)
 
 
 def test_flux_all_subsets_small_trees():
@@ -91,9 +90,31 @@ def test_flux_all_subsets_small_trees():
             assert check_flux_conservation(tree, s, w) is True, (label, mask)
 
 
+def test_flux_rejects_weight_off_by_one_at_any_vertex():
+    """The check is not vacuous: a weight table off by one at a single
+    vertex v fails on S = {v}, the root included, and the root's label is
+    n whenever the root is in S."""
+    bin3 = generate_tree("complete_tary", {"t": 2, "d": 3})
+    prufer = generate_tree("random_prufer", {"n": 60}, seed=5)
+    for tree in (bin3, prufer):
+        w = subtree_weights(tree)
+        for v in range(tree.n):
+            assert check_flux_conservation(tree, {v}, w) is True
+            for d in (1, -1):
+                weight = list(w.weight)
+                weight[v] += d
+                bad = dataclasses.replace(w, weight=tuple(weight))
+                assert check_flux_conservation(tree, {v}, bad) is False, (tree.n, v, d)
+        rng = random.Random(tree.n)
+        subsets = [{tree.root}, set(range(tree.n))]
+        subsets += [{v for v in range(tree.n) if rng.random() < 0.5} | {tree.root} for _ in range(20)]
+        for s in subsets:
+            assert flux_labels(tree, s, w)[tree.root] == tree.n
+
+
 def test_flux_out_of_range_vertex():
     with pytest.raises(ValueError):
-        flux_assignment(path3(), {5}, subtree_weights(path3()))
+        flux_labels(path3(), {5}, subtree_weights(path3()))
 
 
 def test_cut_count_upper_bound_values():

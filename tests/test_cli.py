@@ -86,6 +86,15 @@ def test_concatenated_parent_list_files_exit_2(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_json_array_tree_file_is_reported_as_json(tmp_path, capsys):
+    """A tree file whose first non-blank byte is '[' is read as JSON, so a
+    top-level array gets the JSON error, not a parent-list one."""
+    tree_path = tmp_path / "array.json"
+    tree_path.write_text("[1,2]\n")
+    assert main(["profile", str(tree_path)]) == 2
+    assert capsys.readouterr().err == "error: malformed json: top-level value must be an object\n"
+
+
 def test_verify_gen_above_dp_cap_is_a_generation_error(tmp_path):
     """--gen builds no tree larger than --dp-cap; the spec is reported as
     an input error, as a bad generator parameter is."""

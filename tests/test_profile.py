@@ -264,6 +264,12 @@ def test_witness_argument_errors():
         witness_subsets(tree, [3, 8], "edge")
     with pytest.raises(ValueError):
         witness_subsets(tree, [3], "boundary")
+    with pytest.raises(ValueError, match="must be an integer, got 2.0"):
+        witness_subset(tree, 2.0, "edge")
+    with pytest.raises(ValueError, match="must be an integer, got True"):
+        witness_subset(tree, True, "edge")
+    with pytest.raises(ValueError, match="must be an integer, got True"):
+        witness_subsets(tree, [1, True], "edge")
 
 
 def test_profile_determinism():
