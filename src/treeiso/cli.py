@@ -104,10 +104,13 @@ def _parse_params(pairs) -> dict:
         if "=" not in pair:
             raise ValueError(f"bad parameter {pair!r}, expected KEY=VALUE")
         key, _, value = pair.partition("=")
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"parameter {key!r} given twice")
         try:
-            params[key.strip()] = int(value)
+            params[key] = int(value)
         except ValueError:
-            raise ValueError(f"parameter {key.strip()!r} must be an integer, got {value!r}")
+            raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
     return params
 
 

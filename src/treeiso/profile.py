@@ -5,12 +5,13 @@ dynamic program (edge_profile / vertex_profile) and an exhaustive
 enumeration over all 2^n vertex subsets (brute_force_profiles) that serves
 as the oracle at small n.
 
-The dynamic program merges tables once per class of equal subtrees, not
-once per vertex: two vertices share a class when their children, taken in
-merge order, have the same classes (Aho, Hopcroft & Ullman 1974, without
-sorting the children).  Every level of a complete t-ary tree is one class,
-so it costs one merge chain per level; a tree without repeated subtrees,
-such as a path, costs what a per-vertex DP does.
+The dynamic program merges tables once per distinct stage, not once per
+vertex.  A stage is the vertex alone or (prefix stage, child class), and
+stages are interned: equal subtrees (Aho, Hopcroft & Ullman 1974) share
+their tables, and child lists that start alike share those prefixes.
+Profiles take children in ascending class id, leaves first; witnesses in
+ascending vertex id, their tie order.  A complete t-ary tree costs one
+merge chain per level, a path what a per-vertex DP does.
 
 Each mode states its flag rules once, in a transition table that the
 merge, the one-vertex table and the witness backtracking all read.
@@ -21,6 +22,7 @@ profiles are computed in exact integer arithmetic.
 from __future__ import annotations
 
 import contextvars
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -160,10 +162,9 @@ def _short_runs(into: list, child_short: bool) -> tuple:
 
 _MODES = {"edge": _mode(2, _E_IN, _EDGE_TRANS), "vertex": _mode(3, _V_IN, _VERTEX_TRANS)}
 
-# (tree, its _subtree_classes) while compute_profile runs on it, so that the
-# edge and vertex DPs share one class computation and edge_profile and
-# vertex_profile keep their signatures.  Only compute_profile sets it, and
-# it resets it on return.
+# (tree, its class-order stage keys) while compute_profile runs on it, so
+# that its edge and vertex DPs share one class computation and edge_profile
+# and vertex_profile keep their signatures; only compute_profile sets it.
 _shared_classes = contextvars.ContextVar("_shared_classes", default=None)
 
 
@@ -328,14 +329,14 @@ def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
 
 def _profile(tree: RootedTree, mode: str, size_cap: int):
     shared = _shared_classes.get()
-    classes = shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap)
-    for _, (_, root) in _stages(tree, _MODES[mode], classes, 1, tree.n):
+    keys = shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap, True)[1]
+    for _, root in _stages(_MODES[mode], keys, tree.n, 1, tree.n):
         pass
     return [int(x) for x in np.min(root, axis=0)]
 
 
 def compute_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP) -> IsoProfile:
-    token = _shared_classes.set((tree, _subtree_classes(tree, size_cap)))
+    token = _shared_classes.set((tree, _subtree_classes(tree, size_cap, True)[1]))
     try:
         return IsoProfile.from_values(
             edge_profile(tree, size_cap), vertex_profile(tree, size_cap)
@@ -376,33 +377,33 @@ def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_
     sizes = sorted(set(sizes))
     if not sizes:
         return {}
-    cls, stages = _witness_stages(tree, rules, size_cap, sizes[0], sizes[-1])
-    return {i: _backtrack(tree, rules, cls, stages, i) for i in sizes}
+    cls, keys, stages = _witness_stages(tree, rules, size_cap, sizes[0], sizes[-1])
+    return {i: _backtrack(tree, rules, cls, keys, stages, i) for i in sizes}
 
 
-def _backtrack(tree: RootedTree, rules: _Mode, cls, stages, i: int) -> frozenset:
+def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, stages, i: int) -> frozenset:
     """The size-i witness read back from _witness_stages' tables.
 
-    Cell j of a stage (lo, table) is table[:, j - lo].  A split of cell j
-    between a stage and a child pairs cells whose windows hold them; every
-    split the full-width tables would match is one of those pairs, in the
-    same scan order.
+    Cell j of a stage (lo, table) is table[:, j - lo].  A vertex's prefix
+    chain is walked from its last stage back to the vertex alone.  A split
+    of cell j between a prefix and a child pairs cells whose windows hold
+    them; every split the full-width tables would match is one of those
+    pairs, in the same scan order.
     """
-    lo, root_tab = stages[cls[tree.root]][-1]
+    lo, root_tab = stages[cls[tree.root]]
     s_star = int(np.argmin(root_tab[:, i - lo]))
 
     selected = []
     work = [(tree.root, i, s_star)]
     while work:
         v, j, s_after = work.pop()
-        kids = tree.children[v]
-        tabs = stages[cls[v]]
-        for m in range(len(kids), 0, -1):
-            child = kids[m - 1]
-            lo, tab = tabs[m]
+        k = cls[v]
+        for child in reversed(tree.children[v]):
+            lo, tab = stages[k]
             value = tab[s_after][j - lo]
-            prev_lo, prev_tab = tabs[m - 1]
-            child_lo, child_tab = stages[cls[child]][-1]
+            k, c = keys[k]
+            prev_lo, prev_tab = stages[k]
+            child_lo, child_tab = stages[c]
             # Child cell x of child_tab pairs with cell d - x of prev_tab.
             d = j - prev_lo - child_lo
             first = max(0, d - (prev_tab.shape[1] - 1))
@@ -428,7 +429,7 @@ def _backtrack(tree: RootedTree, rules: _Mode, cls, stages, i: int) -> frozenset
         # Base table: the vertex alone.
         if s_after == rules.in_flag:
             selected.append(v)
-        lo, base = tabs[0]
+        lo, base = stages[k]
         if base[s_after][j - lo] != 0:
             raise AssertionError("DP backtracking reached an infeasible base cell")
     return frozenset(selected)
@@ -565,17 +566,18 @@ def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -
         np.minimum(seg, skew.min(axis=0)[c0:c1], out=seg)
 
 
-def _subtree_classes(tree: RootedTree, size_cap: int):
-    """Class id per vertex and the child-class tuple of each class.
+def _subtree_classes(tree: RootedTree, size_cap: int, by_class: bool):
+    """Last stage id per vertex and the key of every DP stage.
 
-    A vertex's class is the interned tuple of its children's classes in
-    ascending-id merge order (Aho, Hopcroft & Ullman 1974, with the
-    children left unsorted), so two vertices share a class exactly when
-    the DP runs the same merges on the same tables for them.  Classes are
-    numbered in post-order of first appearance, which puts every child
-    class before its parents.  The interning map is dropped on return so
-    that it never adds to the DP's peak memory.  Trees above size_cap raise
-    SizeCapError before any work.
+    A vertex's class is the interned tuple of its children's classes, in
+    ascending class id when by_class, else in ascending vertex id; classes
+    are numbered in post-order of first appearance, leaves (class 0) first.
+    Each distinct class then becomes a chain of interned stages: key () is
+    stage 0, the vertex alone, and (prefix, child) merges a child class's
+    last stage into its prefix, so classes whose child lists start alike
+    share those stages, each after its prefix and child.  Each interning map
+    is dropped once read, so neither adds to the DP's peak memory.  Trees
+    above size_cap raise SizeCapError before any work.
     """
     if tree.n > size_cap:
         raise SizeCapError(f"tree has {tree.n} vertices, above the DP size cap {size_cap}")
@@ -585,8 +587,19 @@ def _subtree_classes(tree: RootedTree, size_cap: int):
         # Keys are built from a list: a tuple grown from an iterator is
         # resized, and the discarded keys then pile up in CPython's tuple
         # free list, which is memory the DP never gets back.
-        cls[v] = ids.setdefault(tuple([cls[c] for c in tree.children[v]]), len(ids))
-    return cls, list(ids)
+        key = [cls[c] for c in tree.children[v]]
+        if by_class:
+            key.sort()
+        cls[v] = ids.setdefault(tuple(key), len(ids))
+    keys, ids = list(ids), None
+    stages = {(): 0}
+    last = []
+    for key in keys:
+        k = 0
+        for c in key:
+            k = stages.setdefault((k, last[c]), len(stages))
+        last.append(k)
+    return [last[c] for c in cls], list(stages)
 
 
 def _window(s: int, n: int, i_min: int, i_max: int):
@@ -605,65 +618,52 @@ def _window(s: int, n: int, i_min: int, i_max: int):
 
 
 def _schedule(keys, n: int, i_min: int, i_max: int):
-    """Every DP stage over the class keys of _subtree_classes, in DP order,
-    for subsets of i_min .. i_max of the n vertices: yields (class id, child
-    class merged or None for stage 0, the vertex alone, lo, width), where
-    (lo, width) is the stage's _window.  Child classes come first in keys."""
-    size = [0] * len(keys)
-    lo, width = _window(1, n, i_min, i_max)
+    """Every DP stage over the stage keys of _subtree_classes, in DP order,
+    for subsets of i_min .. i_max of the n vertices: yields (stage id, key,
+    lo, width), with (lo, width) the _window of the stage's vertex count."""
+    size = [1] * len(keys)
     for k, key in enumerate(keys):
-        s = 1
-        yield k, None, lo, width
-        for c in key:
-            s += size[c]
-            yield (k, c) + _window(s, n, i_min, i_max)
-        size[k] = s
+        if key:
+            size[k] = size[key[0]] + size[key[1]]
+        yield (k, key) + _window(size[k], n, i_min, i_max)
 
 
-def _stages(tree: RootedTree, rules: _Mode, classes, i_min: int, i_max: int):
-    """Post-order DP over the tree, one merge chain per class of
-    _subtree_classes: yields (class id, (lo, table)) for every stage of
-    _schedule, with table[:, j - lo] cell j.  A class's last stage, used
-    by all its vertices, is kept until every class that merges it has done
-    so; nothing else is kept.
-    """
-    keys = classes[1]
-    uses = [0] * len(keys)
-    for key in keys:
-        for c in key:
-            uses[c] += 1
+def _stages(rules: _Mode, keys, n: int, i_min: int, i_max: int):
+    """The DP over the stages of _schedule: yields (lo, table) for each, in
+    order, with table[:, j - lo] cell j.  A stage is kept until every stage
+    that merges it, as prefix or as child, has done so; only the root's
+    last stage is merged by none."""
+    uses = Counter(x for key in keys for x in key)
     base = rules.base
     final = [None] * len(keys)
-    for k, c, lo, width in _schedule(keys, tree.n, i_min, i_max):
-        if c is None:
-            stage = lo, base[:, lo : lo + width]
-        else:
-            (cur_lo, cur), (child_lo, child) = stage, final[c]
+    for k, key, lo, width in _schedule(keys, n, i_min, i_max):
+        if key:
+            (cur_lo, cur), (child_lo, child) = final[key[0]], final[key[1]]
             stage = lo, _merge(cur, child, rules, lo - cur_lo - child_lo, width)
-            uses[c] -= 1
-            if not uses[c]:
-                final[c] = None
+            for x in key:
+                uses[x] -= 1
+                if not uses[x]:
+                    final[x] = None
+        else:
+            stage = lo, base[:, lo : lo + width]
         final[k] = stage
-        yield k, stage
+        yield stage
 
 
 def _witness_cells(keys, n: int, i_min: int, i_max: int, nflags: int) -> int:
     """Cells the stages of _witness_stages hold, over all flag rows, from the
-    class keys alone: the widths of _schedule's stages."""
-    return nflags * sum(width for _, _, _, width in _schedule(keys, n, i_min, i_max))
+    stage keys alone: the widths of _schedule's stages."""
+    return nflags * sum(width for *_, width in _schedule(keys, n, i_min, i_max))
 
 
 def _witness_stages(tree: RootedTree, rules: _Mode, size_cap: int, i_min: int, i_max: int):
-    """(class id per vertex, list per class of its _stages) for subsets of
-    i_min .. i_max vertices.  Trees above size_cap raise SizeCapError, and
-    so do stages above WITNESS_MAX_CELLS cells, before any table is built."""
-    classes = _subtree_classes(tree, size_cap)
-    cells = _witness_cells(classes[1], tree.n, i_min, i_max, rules.base.shape[0])
+    """(last stage id per vertex, stage keys, every stage of _stages) for
+    sizes i_min .. i_max, children in vertex-id order.  SizeCapError, before
+    any table is built, above size_cap vertices or WITNESS_MAX_CELLS cells."""
+    cls, keys = _subtree_classes(tree, size_cap, False)
+    cells = _witness_cells(keys, tree.n, i_min, i_max, rules.base.shape[0])
     if cells > WITNESS_MAX_CELLS:
         raise SizeCapError(
             f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
         )
-    stages = [[] for _ in classes[1]]
-    for k, stage in _stages(tree, rules, classes, i_min, i_max):
-        stages[k].append(stage)
-    return classes[0], stages
+    return cls, keys, list(_stages(rules, keys, tree.n, i_min, i_max))

@@ -93,11 +93,12 @@ class RootedTree:
 
     def membership(self, members) -> list:
         """inside[v] is True exactly for the given vertices; ValueError for
-        an id outside 0..n-1."""
+        an id that is not an integer (_is_int) in 0..n-1."""
         inside = [False] * self.n
         for v in members:
-            if not (0 <= v < self.n):
-                raise ValueError(f"vertex {v} out of range [0, {self.n})")
+            # type() first: a plain int passes without a call to _is_int.
+            if type(v) is not int and not _is_int(v) or not 0 <= v < self.n:
+                raise ValueError(f"vertex {v!r} out of range [0, {self.n})")
             inside[v] = True
         return inside
 

@@ -113,8 +113,16 @@ def test_flux_rejects_weight_off_by_one_at_any_vertex():
 
 
 def test_flux_out_of_range_vertex():
-    with pytest.raises(ValueError):
-        flux_labels(path3(), {5}, subtree_weights(path3()))
+    """An id outside 0..n-1 and a non-integer id, a bool or a float, get the
+    same ValueError from every caller of RootedTree.membership."""
+    tree, w = path3(), subtree_weights(path3())
+    for members in ({5}, {True}, {1.0}):
+        with pytest.raises(ValueError, match="out of range"):
+            flux_labels(tree, members, w)
+        with pytest.raises(ValueError, match="out of range"):
+            check_flux_conservation(tree, members, w)
+        with pytest.raises(ValueError, match="out of range"):
+            edge_boundary_size(tree, members)
 
 
 def test_cut_count_upper_bound_values():

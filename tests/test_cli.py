@@ -179,6 +179,27 @@ def test_unknown_generator_parameter_is_usage_error(tmp_path, capsys):
     ]
 
 
+def test_repeated_generator_parameter_is_usage_error(capsys):
+    """A parameter given twice is an input error (exit 2); the last value
+    does not silently win."""
+    assert main(["generate", "path", "-p", "n=5", "-p", "n=6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter 'n' given twice" in captured.err
+
+
+def test_repeated_gen_spec_parameter_is_an_error_entry(tmp_path):
+    """verify --gen with a parameter given twice reports an error entry for
+    the spec, not a tree built from the last value."""
+    out_path = tmp_path / "suite.json"
+    assert main(["verify", "--gen", "path:n=5,n=6", "--out", str(out_path)]) == 2
+    suite = json.loads(out_path.read_text())
+    assert suite["reports"] == []
+    assert suite["errors"] == [
+        {"source": {"spec": "path:n=5,n=6"}, "error": "parameter 'n' given twice"}
+    ]
+
+
 def test_unwritable_out_is_usage_error(capsys, tmp_path):
     tree_path = tmp_path / "t.json"
     main(["generate", "path", "-p", "n=4", "--out", str(tree_path)])

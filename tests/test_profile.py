@@ -357,6 +357,73 @@ def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges)
             assert all(rules is profile._MODES[mode] for rules in calls)
 
 
+def _merge_calls(monkeypatch):
+    """A list that gets one entry, the mode's rules, per _merge call."""
+    calls = []
+    merge = profile._merge
+    monkeypatch.setattr(profile, "_merge", lambda *args: calls.append(args[2]) or merge(*args))
+    return calls
+
+
+# In id order, u = 1 has children leaf, leaf, X = 4 (a vertex over one
+# leaf) and w = 6 has leaf, Y = 8 (a vertex over two leaves), leaf.
+PREFIX_TREE = [None, 0, 1, 1, 1, 4, 0, 6, 6, 8, 8, 6]
+
+
+def test_profile_merges_once_per_class_order_prefix(monkeypatch):
+    """In class order, leaves first, u's children are leaf, leaf, X and w's
+    leaf, leaf, Y.  So X merges a leaf into the vertex alone; Y shares that
+    stage and adds a leaf; u and w share Y's two stages and add X and Y;
+    the root adds u and w: 6 merges per mode, where one chain per class
+    takes 1 + 2 + 3 + 3 + 2 = 11.  A relabelling permutes every child list
+    but not the classes, so it merges the same stages to the same profile."""
+    calls = _merge_calls(monkeypatch)
+    tree = RootedTree.from_parents(PREFIX_TREE, 0)
+    expected = compute_profile(tree)
+    assert len(calls) == 2 * 6
+    assert expected == IsoProfile.from_values(*brute_force_profiles(tree))
+    rng = random.Random(3)
+    perms = [list(range(tree.n))[::-1]] + [rng.sample(range(tree.n), tree.n) for _ in range(20)]
+    for perm in perms:
+        calls.clear()
+        assert compute_profile(relabel(tree, perm)) == expected
+        assert len(calls) == 2 * 6
+
+
+def _vertex_order_prefixes(tree):
+    """(distinct id-order child-list prefixes, merges of one chain per
+    ordered class), counted with each subtree spelled out as nested tuples
+    of its children's, not with the DP's class ids."""
+    form = [None] * tree.n
+    prefixes = set()
+    for v in postorder(tree):
+        form[v] = kids = tuple(form[c] for c in tree.children[v])
+        prefixes.update(kids[:m] for m in range(1, len(kids) + 1))
+    return len(prefixes), sum(len(kids) for kids in set(form))
+
+
+def test_witness_merges_once_per_vertex_order_prefix(monkeypatch):
+    """The witness DP takes children in ascending id and merges once per
+    distinct prefix of those child lists: 7 on PREFIX_TREE, where the lists
+    of u (leaf, leaf, X) and w (leaf, Y, leaf) part after the first leaf,
+    against 11 for one chain per class, and fewer than one chain per class
+    on random recursive trees, whose vertices often start with the same
+    leaves.  A spider's legs share nothing but their classes."""
+    calls = _merge_calls(monkeypatch)
+    prefix_tree = RootedTree.from_parents(PREFIX_TREE, 0)
+    assert _vertex_order_prefixes(prefix_tree) == (7, 11)
+    assert _vertex_order_prefixes(_spider(4, 3)) == (6, 6)
+    recursive = [generate_tree("random_recursive", {"n": 200}, seed=s) for s in range(3)]
+    for tree in recursive:
+        merges, chains = _vertex_order_prefixes(tree)
+        assert merges < chains
+    for tree in [prefix_tree, _spider(4, 3)] + recursive:
+        for mode in ("edge", "vertex"):
+            calls.clear()
+            witness_subsets(tree, range(1, tree.n + 1), mode)
+            assert len(calls) == _vertex_order_prefixes(tree)[0], mode
+
+
 # (cur, child) table widths that reach every _merge route by name:
 # _merge_short with the child as the short side and with cur as it, at 1, 2
 # and _ROW_LOOP_MAX cells (each also windowed with skip > 0 below) and
@@ -701,19 +768,22 @@ def test_witnesses_attain_profile_above_the_oracle(tree, k):
 
 def test_compute_profile_builds_subtree_classes_once(monkeypatch):
     """compute_profile runs the edge and the vertex DP on one set of
-    subtree classes; edge_profile and witness_subset still build their own."""
+    subtree classes; edge_profile and witness_subset still build their own,
+    the profiles in class order and the witness in vertex-id order."""
     calls = []
     classes = profile._subtree_classes
     monkeypatch.setattr(
-        profile, "_subtree_classes", lambda tree, cap: calls.append(tree.n) or classes(tree, cap)
+        profile,
+        "_subtree_classes",
+        lambda tree, cap, by_class: calls.append((tree.n, by_class)) or classes(tree, cap, by_class),
     )
     tree = generate_tree("random_prufer", {"n": 30}, seed=5)
     assert compute_profile(tree) == IsoProfile.from_values(edge_profile(tree), vertex_profile(tree))
     witness_subset(tree, 7, "vertex")
-    assert calls == [30] * 4
+    assert calls == [(30, True)] * 3 + [(30, False)]
     with pytest.raises(SizeCapError):
         compute_profile(tree, size_cap=29)
-    assert calls == [30] * 5
+    assert calls == [(30, True)] * 3 + [(30, False), (30, True)]
     assert profile._shared_classes.get() is None
 
 
@@ -748,14 +818,13 @@ def test_stage_tables_are_int32_within_sentinel(tree):
     for mode in ("edge", "vertex"):
         in_flag = profile._MODES[mode].in_flag
         for i_min, i_max in {(1, n), (max(1, n // 2), max(1, n // 2)), (n, n)}:
-            cls, stages = profile._witness_stages(
+            cls, _, stages = profile._witness_stages(
                 tree, profile._MODES[mode], profile.DEFAULT_DP_CAP, i_min, i_max)
-            for tabs in stages:
-                for _, tab in tabs:
-                    assert tab.dtype == np.int32
-                    assert tab.min() >= 0 and tab.max() <= profile._INF
+            for _, tab in stages:
+                assert tab.dtype == np.int32
+                assert tab.min() >= 0 and tab.max() <= profile._INF
             for v, w in enumerate(_subtree_sizes(tree)):
-                lo, final = stages[cls[v]][-1]
+                lo, final = stages[cls[v]]
                 if w < lo + final.shape[1]:
                     assert final[0][w - lo] == profile._INF
                 if lo == 0:
@@ -767,8 +836,8 @@ def test_stage_tables_are_int32_within_sentinel(tree):
 
 def _full_root_table(tree, mode):
     """The root table over every cell 0..n: the last stage of _stages(..., 0, n)."""
-    classes = profile._subtree_classes(tree, profile.DEFAULT_DP_CAP)
-    for _, (_, table) in profile._stages(tree, profile._MODES[mode], classes, 0, tree.n):
+    keys = profile._subtree_classes(tree, profile.DEFAULT_DP_CAP, True)[1]
+    for _, table in profile._stages(profile._MODES[mode], keys, tree.n, 0, tree.n):
         pass
     return table
 
@@ -793,15 +862,14 @@ def test_windowed_stages_are_slices_of_full_width_stages(tree):
     cap = profile.DEFAULT_DP_CAP
     for mode in ("edge", "vertex"):
         rules = profile._MODES[mode]
-        cls, full = profile._witness_stages(tree, rules, cap, 1, n)
+        cls, _, full = profile._witness_stages(tree, rules, cap, 1, n)
         root = _full_root_table(tree, mode)
-        assert full[cls[tree.root]][-1][1].tolist() == root[:, 1:].tolist()
+        assert full[cls[tree.root]][1].tolist() == root[:, 1:].tolist()
         for i in range(1, n + 1):
-            _, stages = profile._witness_stages(tree, rules, cap, i, i)
-            for tabs, ref_tabs in zip(stages, full, strict=True):
-                for (lo, tab), (ref_lo, ref) in zip(tabs, ref_tabs, strict=True):
-                    assert 0 <= lo - ref_lo and 1 <= tab.shape[1]
-                    assert tab.tolist() == ref[:, lo - ref_lo : lo - ref_lo + tab.shape[1]].tolist()
+            _, _, stages = profile._witness_stages(tree, rules, cap, i, i)
+            for (lo, tab), (ref_lo, ref) in zip(stages, full, strict=True):
+                assert 0 <= lo - ref_lo and 1 <= tab.shape[1]
+                assert tab.tolist() == ref[:, lo - ref_lo : lo - ref_lo + tab.shape[1]].tolist()
 
 
 def test_witness_subsets_match_witness_subset():
@@ -822,25 +890,25 @@ def test_witness_subsets_match_witness_subset():
 
 
 def test_witness_cells_predicts_the_kept_stages():
-    """_schedule, from class keys alone, gives the (lo, width) of every stage
-    the witness DP keeps, class by class and in order, and _witness_cells
+    """_schedule, from stage keys alone, gives the (lo, width) of every stage
+    the witness DP keeps, stage by stage and in order, and _witness_cells
     their total cells, for single sizes and size ranges."""
     cap = profile.DEFAULT_DP_CAP
     for label, tree in structured_trees(10) + random_trees(20, 40, seed0=3):
         n = tree.n
-        keys = profile._subtree_classes(tree, cap)[1]
+        keys = profile._subtree_classes(tree, cap, False)[1]
         for mode in ("edge", "vertex"):
             rules = profile._MODES[mode]
             nflags = rules.base.shape[0]
             for i_min, i_max in {(1, n), (1, 1), (n, n), (n // 2 + 1, n // 2 + 1),
                                  (n // 3 + 1, 2 * n // 3 + 1)}:
-                _, stages = profile._witness_stages(tree, rules, cap, i_min, i_max)
-                planned = [[] for _ in keys]
-                for k, c, lo, width in profile._schedule(keys, n, i_min, i_max):
-                    assert c == (keys[k][len(planned[k]) - 1] if planned[k] else None), label
-                    planned[k].append((lo, width))
-                assert planned == [[(lo, tab.shape[1]) for lo, tab in tabs] for tabs in stages], label
-                kept = sum(tab.size for tabs in stages for _, tab in tabs)
+                _, _, stages = profile._witness_stages(tree, rules, cap, i_min, i_max)
+                planned = []
+                for k, key, lo, width in profile._schedule(keys, n, i_min, i_max):
+                    assert (k, key) == (len(planned), keys[k]), label
+                    planned.append((lo, width))
+                assert planned == [(lo, tab.shape[1]) for lo, tab in stages], label
+                kept = sum(tab.size for _, tab in stages)
                 assert profile._witness_cells(keys, n, i_min, i_max, nflags) == kept, label
 
 
@@ -860,6 +928,6 @@ def test_witness_refuses_over_budget_before_building_tables():
             tracemalloc.stop()
         assert peak < 16 << 20, mode
     small = generate_tree("path", {"n": 2000})
-    keys = profile._subtree_classes(small, small.n)[1]
+    keys = profile._subtree_classes(small, small.n, False)[1]
     cells = profile._witness_cells(keys, 2000, 1000, 1000, 3)
     assert cells <= profile.WITNESS_MAX_CELLS
