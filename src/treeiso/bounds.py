@@ -10,9 +10,12 @@ turn forces the edge peak upward.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .profile import IsoProfile
 from .tree import RootedTree, WeightTable, postorder
+
+if TYPE_CHECKING:
+    from .profile import IsoProfile
 
 
 def flux_labels(tree: RootedTree, members, weights: WeightTable) -> list:

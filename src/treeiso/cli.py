@@ -11,6 +11,7 @@ from .tree import (
     TREE_FORMATS,
     TREE_KINDS,
     TreeFormatError,
+    _decimals,
     generate_tree,
     parse_tree,
     serialize_tree,
@@ -107,10 +108,10 @@ def _parse_params(pairs) -> dict:
         key = key.strip()
         if key in params:
             raise ValueError(f"parameter {key!r} given twice")
-        try:
-            params[key] = int(value)
-        except ValueError:
+        ints = _decimals(value)
+        if ints is None or len(ints) != 1:
             raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
+        params[key] = ints[0]
     return params
 
 

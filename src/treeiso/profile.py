@@ -13,11 +13,15 @@ Profiles take children in ascending class id, leaves first; witnesses in
 ascending vertex id, their tie order.  A complete t-ary tree costs one
 merge chain per level, a path what a per-vertex DP does.
 
-Each mode states its flag rules once, in a transition table that the
-merge, the one-vertex table and the witness backtracking all read.
+Each mode states its flag rules once, in a transition table that both
+algebras' merges, the one-vertex table and the witness backtracking read.
 
-Every DP table is int32 with _INF marking infeasible cells, so the
-profiles are computed in exact integer arithmetic.
+One stage driver, _stages, runs either of two exact table algebras: _dense,
+int32 tables with _INF marking infeasible cells, and _clipped, the level
+sets of values up to a bound K as Python-int bitsets.  No merge cost is
+negative, so a clipped run gives the exact value of every size whose value
+is at most K and leaves the others out: a run whose root covers every size
+certifies itself.  _profile routes profiles; witnesses are always dense.
 """
 from __future__ import annotations
 
@@ -28,7 +32,8 @@ from functools import reduce
 
 import numpy as np
 
-from .tree import RootedTree, _is_int, postorder
+from .bounds import edge_peak_lower_bound
+from .tree import RootedTree, _is_int, postorder, subtree_weights
 
 DEFAULT_DP_CAP = 50_000
 DEFAULT_ORACLE_LIMIT = 20
@@ -64,6 +69,13 @@ _INF = np.iinfo(np.int32).max // 2 - 1
 _BLOCK_CELLS = 32_768
 _MIN_BLOCK_ROWS = 4
 _ROW_LOOP_MAX = 4
+# Clipped route thresholds (the policy is _profile's), timed on a 2-vCPU Xeon VM.
+# Random trees (n = 400, 5000; 0.30-0.39 stages per vertex): one run at K = 1, 2,
+# 4, 5 took 0.16-0.23, 0.28-0.39, 0.50-0.98, 0.55-1.13x the dense DP, so K = 5
+# cannot repay the runs below it.  Complete trees (<= 0.21 stages per vertex)
+# start far below their peaks; without the stage rule paper-tables took 1.33-1.46x.
+_CLIP_STAGE_RATIO = 4
+_CLIP_K_MAX = 4
 
 # Flag values for the edge DP rows.
 _E_OUT, _E_IN = 0, 1
@@ -328,11 +340,36 @@ def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
 
 
 def _profile(tree: RootedTree, mode: str, size_cap: int):
+    """Clipped runs at K = K0 (1, + edge_peak_lower_bound in edge mode), K0 + 1,
+    ... <= _CLIP_K_MAX given n / _CLIP_STAGE_RATIO stages; else the dense DP."""
     shared = _shared_classes.get()
     keys = shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap, True)[1]
-    for _, root in _stages(_MODES[mode], keys, tree.n, 1, tree.n):
+    rules, n = _MODES[mode], tree.n
+    if n <= _CLIP_STAGE_RATIO * len(keys):
+        k0 = 1 + (edge_peak_lower_bound(n, subtree_weights(tree).eta) if mode == "edge" else 0)
+        for k in range(k0, _CLIP_K_MAX + 1):
+            covered, values = _clipped_profile(rules, keys, n, k)
+            if covered:
+                return values
+    for _, root in _stages(*_dense(rules), keys, n, 1, n):
         pass
     return [int(x) for x in np.min(root, axis=0)]
+
+
+def _clipped_profile(rules: _Mode, keys, n: int, k: int):
+    """One clipped run at K = k: (whether it covers all sizes 0..n, the value
+    of each size 1..n: the number of the k + 1 level unions that miss it)."""
+    for _, root in _stages(*_clipped(rules, k), keys, n, 0, n):
+        pass
+    levels = [0] * (k + 1)
+    for row in root:
+        for c, bits, _ in row:
+            levels[c] |= bits
+    for c in range(1, k + 1):
+        levels[c] |= levels[c - 1]
+    raw = np.frombuffer(b"".join(u.to_bytes(n // 8 + 1, "little") for u in levels), dtype=np.uint8)
+    covered = np.unpackbits(raw, bitorder="little").reshape(k + 1, -1).sum(axis=0)
+    return levels[-1] == (2 << n) - 1, (k + 1 - covered[1 : n + 1]).tolist()
 
 
 def compute_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP) -> IsoProfile:
@@ -628,26 +665,83 @@ def _schedule(keys, n: int, i_min: int, i_max: int):
         yield (k, key) + _window(size[k], n, i_min, i_max)
 
 
-def _stages(rules: _Mode, keys, n: int, i_min: int, i_max: int):
-    """The DP over the stages of _schedule: yields (lo, table) for each, in
-    order, with table[:, j - lo] cell j.  A stage is kept until every stage
-    that merges it, as prefix or as child, has done so; only the root's
-    last stage is merged by none."""
+def _stages(base, merge, keys, n: int, i_min: int, i_max: int):
+    """The DP over the stages of _schedule in the table algebra of _dense
+    or _clipped: yields (lo, table) for each stage, in order, base(lo,
+    width) for the vertex alone and merge(cur, child, skip, width) for a
+    (prefix, child) stage.  A stage is kept until every stage that merges
+    it, as prefix or as child, has done so; only the root's last stage is
+    merged by none."""
     uses = Counter(x for key in keys for x in key)
-    base = rules.base
     final = [None] * len(keys)
     for k, key, lo, width in _schedule(keys, n, i_min, i_max):
         if key:
             (cur_lo, cur), (child_lo, child) = final[key[0]], final[key[1]]
-            stage = lo, _merge(cur, child, rules, lo - cur_lo - child_lo, width)
+            stage = lo, merge(cur, child, lo - cur_lo - child_lo, width)
             for x in key:
                 uses[x] -= 1
                 if not uses[x]:
                     final[x] = None
         else:
-            stage = lo, base[:, lo : lo + width]
+            stage = lo, base(lo, width)
         final[k] = stage
         yield stage
+
+
+def _dense(rules: _Mode):
+    """The int32 table algebra of rules, (base, merge) for _stages."""
+    return (lambda lo, width: rules.base[:, lo : lo + width],
+            lambda cur, child, skip, width: _merge(cur, child, rules, skip, width))
+
+
+def _clipped(rules: _Mode, k: int):
+    """The level-set algebra of rules clipped at K = k, for full-width stages
+    only: it ignores the window.  Row s lists its non-empty levels (c, bits,
+    j), c ascending up to k, bit i of bits set when i cells under flag s have
+    value exactly c, and j the index of its one bit, or -1 if it has more.  A
+    merge ORs, per term of rules.into, the sumset of each level pair with c1
+    + c2 + cost <= k into that level, a shift by j if either has one bit;
+    then each level drops the cells of lower ones."""
+    base = tuple([(0, 1 << j, j) for j in (0, 1) if row[j] == 0] for row in rules.base.tolist())
+
+    def merge(cur, child, skip, width):
+        out = []
+        for pairs in rules.into:
+            acc = [0] * (k + 1)
+            for s_prev, terms in pairs:
+                row = cur[s_prev]
+                for sc, cost in terms:
+                    for c2, b, jb in child[sc]:
+                        c2 += cost
+                        if c2 > k:
+                            break
+                        for c1, a, ja in row:
+                            c = c1 + c2
+                            if c > k:
+                                break
+                            acc[c] |= b << ja if ja >= 0 else a << jb if jb >= 0 else _sumset(a, b)
+            levels, seen = [], 0
+            for c, bits in enumerate(acc):
+                bits &= ~seen
+                if bits:
+                    levels.append((c, bits, -1 if bits & (bits - 1) else bits.bit_length() - 1))
+                    seen |= bits
+            out.append(levels)
+        return out
+
+    return (lambda lo, width: base), merge
+
+
+def _sumset(a: int, b: int) -> int:
+    """The bitset {x + y : x in a, y in b}: a shift-OR over the sparser one's bits."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out |= b << low.bit_length() - 1
+        a ^= low
+    return out
 
 
 def _witness_cells(keys, n: int, i_min: int, i_max: int, nflags: int) -> int:
@@ -666,4 +760,4 @@ def _witness_stages(tree: RootedTree, rules: _Mode, size_cap: int, i_min: int, i
         raise SizeCapError(
             f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
         )
-    return cls, keys, list(_stages(rules, keys, tree.n, i_min, i_max))
+    return cls, keys, list(_stages(*_dense(rules), keys, tree.n, i_min, i_max))

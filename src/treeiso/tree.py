@@ -4,6 +4,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,6 +21,17 @@ _KIND_PARAMS = {
     "random_prufer": ("n",),
 }
 TREE_KINDS = tuple(_KIND_PARAMS)
+# Parent-list lines and generator parameters: -?[0-9]+ between ASCII spaces
+# and tabs, then an optional "\r".  int() also takes "1_0", "+0", fullwidth digits.
+_DECIMALS = re.compile(r"[ \t]*(?:-?[0-9]+(?:[ \t]+-?[0-9]+)*)?[ \t]*\r?")
+
+
+def _decimals(text: str):
+    """The integers of text, or None unless _DECIMALS matches it and int() takes each."""
+    try:
+        return list(map(int, text.split())) if _DECIMALS.fullmatch(text) else None
+    except ValueError:  # int() refuses numbers past its digit limit
+        return None
 
 
 def _is_int(x) -> bool:
@@ -141,10 +153,10 @@ class WeightTable:
 def parse_tree(text, fmt: str) -> RootedTree:
     """Parse a tree from bytes or str in 'json' or 'parent-list' format.
 
-    JSON: {"n": int, "root": int, "parent": [int-or-null x n]}.
+    JSON: {"n": int, "root": int, "parent": [int-or-null x n]}, no key repeated.
     Parent-list: exactly three lines, line 1 vertex count, line 2 root id,
     line 3 the n space-separated parents with -1 marking the root; only
-    blank lines may follow.
+    blank lines may follow.  Lines split on newlines and hold _DECIMALS.
     """
     if isinstance(text, bytes):
         try:
@@ -160,7 +172,7 @@ def parse_tree(text, fmt: str) -> RootedTree:
 
 def _parse_json(text: str) -> RootedTree:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: arrays or objects nested past the decoder's depth.
         raise TreeFormatError(f"malformed json: {exc}") from exc
@@ -183,32 +195,37 @@ def _parse_json(text: str) -> RootedTree:
     return RootedTree.from_parents(parent, root)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is malformed, not its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise TreeFormatError(f"malformed json: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _parse_parent_list(text: str) -> RootedTree:
-    lines = text.splitlines()
+    lines = text.split("\n")
     if len(lines) < 3:
         raise TreeFormatError("malformed parent-list: expected 3 lines (n, root, parents)")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise TreeFormatError(f"malformed parent-list line 1: {lines[0]!r} is not an integer")
-    try:
-        root = int(lines[1].strip())
-    except ValueError:
-        raise TreeFormatError(f"malformed parent-list line 2: {lines[1]!r} is not an integer")
-    tokens = lines[2].split()
-    if len(tokens) != n:
+    head = [_decimals(line) for line in lines[:2]]
+    for k, (line, ints) in enumerate(zip(lines, head), 1):
+        if ints is None or len(ints) != 1:
+            raise TreeFormatError(f"malformed parent-list line {k}: {line!r} is not an integer")
+    (n,), (root,) = head
+    parents = _decimals(lines[2])
+    if parents is None:
+        tokens = enumerate(re.split("[ \t]+", lines[2].strip(" \t")))
+        v, tok = next((v, tok) for v, tok in tokens if _decimals(tok) is None)
+        raise TreeFormatError(f"malformed parent-list line 3: entry {v} ({tok!r}) is not an integer")
+    if len(parents) != n:
         raise TreeFormatError(
-            f"malformed parent-list line 3: {len(tokens)} entries, expected n = {n}"
+            f"malformed parent-list line 3: {len(parents)} entries, expected n = {n}"
         )
-    parents = []
-    for v, tok in enumerate(tokens):
-        try:
-            p = int(tok)
-        except ValueError:
-            raise TreeFormatError(f"malformed parent-list line 3: entry {v} ({tok!r}) is not an integer")
-        parents.append(None if p == -1 else p)
+    parents = [None if p == -1 else p for p in parents]
     for k, line in enumerate(lines[3:], 4):
-        if line.strip():
+        if _decimals(line) != []:
             raise TreeFormatError(f"malformed parent-list line {k}: content after line 3")
     return RootedTree.from_parents(parents, root)
 

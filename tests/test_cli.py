@@ -159,6 +159,35 @@ def test_bad_generator_params_is_usage_error(capsys):
     assert main(["generate", "path", "-p", "n=x"]) == 2
 
 
+def test_generator_parameters_take_ascii_decimal_integers_only(tmp_path, capsys):
+    """int() would read each of these values; generate and verify --gen
+    refuse them with exit 2."""
+    out_path = tmp_path / "suite.json"
+    for value in ("1_0", "+5", "\u0665", "\uff15", "5\xa0", "0x5"):
+        assert main(["generate", "path", "-p", f"n={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"parameter 'n' must be an integer, got {value!r}" in captured.err
+        assert main(["verify", "--gen", f"path:n={value}", "--out", str(out_path)]) == 2
+        assert json.loads(out_path.read_text())["reports"] == []
+    assert main(["generate", "path", "-p", "n=-0"]) == 2
+    assert "parameter n must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_non_decimal_tree_files_exit_2(tmp_path, capsys):
+    """A parent-list file whose count is written 1_0 is not a 10-vertex
+    tree, and a JSON file with a repeated key is malformed, not its last
+    value: both exit 2."""
+    underscore = tmp_path / "underscore.txt"
+    underscore.write_text("1_0\n0\n-1 0 1 2 3 4 5 6 7 8\n")
+    assert main(["profile", str(underscore)]) == 2
+    assert capsys.readouterr().err == "error: malformed parent-list line 1: '1_0' is not an integer\n"
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"n": 2, "root": 0, "parent": [null, 0, 1], "n": 3}\n')
+    assert main(["profile", str(repeated)]) == 2
+    assert capsys.readouterr().err == "error: malformed json: repeated key 'n'\n"
+
+
 def test_unknown_generator_parameter_is_usage_error(tmp_path, capsys):
     """A key the kind does not read is an input error (exit 2), from
     generate and from verify --gen alike."""

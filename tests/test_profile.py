@@ -16,9 +16,11 @@ from treeiso import (
     brute_force_profiles,
     compute_profile,
     edge_boundary_size,
+    edge_peak_lower_bound,
     edge_profile,
     generate_tree,
     peaks,
+    subtree_weights,
     vertex_boundary_size,
     vertex_profile,
     witness_subset,
@@ -330,6 +332,34 @@ def test_boundary_evaluators_direct():
         edge_boundary_size(tree, {9})
 
 
+def _force_route(monkeypatch, value):
+    """Set both clipped-route constants of _profile to value: 0 sends every
+    profile to the dense DP, n every profile of an n-vertex tree through
+    clipped runs up to K = n, which always end covering every size."""
+    monkeypatch.setattr(profile, "_CLIP_STAGE_RATIO", value)
+    monkeypatch.setattr(profile, "_CLIP_K_MAX", value)
+
+
+def _driver_runs(monkeypatch):
+    """A list that gets one entry per run of the stage driver, in either
+    table algebra: the number of merges that run made."""
+    runs = []
+    stages = profile._stages
+
+    def counted(base, merge, *args):
+        run = len(runs)
+        runs.append(0)
+
+        def counted_merge(*window):
+            runs[run] += 1
+            return merge(*window)
+
+        return stages(base, counted_merge, *args)
+
+    monkeypatch.setattr(profile, "_stages", counted)
+    return runs
+
+
 @pytest.mark.parametrize(
     "kind, params, merges",
     [
@@ -340,21 +370,25 @@ def test_boundary_evaluators_direct():
     ],
 )
 def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges):
-    calls = []
-    merge = profile._merge
-
-    def counted(cur, child, rules, *window):
-        calls.append(rules)
-        return merge(cur, child, rules, *window)
-
-    monkeypatch.setattr(profile, "_merge", counted)
+    """Every run of the stage driver makes the same merges, in either
+    algebra: the profiles on their own route, the witness (always dense),
+    and the profiles with the dense route forced, where each merge is one
+    _merge call with the mode's rules."""
+    runs = _driver_runs(monkeypatch)
+    calls = _merge_calls(monkeypatch)
     tree = generate_tree(kind, params)
     for mode, dp in (("edge", edge_profile), ("vertex", vertex_profile)):
         for run in (dp, lambda t: witness_subset(t, t.n // 2, mode)):
-            calls.clear()
+            runs.clear()
             run(tree)
-            assert len(calls) == merges
-            assert all(rules is profile._MODES[mode] for rules in calls)
+            assert runs and set(runs) == {merges}
+        with monkeypatch.context() as m:
+            _force_route(m, 0)
+            for run in (dp, lambda t: witness_subset(t, t.n // 2, mode)):
+                calls.clear()
+                run(tree)
+                assert len(calls) == merges
+                assert all(rules is profile._MODES[mode] for rules in calls)
 
 
 def _merge_calls(monkeypatch):
@@ -374,20 +408,21 @@ def test_profile_merges_once_per_class_order_prefix(monkeypatch):
     """In class order, leaves first, u's children are leaf, leaf, X and w's
     leaf, leaf, Y.  So X merges a leaf into the vertex alone; Y shares that
     stage and adds a leaf; u and w share Y's two stages and add X and Y;
-    the root adds u and w: 6 merges per mode, where one chain per class
-    takes 1 + 2 + 3 + 3 + 2 = 11.  A relabelling permutes every child list
-    but not the classes, so it merges the same stages to the same profile."""
-    calls = _merge_calls(monkeypatch)
+    the root adds u and w: 6 merges per driver run, in either algebra,
+    where one chain per class takes 1 + 2 + 3 + 3 + 2 = 11.  A relabelling
+    permutes every child list but not the classes, so it merges the same
+    stages to the same profile."""
+    runs = _driver_runs(monkeypatch)
     tree = RootedTree.from_parents(PREFIX_TREE, 0)
     expected = compute_profile(tree)
-    assert len(calls) == 2 * 6
+    assert len(runs) >= 2 and set(runs) == {6}
     assert expected == IsoProfile.from_values(*brute_force_profiles(tree))
     rng = random.Random(3)
     perms = [list(range(tree.n))[::-1]] + [rng.sample(range(tree.n), tree.n) for _ in range(20)]
     for perm in perms:
-        calls.clear()
+        runs.clear()
         assert compute_profile(relabel(tree, perm)) == expected
-        assert len(calls) == 2 * 6
+        assert len(runs) >= 2 and set(runs) == {6}
 
 
 def _vertex_order_prefixes(tree):
@@ -555,11 +590,11 @@ def test_short_runs_hold_each_transition_once(mode, trans):
 
 
 def test_row_and_block_kernels_agree(monkeypatch):
-    """On every _merge call the DP makes, on the small-tree corpus, on
-    complete trees large enough for blocks whose last one is shorter and in
-    the witness DP's windowed calls, the route _merge takes equals
-    _merge_pairs, and every call of either min-plus kernel gives the row
-    the other kernel gives."""
+    """On every _merge call the DP makes, with the profiles' dense route
+    forced, on the small-tree corpus, on complete trees large enough for
+    blocks whose last one is shorter and in the witness DP's windowed
+    calls, the route _merge takes equals _merge_pairs, and every call of
+    either min-plus kernel gives the row the other kernel gives."""
     merge, rows, blocks = profile._merge, profile._min_plus_rows, profile._min_plus_blocks
     ragged = windowed = 0
     short_routes = set()
@@ -587,6 +622,7 @@ def test_row_and_block_kernels_agree(monkeypatch):
             assert np.array_equal(out, pairs), (mode, cur.shape, child.shape, skip, width)
         return out
 
+    _force_route(monkeypatch, 0)
     monkeypatch.setattr(profile, "_min_plus_rows", cross_checked(rows, blocks))
     monkeypatch.setattr(profile, "_min_plus_blocks", cross_checked(blocks, rows))
     monkeypatch.setattr(profile, "_merge", checked)
@@ -689,8 +725,9 @@ repeated_subtree_trees = st.one_of(
 
 
 @settings(deadline=None)
-@given(labelled_trees())
+@given(labelled_trees(16))
 def test_dp_matches_oracle_property(tree):
+    """The profiles, each by its route, clipped or dense."""
     assert (edge_profile(tree), vertex_profile(tree)) == brute_force_profiles(tree)
 
 
@@ -837,7 +874,7 @@ def test_stage_tables_are_int32_within_sentinel(tree):
 def _full_root_table(tree, mode):
     """The root table over every cell 0..n: the last stage of _stages(..., 0, n)."""
     keys = profile._subtree_classes(tree, profile.DEFAULT_DP_CAP, True)[1]
-    for _, table in profile._stages(profile._MODES[mode], keys, tree.n, 0, tree.n):
+    for _, table in profile._stages(*profile._dense(profile._MODES[mode]), keys, tree.n, 0, tree.n):
         pass
     return table
 
@@ -931,3 +968,83 @@ def test_witness_refuses_over_budget_before_building_tables():
     keys = profile._subtree_classes(small, small.n, False)[1]
     cells = profile._witness_cells(keys, 2000, 1000, 1000, 3)
     assert cells <= profile.WITNESS_MAX_CELLS
+
+
+def test_clipped_run_is_exact_up_to_k():
+    """A clipped run at K = k, for every k from 0 to the peak, in both
+    modes: each size whose dense value is at most k reads that value, each
+    other size reads k + 1, missing, and the root covers every size exactly
+    when k reaches the peak.  On the acceptance corpus and 200 seeded
+    random trees with n <= 40, once per distinct list of stage keys, which
+    is all either DP reads of a tree."""
+    trees = structured_trees(16) + random_trees(500, 16, seed0=2024) + random_trees(200, 40, seed0=16)
+    seen = set()
+    for label, tree in trees:
+        n = tree.n
+        keys = profile._subtree_classes(tree, n, True)[1]
+        if tuple(keys) in seen:
+            continue
+        seen.add(tuple(keys))
+        for mode in ("edge", "vertex"):
+            dense = np.min(_full_root_table(tree, mode), axis=0)[1:].tolist()
+            for k in range(max(dense) + 1):
+                covered, clipped = profile._clipped_profile(profile._MODES[mode], keys, n, k)
+                assert clipped == [v if v <= k else k + 1 for v in dense], (label, mode, k)
+                assert covered == (k == max(dense)), (label, mode, k)
+
+
+def _route_log(monkeypatch):
+    """A list that gets one entry per table algebra a profile builds, one
+    per run of the stage driver: K for a clipped run, None for a dense one."""
+    log = []
+    clipped, dense = profile._clipped, profile._dense
+    monkeypatch.setattr(profile, "_clipped", lambda rules, k: log.append(k) or clipped(rules, k))
+    monkeypatch.setattr(profile, "_dense", lambda rules: log.append(None) or dense(rules))
+    return log
+
+
+def test_clipped_and_dense_routes_agree(monkeypatch):
+    """With both route constants forced to 0 every profile runs the dense
+    DP only, and forced to n the clipped DP only; the profiles are equal,
+    on structured trees (n = 1 and n = 2 among them) and random trees."""
+    log = _route_log(monkeypatch)
+    for label, tree in structured_trees(12) + random_trees(60, 40, seed0=9):
+        got = []
+        for value in (0, tree.n):
+            log.clear()
+            with monkeypatch.context() as m:
+                _force_route(m, value)
+                got.append(compute_profile(tree))
+            assert (None in log) == (value == 0) and len(log) >= 2, (label, value)
+        assert got[0] == got[1], label
+
+
+def test_clipped_route_steps_k_from_its_start(monkeypatch):
+    """A tree with n <= _CLIP_STAGE_RATIO * stages makes clipped runs at K =
+    K0, K0 + 1, ... until one covers every size, or up to _CLIP_K_MAX and
+    then one dense run; any other tree makes one dense run.  K0 is one above
+    p = edge_peak_lower_bound(n, eta) in edge mode and 1 in vertex mode.
+    Counted by driver runs: the edge mode of a star with n = 60 starts at K =
+    p + 1 = 4, misses the sizes above it (its peak is 30) and falls back to
+    the dense DP; a path clips at K = p + 1 = 2; a caterpillar with spine 5
+    and legs 6 steps from K = 3 to its edge peak, _CLIP_K_MAX."""
+    runs = _driver_runs(monkeypatch)
+    log = _route_log(monkeypatch)
+    star, path = generate_tree("star", {"n": 60}), generate_tree("path", {"n": 60})
+    caterpillar = generate_tree("caterpillar", {"spine": 5, "legs": 6})
+    pinned = [(star, "edge", [4, None]), (star, "vertex", [1]), (path, "edge", [2]),
+              (path, "vertex", [1]), (caterpillar, "edge", [3, 4])]
+    corpus = [tree for _, tree in structured_trees(12) + random_trees(30, 300, seed0=5)]
+    corpus += [generate_tree("complete_tary", {"t": 2, "d": 8}), caterpillar]
+    for tree, mode, expected in pinned + [(t, m, None) for t in corpus for m in ("edge", "vertex")]:
+        runs.clear()
+        log.clear()
+        peak = max((edge_profile if mode == "edge" else vertex_profile)(tree))
+        k0 = 1 + (edge_peak_lower_bound(tree.n, subtree_weights(tree).eta) if mode == "edge" else 0)
+        stages = len(profile._subtree_classes(tree, tree.n, True)[1])
+        last = max(k0, peak)
+        rule = list(range(k0, min(last, profile._CLIP_K_MAX) + 1))
+        rule += [None] if last > profile._CLIP_K_MAX else []
+        assert log == (rule if tree.n <= profile._CLIP_STAGE_RATIO * stages else [None])
+        assert expected is None or log == expected
+        assert len(runs) == len(log)

@@ -1,4 +1,6 @@
 """Parsing, serialization, generators, subtree weights, and post-order."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,53 @@ def test_json_parent_length_mismatch_rejected():
 def test_parent_list_bad_token_rejected():
     with pytest.raises(TreeFormatError, match="line 3"):
         parse_tree(b"3\n0\n-1 x 1", "parent-list")
+    # More digits than int() converts by default.
+    with pytest.raises(TreeFormatError, match="line 3: entry 2"):
+        parse_tree(b"3\n0\n-1 0 " + b"1" * 5000, "parent-list")
+    with pytest.raises(TreeFormatError, match="line 1"):
+        parse_tree(b"1" * 5000 + b"\n0\n-1", "parent-list")
+
+
+# Parent-list files that int(), str.split() and str.splitlines() would read
+# as a tree: each must be refused.
+NON_DECIMAL_PARENT_LISTS = [
+    "1_0\n0\n-1 0 1 2 3 4 5 6 7 8\n",  # an underscore in the count
+    "3\n+0\n-1 0 1\n",  # a sign other than '-'
+    "3\n\u0660\n-1 0 1\n",  # ARABIC-INDIC DIGIT ZERO
+    "\uff13\n0\n-1 0 1\n",  # FULLWIDTH DIGIT THREE
+    "3\n0\n-1 0 +1\n",
+    "3\n0\n-1 0 1_0\n",
+    "3\x0c0\x0c-1 0 1\n",  # form feed as a line break
+    "3\u20280\u2028-1 0 1\n",  # LINE SEPARATOR
+    "3\x850\x85-1 0 1\n",  # NEXT LINE
+    "3\n0\n-1\xa00 1\n",  # NO-BREAK SPACE as a separator
+    "3\n0\n-1 0 1\n\x0c\n",  # a form feed after line 3
+]
+
+
+@pytest.mark.parametrize("text", NON_DECIMAL_PARENT_LISTS)
+def test_parent_list_takes_ascii_decimal_integers_only(text):
+    """Lines split on newlines alone, with a trailing carriage return
+    allowed, and hold ASCII decimal integers between ASCII spaces and tabs."""
+    with pytest.raises(TreeFormatError, match="malformed parent-list"):
+        parse_tree(text.encode(), "parent-list")
+
+
+def test_parent_list_line_endings_and_separators():
+    path3 = parse_tree(PATH3_JSON, "json")
+    for text in (b"3\r\n0\r\n-1 0 1\r\n", b" 3 \n\t0\n -1\t0  1 \n \t\r\n", b"3\n-0\n-1 0 1"):
+        assert parse_tree(text, "parent-list") == path3
+    message = "malformed parent-list line 3: entry 1 ('0\\xa01') is not an integer"
+    with pytest.raises(TreeFormatError, match=re.escape(message)):
+        parse_tree("3\n0\n-1 0\xa01\n".encode(), "parent-list")
+
+
+def test_json_repeated_key_rejected():
+    """A repeated key is malformed, not resolved to its last value."""
+    for text in (b'{"n": 2, "root": 0, "parent": [null, 0, 1], "n": 3}',
+                 b'{"n": 3, "root": 0, "root": 0, "parent": [null, 0, 1]}'):
+        with pytest.raises(TreeFormatError, match="malformed json: repeated key"):
+            parse_tree(text, "json")
 
 
 def test_parent_list_too_few_lines_rejected():
