@@ -11,7 +11,7 @@ from .tree import (
     TREE_FORMATS,
     TREE_KINDS,
     TreeFormatError,
-    _decimals,
+    _decimal,
     generate_tree,
     parse_tree,
     serialize_tree,
@@ -46,21 +46,21 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="integer generator parameter, repeatable (e.g. -p t=2 -p d=3)",
     )
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    gen.add_argument("--seed", type=_integer, default=0)
+    gen.add_argument("--max-vertices", type=_integer, default=DEFAULT_MAX_VERTICES)
     gen.add_argument("--format", choices=TREE_FORMATS, default="json")
     gen.add_argument("--out", default=None, help="output path (default: stdout)")
     gen.set_defaults(func=_cmd_generate)
 
     # Flags shared by the commands that run the DP and emit a report.
     report_flags = argparse.ArgumentParser(add_help=False)
-    report_flags.add_argument("--dp-cap", type=int, default=DEFAULT_DP_CAP)
+    report_flags.add_argument("--dp-cap", type=_integer, default=DEFAULT_DP_CAP)
     report_flags.add_argument("--out", default=None)
     # Flags shared by the commands that check bounds.
     check_flags = argparse.ArgumentParser(add_help=False)
-    check_flags.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    check_flags.add_argument("--seed", type=int, default=0)
-    check_flags.add_argument("--k-max", type=int, default=None)
+    check_flags.add_argument("--oracle-limit", type=_integer, default=DEFAULT_ORACLE_LIMIT)
+    check_flags.add_argument("--seed", type=_integer, default=0)
+    check_flags.add_argument("--k-max", type=_integer, default=None)
 
     prof = sub.add_parser(
         "profile", parents=[report_flags], help="exact edge/vertex profiles of a tree file"
@@ -104,15 +104,23 @@ def _parse_params(pairs) -> dict:
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"bad parameter {pair!r}, expected KEY=VALUE")
-        key, _, value = pair.partition("=")
+        key, _, text = pair.partition("=")
         key = key.strip()
         if key in params:
             raise ValueError(f"parameter {key!r} given twice")
-        ints = _decimals(value)
-        if ints is None or len(ints) != 1:
-            raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
-        params[key] = ints[0]
+        value = _decimal(text)
+        if value is None:
+            raise ValueError(f"parameter {key!r} must be an integer, got {text!r}")
+        params[key] = value
     return params
+
+
+def _integer(text: str) -> int:
+    """An integer flag value, under the rule of tree files and parameters."""
+    value = _decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return value
 
 
 def _load_tree_file(path: str):

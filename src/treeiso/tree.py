@@ -34,6 +34,12 @@ def _decimals(text: str):
         return None
 
 
+def _decimal(text: str):
+    """The one integer of text under the rule of _decimals, or None."""
+    ints = _decimals(text)
+    return ints[0] if ints is not None and len(ints) == 1 else None
+
+
 def _is_int(x) -> bool:
     """x is an int and not a bool, which Python counts as one."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -209,11 +215,10 @@ def _parse_parent_list(text: str) -> RootedTree:
     lines = text.split("\n")
     if len(lines) < 3:
         raise TreeFormatError("malformed parent-list: expected 3 lines (n, root, parents)")
-    head = [_decimals(line) for line in lines[:2]]
-    for k, (line, ints) in enumerate(zip(lines, head), 1):
-        if ints is None or len(ints) != 1:
+    n, root = head = [_decimal(line) for line in lines[:2]]
+    for k, (line, value) in enumerate(zip(lines, head), 1):
+        if value is None:
             raise TreeFormatError(f"malformed parent-list line {k}: {line!r} is not an integer")
-    (n,), (root,) = head
     parents = _decimals(lines[2])
     if parents is None:
         tokens = enumerate(re.split("[ \t]+", lines[2].strip(" \t")))
@@ -283,38 +288,32 @@ def generate_tree(
                     f"complete_tary t={t}, d={d} has more than {max_vertices} vertices, the limit"
                 )
         parents = [None] + [(v - 1) // t for v in range(1, n)]
-        return RootedTree.from_parents(parents, 0)
-    if kind == "path":
-        n = _need(params, "n")
-        _check_positive_n(n, max_vertices)
-        return RootedTree.from_parents([None] + list(range(n - 1)), 0)
-    if kind == "star":
-        n = _need(params, "n")
-        _check_positive_n(n, max_vertices)
-        return RootedTree.from_parents([None] + [0] * (n - 1), 0)
-    if kind == "caterpillar":
+    elif kind == "caterpillar":
         spine, legs = _need(params, "spine"), _need(params, "legs")
         if spine < 1 or legs < 0:
             raise GenerationError(
                 f"caterpillar requires spine >= 1 and legs >= 0, got spine={spine}, legs={legs}"
             )
-        n = spine * (1 + legs)
-        _check_size(n, max_vertices)
+        _check_size(spine * (1 + legs), max_vertices)
         parents = [None] + list(range(spine - 1))
         for i in range(spine):
             parents.extend([i] * legs)
-        return RootedTree.from_parents(parents, 0)
-    if kind == "random_recursive":
+    else:
         n = _need(params, "n")
-        _check_positive_n(n, max_vertices)
-        rng = random.Random(seed)
-        parents = [None] + [rng.randrange(k) for k in range(1, n)]
-        return RootedTree.from_parents(parents, 0)
-    # random_prufer
-    n = _need(params, "n")
-    _check_positive_n(n, max_vertices)
-    rng = random.Random(seed)
-    return _decode_prufer([rng.randrange(n) for _ in range(max(0, n - 2))], n)
+        if n < 1:
+            raise GenerationError(f"parameter n must be >= 1, got {n}")
+        _check_size(n, max_vertices)
+        if kind == "path":
+            parents = [None] + list(range(n - 1))
+        elif kind == "star":
+            parents = [None] + [0] * (n - 1)
+        elif kind == "random_recursive":
+            rng = random.Random(seed)
+            parents = [None] + [rng.randrange(k) for k in range(1, n)]
+        else:
+            rng = random.Random(seed)
+            parents = _prufer_parents([rng.randrange(n) for _ in range(n - 2)], n)
+    return RootedTree.from_parents(parents, 0)
 
 
 def _need(params: dict, key: str) -> int:
@@ -326,51 +325,36 @@ def _need(params: dict, key: str) -> int:
     return value
 
 
-def _check_positive_n(n: int, max_vertices: int) -> None:
-    if n < 1:
-        raise GenerationError(f"parameter n must be >= 1, got {n}")
-    _check_size(n, max_vertices)
-
-
 def _check_size(n: int, max_vertices: int) -> None:
     if n > max_vertices:
         raise GenerationError(f"tree would have {n} vertices, above the limit of {max_vertices}")
 
 
-def _decode_prufer(seq: list, n: int) -> RootedTree:
-    """Uniform labeled tree from a Prufer sequence, rooted at vertex 0."""
-    if n == 1:
-        return RootedTree.from_parents([None], 0)
+def _prufer_parents(seq: list, n: int) -> list:
+    """The parent array of the labelled tree with Prufer sequence seq, rooted at 0.
+
+    Decoding joins each removed leaf to its parent; the last vertex left,
+    n - 1, is the root of those pointers, and reversing them on the path
+    from 0 to it roots the tree at 0.
+    """
     degree = [1] * n
     for s in seq:
         degree[s] += 1
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
-    edges = []
+    # The loop removes all but two vertices, each into its entry of seq.  Of
+    # the two left, n - 1 (never the smallest leaf) is the root, and the
+    # other keeps n - 1 as its parent.
+    parents = [n - 1] * (n - 1) + [None]
     for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, s))
+        parents[heapq.heappop(leaves)] = s
         degree[s] -= 1
         if degree[s] == 1:
             heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parents = [None] * n
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    for v in queue:
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                parents[u] = v
-                queue.append(u)
-    return RootedTree.from_parents(parents, 0)
+    child, v = None, 0
+    while v is not None:
+        parents[v], child, v = child, v, parents[v]
+    return parents
 
 
 def subtree_weights(tree: RootedTree) -> WeightTable:

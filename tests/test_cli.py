@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from treeiso.cli import main
 
 
@@ -172,6 +174,37 @@ def test_generator_parameters_take_ascii_decimal_integers_only(tmp_path, capsys)
         assert json.loads(out_path.read_text())["reports"] == []
     assert main(["generate", "path", "-p", "n=-0"]) == 2
     assert "parameter n must be >= 1, got 0" in capsys.readouterr().err
+
+
+# Each integer flag, in a command that succeeds when the flag reads 3 or 40.
+INTEGER_FLAGS = [
+    ("--dp-cap", ["paper-tables"]),
+    ("--seed", ["generate", "path", "-p", "n=3"]),
+    ("--max-vertices", ["generate", "path", "-p", "n=3"]),
+    ("--seed", ["verify", "--gen", "path:n=5"]),
+    ("--oracle-limit", ["verify", "--gen", "path:n=5"]),
+    ("--k-max", ["verify", "--gen", "path:n=5"]),
+]
+
+
+@pytest.mark.parametrize("value", ["4_0", "+3", "\u0663", "\uff13"])
+@pytest.mark.parametrize("flag, command", INTEGER_FLAGS)
+def test_integer_flags_take_ascii_decimal_integers_only(tmp_path, capsys, flag, command, value):
+    """int() would read each value as 40 or 3; every integer flag refuses it
+    with exit 2 and names itself, under the rule of tree files."""
+    out_path = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + [flag, value, "--out", str(out_path)])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: {value!r} is not an integer" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag, command", INTEGER_FLAGS)
+def test_integer_flags_take_decimal_values(tmp_path, flag, command):
+    out_path = tmp_path / "out"
+    assert main(command + [flag, "3", "--out", str(out_path)]) == 0
+    assert main(command + [flag, " 40\t", "--out", str(out_path)]) == 0
 
 
 def test_non_decimal_tree_files_exit_2(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Profile DP against the exhaustive oracle, peaks, and witness subsets."""
 import itertools
 import random
+import sys
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -639,26 +641,81 @@ def test_row_and_block_kernels_agree(monkeypatch):
                             for side in ("child", "cur") for sk in (False, True)}
 
 
-def _live_table_peak(monkeypatch, tree, mode):
-    """Peak bytes of DP tables alive at once during one profile call."""
-    live = peak = 0
+class _Live:
+    """Bytes of the tracked objects alive at once: each counts from track()
+    until it is garbage."""
 
-    def release(nbytes):
-        nonlocal live
-        live -= nbytes
+    def __init__(self):
+        self.live = self.peak = self.tracked = 0
 
-    def track(table):
-        nonlocal live, peak
-        live += table.nbytes
-        peak = max(peak, live)
-        weakref.finalize(table, release, table.nbytes)
-        return table
+    def track(self, obj, nbytes: int):
+        self.live += nbytes
+        self.peak = max(self.peak, self.live)
+        self.tracked += 1
+        weakref.finalize(obj, self._release, nbytes)
+        return obj
 
+    def _release(self, nbytes: int):
+        self.live -= nbytes
+
+
+def _dense_live_peak(monkeypatch, tree, mode):
+    """(peak bytes of the dense tables alive at once, tables tracked) during
+    one profile call on the dense route; every table _merge returns counts."""
+    live = _Live()
     merge = profile._merge
-    monkeypatch.setattr(
-        profile, "_merge", lambda cur, child, m, *window: track(merge(cur, child, m, *window))
-    )
-    (edge_profile if mode == "edge" else vertex_profile)(tree)
+
+    def tracked(*args):
+        table = merge(*args)
+        return live.track(table, table.nbytes)
+
+    with monkeypatch.context() as m:
+        _force_route(m, 0)
+        m.setattr(profile, "_merge", tracked)
+        (edge_profile if mode == "edge" else vertex_profile)(tree)
+    return live.peak, live.tracked
+
+
+class _Stage(list):
+    """A clipped stage that, unlike a list, can be weakly referenced."""
+
+
+def _level_bytes(stage) -> int:
+    """Bytes of the levels of a clipped stage: each (c, bits, j) tuple and its bitset."""
+    return sum(sys.getsizeof(level) + sys.getsizeof(level[1]) for row in stage for level in row)
+
+
+def _clipped_live_peak(tree, mode, k):
+    """(peak _level_bytes of the merged clipped stages alive at once during
+    one run of the stage driver at K = k, the peak _last_use_peak replays
+    from the same stages' bytes)."""
+    base, merge = profile._clipped(profile._MODES[mode], k)
+    live, made = _Live(), [0]
+
+    def tracked(*args):
+        stage = _Stage(merge(*args))
+        made.append(_level_bytes(stage))
+        return live.track(stage, made[-1])
+
+    keys = profile._subtree_classes(tree, tree.n, True)[1]
+    for _ in profile._stages(base, tracked, keys, tree.n, 0, tree.n):
+        pass
+    assert len(made) == len(keys)
+    return live.peak, _last_use_peak(keys, made)
+
+
+def _last_use_peak(keys, nbytes):
+    """Peak bytes of DP stages that each live from their merge until the
+    last stage that merges them is made, replayed from the stage keys:
+    stage k takes nbytes[k]."""
+    last = {x: k for k, key in enumerate(keys) for x in key}
+    freed = Counter()
+    live = peak = 0
+    for k in range(len(keys)):
+        live += nbytes[k]
+        peak = max(peak, live)
+        freed[last.get(k, len(keys))] += nbytes[k]
+        live -= freed.pop(k, 0)
     return peak
 
 
@@ -696,9 +753,16 @@ def _per_vertex_table_peak(tree, rows):
     ],
 )
 def test_shared_tables_freed_at_last_use(monkeypatch, kind, params):
+    """In both table algebras a stage is freed once its last merge is made.
+    The dense tables alive at once take no more bytes than a per-vertex DP's
+    tables of rows x (w + 1) cells would; the clipped stages of a run at
+    K = 2 take no more than those whose last merge is still to come."""
     tree = generate_tree(kind, params, seed=4)
     for mode, rows in (("edge", 2), ("vertex", 3)):
-        assert _live_table_peak(monkeypatch, tree, mode) <= _per_vertex_table_peak(tree, rows)
+        peak, tracked = _dense_live_peak(monkeypatch, tree, mode)
+        assert tracked and peak <= _per_vertex_table_peak(tree, rows)
+        peak, bound = _clipped_live_peak(tree, mode, 2)
+        assert 0 < peak <= bound
 
 
 def _spider(legs, length):

@@ -1,4 +1,7 @@
 """Parsing, serialization, generators, subtree weights, and post-order."""
+import hashlib
+import heapq
+import random
 import re
 
 import pytest
@@ -244,6 +247,55 @@ def test_random_generators_deterministic():
         c = generate_tree(kind, {"n": 25}, seed=8)
         assert a == b
         assert a != c, kind
+
+
+def _prufer_code(tree):
+    """The Prufer sequence of a tree: remove the smallest leaf n - 2 times,
+    recording its neighbour each time."""
+    adj = [set(a) for a in tree.adjacency()]
+    leaves = [v for v in range(tree.n) if len(adj[v]) == 1]
+    heapq.heapify(leaves)
+    code = []
+    for _ in range(tree.n - 2):
+        leaf = heapq.heappop(leaves)
+        (u,) = adj[leaf]
+        code.append(u)
+        adj[u].remove(leaf)
+        if len(adj[u]) == 1:
+            heapq.heappush(leaves, u)
+    return code
+
+
+def test_random_prufer_encodes_back_to_its_draws():
+    """Encoding each tree again gives the sequence generate_tree drew from
+    random.Random(seed), so the tree is the one that sequence names."""
+    for seed in range(3):
+        for n in range(1, 61):
+            rng = random.Random(seed)
+            drawn = [rng.randrange(n) for _ in range(n - 2)]
+            tree = generate_tree("random_prufer", {"n": n}, seed=seed)
+            assert tree.root == 0
+            assert _prufer_code(tree) == drawn, (n, seed)
+
+
+def test_random_prufer_hand_worked_example():
+    """Seed 5 draws 4 5 0 7 3 0 for n = 8.  Removing the smallest leaf each
+    time joins 1-4, 2-5, 4-0, 5-7, 6-3, 3-0, and the last two left are 0-7;
+    rooted at 0 that is the parent list below."""
+    rng = random.Random(5)
+    assert [rng.randrange(8) for _ in range(6)] == [4, 5, 0, 7, 3, 0]
+    tree = generate_tree("random_prufer", {"n": 8}, seed=5)
+    assert tree.parent == (None, 4, 5, 0, 0, 7, 3, 0)
+
+
+def test_random_prufer_trees_are_pinned():
+    """A digest of the parent arrays of a grid of (n, seed): a change to the
+    draws or to the decoding changes it."""
+    digest = hashlib.sha256()
+    grid = [(n, seed) for n in range(1, 41) for seed in range(5)]
+    for n, seed in grid + [(n, seed) for n in (100, 500) for seed in range(3)]:
+        digest.update(repr(generate_tree("random_prufer", {"n": n}, seed=seed).parent).encode())
+    assert digest.hexdigest() == "b3495ef48aeefe65e9279c3685a2dee1af94a76f9378a70dd76f725e63aa9078"
 
 
 def test_random_recursive_attaches_to_earlier_vertex():
