@@ -6,10 +6,11 @@ enumeration over all 2^n vertex subsets (brute_force_profiles) that serves
 as the oracle at small n.
 
 The dynamic program merges tables once per distinct stage, not once per
-vertex.  A stage is the vertex alone or (prefix stage, child class), and
-stages are interned: equal subtrees (Aho, Hopcroft & Ullman 1974) share
-their tables, and child lists that start alike share those prefixes.
-Profiles take children in ascending class id, leaves first; witnesses in
+vertex.  A stage is the vertex alone or (prefix stage, child's last
+stage), and stages are interned: a vertex's subtree class is the id of its
+last stage, so equal subtrees (Aho, Hopcroft & Ullman 1974) share their
+tables, and child lists that start alike share those prefixes.  Profiles
+take children in ascending class id, leaves (stage 0) first; witnesses in
 ascending vertex id, their tie order.  A complete t-ary tree costs one
 merge chain per level, a path what a per-vertex DP does.
 
@@ -606,37 +607,28 @@ def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -
 def _subtree_classes(tree: RootedTree, size_cap: int, by_class: bool):
     """Last stage id per vertex and the key of every DP stage.
 
-    A vertex's class is the interned tuple of its children's classes, in
-    ascending class id when by_class, else in ascending vertex id; classes
-    are numbered in post-order of first appearance, leaves (class 0) first.
-    Each distinct class then becomes a chain of interned stages: key () is
-    stage 0, the vertex alone, and (prefix, child) merges a child class's
-    last stage into its prefix, so classes whose child lists start alike
-    share those stages, each after its prefix and child.  Each interning map
-    is dropped once read, so neither adds to the DP's peak memory.  Trees
-    above size_cap raise SizeCapError before any work.
+    One post-order walk interns each vertex's chain of stages: key () is
+    stage 0, the vertex alone, and (prefix, child) merges a child's last
+    stage into its prefix, the children in ascending last stage id when
+    by_class, else in ascending vertex id.  A vertex's last stage id is its
+    subtree class: equal subtrees get equal chains, leaves stage 0, and
+    vertices whose child lists start alike share those stages, each after
+    its prefix and child.  The interning map is freed on return, so it
+    does not add to the DP's peak memory.  Trees above size_cap raise
+    SizeCapError before any work.
     """
     if tree.n > size_cap:
         raise SizeCapError(f"tree has {tree.n} vertices, above the DP size cap {size_cap}")
-    ids = {}
-    cls = [0] * tree.n
-    for v in postorder(tree):
-        # Keys are built from a list: a tuple grown from an iterator is
-        # resized, and the discarded keys then pile up in CPython's tuple
-        # free list, which is memory the DP never gets back.
-        key = [cls[c] for c in tree.children[v]]
-        if by_class:
-            key.sort()
-        cls[v] = ids.setdefault(tuple(key), len(ids))
-    keys, ids = list(ids), None
     stages = {(): 0}
-    last = []
-    for key in keys:
-        k = 0
-        for c in key:
-            k = stages.setdefault((k, last[c]), len(stages))
-        last.append(k)
-    return [last[c] for c in cls], list(stages)
+    last = [0] * tree.n
+    for v in postorder(tree):
+        if tree.children[v]:
+            kids = [last[c] for c in tree.children[v]]
+            k = 0
+            for c in sorted(kids) if by_class else kids:
+                k = stages.setdefault((k, c), len(stages))
+            last[v] = k
+    return last, list(stages)
 
 
 def _window(s: int, n: int, i_min: int, i_max: int):

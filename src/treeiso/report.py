@@ -9,12 +9,14 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .bounds import (
     analytic_peak_lower_bounds,
     check_flux_conservation,
-    # Not called here since _cut_count_table counts in one pass; kept as a
-    # name of this module, which bench/spans.py wraps for its timing span.
+    # Not called here since _cut_count_table counts and bounds in one pass;
+    # kept as names of this module, which bench/spans.py wraps for its
+    # timing span.
     count_sizes_with_cut_at_most,
     cut_count_upper_bound,
     edge_peak_lower_bound,
@@ -37,6 +39,12 @@ FORMATS = ("csv", "json")
 # full set included.
 FLUX_SUBSETS = 32
 FLOAT_TOL = 1e-9
+
+# Most digits a cut-count bound may have.  Fixed, not the interpreter's
+# int string-conversion limit, so that no environment variable changes
+# which tables print; past it the table is refused (see _cut_count_table).
+_BOUND_DIGITS = 4300
+_BOUND_CAP = 10**_BOUND_DIGITS
 
 SWEEP_BINARY_DEPTHS = tuple(range(2, 14))
 SWEEP_TARY_BRANCHING = (3, 4, 5, 9)
@@ -128,20 +136,32 @@ def derived_parameter_bounds(profile: IsoProfile, delta: int) -> dict:
 def _cut_count_table(edge_values, eta: int, k_cap: int):
     """Rows {k, ell, bound} for k = 0..k_cap, where ell(k) counts the
     cardinalities with minimum edge boundary <= k and bound is
-    2*C(2*eta + k, k); and whether ell <= bound in every row."""
+    2*C(2*eta + k, k); and whether ell <= bound in every row.  SizeCapError,
+    before any bound is printed, when a bound reaches _BOUND_CAP."""
     # One pass: at[k] counts the cardinalities whose minimum is exactly k,
     # and ell is their running sum.
     at = [0] * (k_cap + 1)
     for value in edge_values:
         if value <= k_cap:
             at[value] += 1
+    # bound(k) = bound(k - 1) * (2*eta + k) / k, exact at every step; one
+    # math.comb per row is a multi-second bignum stall at large eta and k.
+    bounds = [2]
+    for k in range(1, k_cap + 1):
+        bounds.append(bounds[-1] * (2 * eta + k) // k)
+        if bounds[-1] >= _BOUND_CAP:
+            raise SizeCapError(
+                f"cut-count bound at k = {k} (eta = {eta}) has more than {_BOUND_DIGITS} "
+                f"digits; pass --k-max {k - 1} or lower"
+            )
     table = []
     ok = True
     ell = 0
-    for k, count in enumerate(at):
+    for k, (count, bound) in enumerate(zip(at, bounds)):
         ell += count
-        bound = cut_count_upper_bound(eta, k)
-        table.append({"k": k, "ell": ell, "bound": str(bound)})
+        # Through Decimal, which the int string-conversion limit does not
+        # apply to, so PYTHONINTMAXSTRDIGITS changes no table.
+        table.append({"k": k, "ell": ell, "bound": str(Decimal(bound))})
         ok = ok and ell <= bound
     return table, ok
 

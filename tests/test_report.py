@@ -2,6 +2,8 @@
 import functools
 import json
 import random
+import sys
+import time
 
 import pytest
 
@@ -265,6 +267,59 @@ def test_cut_count_table_matches_per_k_count():
             assert ok == all(
                 ell <= cut_count_upper_bound(eta, k) for k, ell in enumerate(expected)
             ), label
+
+
+def test_cut_count_table_bounds_are_exact():
+    """The table's bounds, built one step per k, are cut_count_upper_bound
+    at every (eta, k) of a grid."""
+    for eta in range(1, 30):
+        table, _ = _cut_count_table([], eta, 60)
+        assert [row["bound"] for row in table] == [
+            str(cut_count_upper_bound(eta, k)) for k in range(61)
+        ], eta
+
+
+def test_cut_count_table_refuses_bounds_past_the_digit_cap():
+    """eta = 8,001 up to k = 4,002 (a broom: a path of 8,000 vertices with
+    16,000 leaves on its end) reaches 10**4300 at k = 3,937: SizeCapError
+    naming --k-max, before any bound is printed, well within a second."""
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="--k-max 3936"):
+        _cut_count_table([], 8001, 4002)
+    assert time.perf_counter() - start < 0.5
+    assert cut_count_upper_bound(8001, 3936) < 10**4300 <= cut_count_upper_bound(8001, 3937)
+
+
+def test_cut_count_table_ignores_the_int_digit_limit():
+    """Bounds of more digits than the interpreter's lowest string-conversion
+    limit print the same under that limit."""
+    expected = [str(cut_count_upper_bound(2000, k)) for k in range(501)]
+    assert len(expected[-1]) > 640
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        table, _ = _cut_count_table([], 2000, 500)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert [row["bound"] for row in table] == expected
+
+
+def test_verify_suite_keeps_reports_when_a_table_is_refused(monkeypatch):
+    """A tree whose cut-count table is refused is an error of its own; the
+    other trees keep their reports."""
+    import treeiso.report as report_mod
+
+    monkeypatch.setattr(report_mod, "_BOUND_DIGITS", 2)
+    monkeypatch.setattr(report_mod, "_BOUND_CAP", 10**2)
+    entries = [
+        TreeEntry(source={"path": "small"}, tree=generate_tree("path", {"n": 5})),
+        TreeEntry(source={"path": "big"}, tree=generate_tree("complete_tary", {"t": 2, "d": 6})),
+    ]
+    result = verify_suite(entries)
+    assert result.exit_status == 2
+    assert [r.tree["n"] for r in result.reports] == [5]
+    assert result.errors[0]["source"] == {"path": "big"}
+    assert "--k-max" in result.errors[0]["error"]
 
 
 def test_sweep_rows_small():
