@@ -22,11 +22,13 @@ int32 tables with _INF marking infeasible cells, and _clipped, the level
 sets of values up to a bound K as Python-int bitsets.  No merge cost is
 negative, so a clipped run gives the exact value of every size whose value
 is at most K and leaves the others out: a run whose root covers every size
-certifies itself.  _profile routes profiles; witnesses are always dense.
+it is asked for certifies itself.  Profiles and witnesses take one route,
+the K runs of _clip_ks, then the dense DP.
 """
 from __future__ import annotations
 
 import contextvars
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -34,7 +36,7 @@ from functools import reduce
 import numpy as np
 
 from .bounds import edge_peak_lower_bound
-from .tree import RootedTree, _is_int, postorder, subtree_weights
+from .tree import RootedTree, _is_int, postorder
 
 DEFAULT_DP_CAP = 50_000
 DEFAULT_ORACLE_LIMIT = 20
@@ -46,11 +48,13 @@ ORACLE_MAX_VERTICES = 24
 # Subsets the oracle evaluates per chunk, so that its working arrays stay
 # at a few MiB whatever n is.
 _ORACLE_CHUNK = 1 << 16
-# Most cells, summed over every flag row of every kept stage, that one
-# witness DP may hold: 2**26 int32 cells are 256 MiB.  It is checked before
-# any table exists (see _witness_cells).  A path with n = 2000 queried at
-# i = n/2 keeps about 3 million vertex-mode cells; one with n = 50,000 would
-# keep about 1.9 billion.
+# Most cells, summed over every flag row of every kept stage, that one dense
+# witness DP may hold: 2**26 int32 cells are 256 MiB, which also bounds the
+# bytes of a clipped witness run.  Both are checked from the stage keys
+# before any table exists (see _witness_cells and _clipped_bytes).  A path
+# with n = 2000 queried at i = n/2 keeps about 3 million vertex-mode cells;
+# one with n = 50,000 would keep about 1.9 billion, and its clipped runs
+# about 1 GB, so it is refused.
 WITNESS_MAX_CELLS = 2**26
 
 # Infeasible-cell sentinel of the int32 DP tables.  Feasible cells are cut
@@ -70,7 +74,7 @@ _INF = np.iinfo(np.int32).max // 2 - 1
 _BLOCK_CELLS = 32_768
 _MIN_BLOCK_ROWS = 4
 _ROW_LOOP_MAX = 4
-# Clipped route thresholds (the policy is _profile's), timed on a 2-vCPU Xeon VM.
+# Clipped route thresholds (the policy is _clip_ks'), timed on a 2-vCPU Xeon VM.
 # Random trees (n = 400, 5000; 0.30-0.39 stages per vertex): one run at K = 1, 2,
 # 4, 5 took 0.16-0.23, 0.28-0.39, 0.50-0.98, 0.55-1.13x the dense DP, so K = 5
 # cannot repay the runs below it.  Complete trees (<= 0.21 stages per vertex)
@@ -341,20 +345,37 @@ def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
 
 
 def _profile(tree: RootedTree, mode: str, size_cap: int):
-    """Clipped runs at K = K0 (1, + edge_peak_lower_bound in edge mode), K0 + 1,
-    ... <= _CLIP_K_MAX given n / _CLIP_STAGE_RATIO stages; else the dense DP."""
+    """The first clipped run of _clip_ks that covers every size, else the dense DP."""
     shared = _shared_classes.get()
-    keys = shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap, True)[1]
+    last, keys = shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap, True)
     rules, n = _MODES[mode], tree.n
-    if n <= _CLIP_STAGE_RATIO * len(keys):
-        k0 = 1 + (edge_peak_lower_bound(n, subtree_weights(tree).eta) if mode == "edge" else 0)
-        for k in range(k0, _CLIP_K_MAX + 1):
-            covered, values = _clipped_profile(rules, keys, n, k)
-            if covered:
-                return values
+    for k in _clip_ks(mode, last, keys, n):
+        covered, values = _clipped_profile(rules, keys, n, k)
+        if covered:
+            return values
     for _, root in _stages(*_dense(rules), keys, n, 1, n):
         pass
     return [int(x) for x in np.min(root, axis=0)]
+
+
+def _clip_ks(mode: str, last, keys, n: int):
+    """The K of each clipped run that a profile or witness DP over the stage
+    keys may make, in order: K0, K0 + 1, ... <= _CLIP_K_MAX when n <=
+    _CLIP_STAGE_RATIO * stages, else none.  K0 is one above
+    edge_peak_lower_bound(n, eta) in edge mode and 1 in vertex mode.  eta,
+    the number of distinct subtree sizes, is read off the last stage ids: a
+    vertex's last stage is over its subtree."""
+    if n > _CLIP_STAGE_RATIO * len(keys):
+        return range(0)
+    if mode == "vertex":
+        return range(1, _CLIP_K_MAX + 1)
+    size = _stage_sizes(keys)
+    # A byte per subtree size, not a set of them: this runs before the
+    # witness budget check, on trees that check may refuse.
+    held = bytearray(n + 1)
+    for k in last:
+        held[size[k]] = 1
+    return range(1 + edge_peak_lower_bound(n, held.count(1)), _CLIP_K_MAX + 1)
 
 
 def _clipped_profile(rules: _Mode, keys, n: int, k: int):
@@ -362,19 +383,26 @@ def _clipped_profile(rules: _Mode, keys, n: int, k: int):
     of each size 1..n: the number of the k + 1 level unions that miss it)."""
     for _, root in _stages(*_clipped(rules, k), keys, n, 0, n):
         pass
-    levels = [0] * (k + 1)
-    for row in root:
-        for c, bits, _ in row:
-            levels[c] |= bits
-    for c in range(1, k + 1):
-        levels[c] |= levels[c - 1]
+    levels = _level_unions(root, k)
     raw = np.frombuffer(b"".join(u.to_bytes(n // 8 + 1, "little") for u in levels), dtype=np.uint8)
     covered = np.unpackbits(raw, bitorder="little").reshape(k + 1, -1).sum(axis=0)
     return levels[-1] == (2 << n) - 1, (k + 1 - covered[1 : n + 1]).tolist()
 
 
+def _level_unions(table, k: int) -> list:
+    """Entry c: the bitset of the cells of a clipped table of K = k whose
+    value, under some flag, is at most c."""
+    levels = [0] * (k + 1)
+    for row in table:
+        for c, bits, _ in row:
+            levels[c] |= bits
+    for c in range(1, k + 1):
+        levels[c] |= levels[c - 1]
+    return levels
+
+
 def compute_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP) -> IsoProfile:
-    token = _shared_classes.set((tree, _subtree_classes(tree, size_cap, True)[1]))
+    token = _shared_classes.set((tree, _subtree_classes(tree, size_cap, True)))
     try:
         return IsoProfile.from_values(
             edge_profile(tree, size_cap), vertex_profile(tree, size_cap)
@@ -389,9 +417,10 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
     Deterministic: DP splits are re-read in a fixed scan order (previous
     flag, then child flag, then child allocation, each ascending), children
     in ascending-id merge order, so ties always resolve the same way.  The
-    DP keeps only the stage cells a size-i subset can reach, and raises
-    SizeCapError before building any table when they would exceed
-    WITNESS_MAX_CELLS.
+    DP takes the profiles' route: clipped runs at growing K, kept when the
+    root holds size i, else the dense tables cut to the cells a size-i
+    subset can reach.  It raises SizeCapError before building any table
+    when those dense cells would exceed WITNESS_MAX_CELLS.
     """
     return witness_subsets(tree, [i], mode, size_cap)[i]
 
@@ -399,9 +428,9 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
 def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_DP_CAP) -> dict:
     """{i: witness_subset(tree, i, mode)} for every i in sizes, from one DP.
 
-    The stages keep the cells any of the sizes can reach (see
-    _witness_stages), so the sets and their tie order are those of
-    witness_subset.
+    A clipped run is kept when its root holds every size; dense stages keep
+    the cells any of the sizes can reach (see _witness_stages).  Either way
+    the sets and their tie order are those of witness_subset.
     """
     rules = _MODES.get(mode)
     if rules is None:
@@ -415,62 +444,133 @@ def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_
     sizes = sorted(set(sizes))
     if not sizes:
         return {}
-    cls, keys, stages = _witness_stages(tree, rules, size_cap, sizes[0], sizes[-1])
-    return {i: _backtrack(tree, rules, cls, keys, stages, i) for i in sizes}
+    cls, keys, stages, read = _witness_stages(tree, mode, size_cap, sizes)
+    return {i: _backtrack(tree, rules, cls, keys, stages, read, i) for i in sizes}
 
 
-def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, stages, i: int) -> frozenset:
-    """The size-i witness read back from _witness_stages' tables.
+def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, stages, read, i: int) -> frozenset:
+    """The size-i witness read back from _witness_stages' stages by read,
+    the (cell, split) pair of their algebra.
 
-    Cell j of a stage (lo, table) is table[:, j - lo].  A vertex's prefix
-    chain is walked from its last stage back to the vertex alone.  A split
-    of cell j between a prefix and a child pairs cells whose windows hold
-    them; every split the full-width tables would match is one of those
-    pairs, in the same scan order.
+    cell(stage, s, j) is the value of cell j under flag s; the root's least
+    one, on the first flag that has it, starts the walk.  A vertex's prefix
+    chain is walked from its last stage back to the vertex alone: at each
+    stage, split gives the first (s_prev, sc, x) in the scan order that
+    makes the cell's value from cell j - x of the prefix and cell x of the
+    child, with those two cells' values.
     """
-    lo, root_tab = stages[cls[tree.root]]
-    s_star = int(np.argmin(root_tab[:, i - lo]))
+    cell, split = read
+    root = stages[cls[tree.root]]
+    values = [cell(root, s, i) for s in range(len(rules.into))]
+    s_star = values.index(min(values))
 
     selected = []
-    work = [(tree.root, i, s_star)]
+    work = [(tree.root, i, s_star, values[s_star])]
     while work:
-        v, j, s_after = work.pop()
+        v, j, s_after, value = work.pop()
         k = cls[v]
         for child in reversed(tree.children[v]):
-            lo, tab = stages[k]
-            value = tab[s_after][j - lo]
             k, c = keys[k]
-            prev_lo, prev_tab = stages[k]
-            child_lo, child_tab = stages[c]
-            # Child cell x of child_tab pairs with cell d - x of prev_tab.
-            d = j - prev_lo - child_lo
-            first = max(0, d - (prev_tab.shape[1] - 1))
-            last = min(d, child_tab.shape[1] - 1)
-            found = next(
-                (
-                    (s_prev, sc, x)
-                    for s_prev, terms in rules.into[s_after]
-                    for prev_row in (prev_tab[s_prev],)
-                    for sc, cost in terms
-                    for child_row in (child_tab[sc],)
-                    for x in range(first, last + 1)
-                    if prev_row[d - x] + child_row[x] + cost == value
-                ),
-                None,
-            )
+            found = split(rules.into[s_after], stages[k], stages[c], j, value)
             if found is None:
                 raise AssertionError("DP backtracking failed to find a split")
-            s_prev, sc, x = found
-            work.append((child, child_lo + x, sc))
-            j -= child_lo + x
-            s_after = s_prev
+            s_after, sc, x, value, child_value = found
+            work.append((child, x, sc, child_value))
+            j -= x
         # Base table: the vertex alone.
         if s_after == rules.in_flag:
             selected.append(v)
-        lo, base = stages[k]
-        if base[s_after][j - lo] != 0:
+        if value != 0:
             raise AssertionError("DP backtracking reached an infeasible base cell")
     return frozenset(selected)
+
+
+def _dense_cell(stage, s: int, j: int):
+    lo, table = stage
+    return table[s][j - lo]
+
+
+def _dense_split(into: list, prev, child, j: int, value):
+    """_backtrack's split search over dense stages (lo, table), whose cell j
+    is table[:, j - lo]: it pairs only cells the two windows hold, and
+    every split the full-width tables would match is one of those pairs, in
+    the same scan order."""
+    (prev_lo, prev_tab), (child_lo, child_tab) = prev, child
+    # Child cell x of child_tab pairs with cell d - x of prev_tab.
+    d = j - prev_lo - child_lo
+    first = max(0, d - (prev_tab.shape[1] - 1))
+    last = min(d, child_tab.shape[1] - 1)
+    return next(
+        (
+            (s_prev, sc, child_lo + x, prev_row[d - x], child_row[x])
+            for s_prev, terms in into
+            for prev_row in (prev_tab[s_prev],)
+            for sc, cost in terms
+            for child_row in (child_tab[sc],)
+            for x in range(first, last + 1)
+            if prev_row[d - x] + child_row[x] + cost == value
+        ),
+        None,
+    )
+
+
+def _clipped_cell(stage, s: int, j: int):
+    """The level of cell j under flag s of a clipped stage (lo = 0), or _INF
+    when no level holds it."""
+    return next((c for c, bits, _ in stage[1][s] if bits >> j & 1), _INF)
+
+
+def _clipped_split(into: list, prev, child, j: int, value: int):
+    """_backtrack's split search over clipped stages: for each (s_prev, sc),
+    the least x over the level pairs c1 + c2 + cost = value of cell j - x in
+    the prefix's level c1 and cell x in the child's level c2.  No cost is
+    negative, so every cell a split of value <= K pairs is in some level,
+    and the first match is the dense scan's."""
+    for s_prev, terms in into:
+        row = prev[1][s_prev]
+        for sc, cost in terms:
+            best = None
+            for c2, b, jb in child[1][sc]:
+                c1 = value - cost - c2
+                if c1 < 0:
+                    break
+                for c, a, ja in row:
+                    if c == c1:
+                        x = _first_split(a, ja, b, jb, j)
+                        if x is not None and (best is None or x < best[2]):
+                            best = s_prev, sc, x, c1, c2
+                        break
+            if best:
+                return best
+    return None
+
+
+def _first_split(a: int, ja: int, b: int, jb: int, j: int):
+    """The least x with bit x of b and bit j - x of a set, or None, for two
+    levels (c, bits, j) of _clipped: read off the one bit of either when it
+    has one, else found by walking the set bits of the sparser one below
+    bit j + 1, as _sumset does."""
+    if jb >= 0:
+        return jb if jb <= j and a >> (j - jb) & 1 else None
+    if ja >= 0:
+        return j - ja if ja <= j and b >> (j - ja) & 1 else None
+    mask = (2 << j) - 1
+    a &= mask
+    b &= mask
+    if b.bit_count() <= a.bit_count():
+        while b:
+            low = b & -b
+            x = low.bit_length() - 1
+            if a >> (j - x) & 1:
+                return x
+            b ^= low
+    else:
+        while a:
+            y = a.bit_length() - 1
+            if b >> (j - y) & 1:
+                return j - y
+            a ^= 1 << y
+    return None
 
 
 def _merge(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: int) -> np.ndarray:
@@ -646,15 +746,21 @@ def _window(s: int, n: int, i_min: int, i_max: int):
     return lo, (s if s < i_max else i_max) - lo + 1
 
 
-def _schedule(keys, n: int, i_min: int, i_max: int):
-    """Every DP stage over the stage keys of _subtree_classes, in DP order,
-    for subsets of i_min .. i_max of the n vertices: yields (stage id, key,
-    lo, width), with (lo, width) the _window of the stage's vertex count."""
+def _stage_sizes(keys) -> list:
+    """The vertex count of every DP stage over the stage keys of _subtree_classes."""
     size = [1] * len(keys)
     for k, key in enumerate(keys):
         if key:
             size[k] = size[key[0]] + size[key[1]]
-        yield (k, key) + _window(size[k], n, i_min, i_max)
+    return size
+
+
+def _schedule(keys, n: int, i_min: int, i_max: int):
+    """Every DP stage over the stage keys of _subtree_classes, in DP order,
+    for subsets of i_min .. i_max of the n vertices: yields (stage id, key,
+    lo, width), with (lo, width) the _window of the stage's vertex count."""
+    for k, (key, s) in enumerate(zip(keys, _stage_sizes(keys))):
+        yield (k, key) + _window(s, n, i_min, i_max)
 
 
 def _stages(base, merge, keys, n: int, i_min: int, i_max: int):
@@ -737,19 +843,52 @@ def _sumset(a: int, b: int) -> int:
 
 
 def _witness_cells(keys, n: int, i_min: int, i_max: int, nflags: int) -> int:
-    """Cells the stages of _witness_stages hold, over all flag rows, from the
-    stage keys alone: the widths of _schedule's stages."""
+    """Cells the dense stages of _witness_stages hold, over all flag rows,
+    from the stage keys alone: the widths of _schedule's stages."""
     return nflags * sum(width for *_, width in _schedule(keys, n, i_min, i_max))
 
 
-def _witness_stages(tree: RootedTree, rules: _Mode, size_cap: int, i_min: int, i_max: int):
-    """(last stage id per vertex, stage keys, every stage of _stages) for
-    sizes i_min .. i_max, children in vertex-id order.  SizeCapError, before
-    any table is built, above size_cap vertices or WITNESS_MAX_CELLS cells."""
+def _clipped_bytes(keys, k: int, nflags: int) -> int:
+    """Bytes the stages of one clipped run at K = k may hold, from the stage
+    keys alone: k + 1 bits for each of the s + 1 cells of a stage over s
+    vertices under each flag, as Python-int digits, plus per level a
+    (c, bits, j) tuple, the headers of its two ints, its share of its row's
+    list and a digit of rounding; a flag row holds at most k + 1 levels."""
+    digit = sys.int_info.bits_per_digit
+    level = sys.getsizeof([None]) + sys.getsizeof((0, 0, 0)) + 2 * sys.getsizeof(1 << digit)
+    cells = sum(_stage_sizes(keys)) + len(keys)
+    return nflags * (k + 1) * (cells * sys.int_info.sizeof_digit // digit + len(keys) * level)
+
+
+def _witness_stages(tree: RootedTree, mode: str, size_cap: int, sizes: list):
+    """(last stage id per vertex, stage keys, every stage of one DP run, the
+    (cell, split) of its algebra for _backtrack) for the sorted sizes,
+    children in vertex-id order.  The run is the first clipped one of
+    _clip_ks whose root holds every size, each within the budget of
+    WITNESS_MAX_CELLS int32 cells by _clipped_bytes, else the dense DP
+    windowed to sizes[0] .. sizes[-1].  SizeCapError, before any table is
+    built, above size_cap vertices or a dense DP of WITNESS_MAX_CELLS cells."""
+    rules, n = _MODES[mode], tree.n
+    nflags = len(rules.into)
     cls, keys = _subtree_classes(tree, size_cap, False)
-    cells = _witness_cells(keys, tree.n, i_min, i_max, rules.base.shape[0])
+    for k in _clip_ks(mode, cls, keys, n):
+        if _clipped_bytes(keys, k, nflags) > WITNESS_MAX_CELLS * rules.base.itemsize:
+            break
+        stages = _clipped_stages(rules, keys, n, k, cls[tree.root], sizes)
+        if stages:
+            return cls, keys, stages, (_clipped_cell, _clipped_split)
+    cells = _witness_cells(keys, n, sizes[0], sizes[-1], nflags)
     if cells > WITNESS_MAX_CELLS:
         raise SizeCapError(
             f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
         )
-    return cls, keys, list(_stages(*_dense(rules), keys, tree.n, i_min, i_max))
+    stages = list(_stages(*_dense(rules), keys, n, sizes[0], sizes[-1]))
+    return cls, keys, stages, (_dense_cell, _dense_split)
+
+
+def _clipped_stages(rules: _Mode, keys, n: int, k: int, root: int, sizes: list):
+    """Every stage of one clipped run at K = k if stage root holds each of
+    the sizes, else None."""
+    stages = list(_stages(*_clipped(rules, k), keys, n, 0, n))
+    held = _level_unions(stages[root][1], k)[-1]
+    return stages if all(held >> i & 1 for i in sizes) else None

@@ -374,9 +374,9 @@ def _driver_runs(monkeypatch):
 )
 def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges):
     """Every run of the stage driver makes the same merges, in either
-    algebra: the profiles on their own route, the witness (always dense),
-    and the profiles with the dense route forced, where each merge is one
-    _merge call with the mode's rules."""
+    algebra: the profiles and the witness on their own route, and both
+    with the dense route forced, where each merge is one _merge call with
+    the mode's rules."""
     runs = _driver_runs(monkeypatch)
     calls = _merge_calls(monkeypatch)
     tree = generate_tree(kind, params)
@@ -446,8 +446,9 @@ def test_witness_merges_once_per_vertex_order_prefix(monkeypatch):
     of u (leaf, leaf, X) and w (leaf, Y, leaf) part after the first leaf,
     against 11 for one chain per class, and fewer than one chain per class
     on random recursive trees, whose vertices often start with the same
-    leaves.  A spider's legs share nothing but their classes."""
-    calls = _merge_calls(monkeypatch)
+    leaves.  A spider's legs share nothing but their classes.  Counted per
+    run of the stage driver, in either algebra."""
+    runs = _driver_runs(monkeypatch)
     prefix_tree = RootedTree.from_parents(PREFIX_TREE, 0)
     assert _vertex_order_prefixes(prefix_tree) == (7, 11)
     assert _vertex_order_prefixes(_spider(4, 3)) == (6, 6)
@@ -457,9 +458,9 @@ def test_witness_merges_once_per_vertex_order_prefix(monkeypatch):
         assert merges < chains
     for tree in [prefix_tree, _spider(4, 3)] + recursive:
         for mode in ("edge", "vertex"):
-            calls.clear()
+            runs.clear()
             witness_subsets(tree, range(1, tree.n + 1), mode)
-            assert len(calls) == _vertex_order_prefixes(tree)[0], mode
+            assert runs and set(runs) == {_vertex_order_prefixes(tree)[0]}, mode
 
 
 # (cur, child) table widths that reach every _merge route by name:
@@ -912,7 +913,7 @@ def test_sentinel_headroom_and_base_table():
 @example(generate_tree("star", {"n": 60}))
 @example(generate_tree("complete_tary", {"t": 3, "d": 3}))
 def test_stage_tables_are_int32_within_sentinel(tree):
-    """Every stage table is int32 with cells in [0, _INF], and cells no
+    """Every dense stage table is int32 with cells in [0, _INF], and cells no
     subset can reach hold _INF exactly, wherever they fall inside the
     stage's window: the root outside a subtree that selects all w of its
     vertices, and the root selected with none."""
@@ -920,8 +921,7 @@ def test_stage_tables_are_int32_within_sentinel(tree):
     for mode in ("edge", "vertex"):
         in_flag = profile._MODES[mode].in_flag
         for i_min, i_max in {(1, n), (max(1, n // 2), max(1, n // 2)), (n, n)}:
-            cls, _, stages = profile._witness_stages(
-                tree, profile._MODES[mode], profile.DEFAULT_DP_CAP, i_min, i_max)
+            cls, stages = _dense_witness_stages(tree, mode, i_min, i_max)
             for _, tab in stages:
                 assert tab.dtype == np.int32
                 assert tab.min() >= 0 and tab.max() <= profile._INF
@@ -934,6 +934,16 @@ def test_stage_tables_are_int32_within_sentinel(tree):
         root = _full_root_table(tree, mode)
         assert root[0][n] == profile._INF
         assert root[in_flag][0] == profile._INF
+
+
+def _dense_witness_stages(tree, mode, i_min, i_max):
+    """(last stage id per vertex, every stage) of the witness DP for sizes
+    i_min .. i_max with the dense route forced."""
+    with pytest.MonkeyPatch.context() as m:
+        _force_route(m, 0)
+        sizes = range(i_min, i_max + 1)
+        cls, _, stages, _ = profile._witness_stages(tree, mode, profile.DEFAULT_DP_CAP, sizes)
+    return cls, stages
 
 
 def _full_root_table(tree, mode):
@@ -961,14 +971,12 @@ def test_windowed_stages_are_slices_of_full_width_stages(tree):
     whose windows are [0, s] below the root) cut to their windows, and the
     full-width root stage is the profile DP's root table from cell 1 on."""
     n = tree.n
-    cap = profile.DEFAULT_DP_CAP
     for mode in ("edge", "vertex"):
-        rules = profile._MODES[mode]
-        cls, _, full = profile._witness_stages(tree, rules, cap, 1, n)
+        cls, full = _dense_witness_stages(tree, mode, 1, n)
         root = _full_root_table(tree, mode)
         assert full[cls[tree.root]][1].tolist() == root[:, 1:].tolist()
         for i in range(1, n + 1):
-            _, _, stages = profile._witness_stages(tree, rules, cap, i, i)
+            stages = _dense_witness_stages(tree, mode, i, i)[1]
             for (lo, tab), (ref_lo, ref) in zip(stages, full, strict=True):
                 assert 0 <= lo - ref_lo and 1 <= tab.shape[1]
                 assert tab.tolist() == ref[:, lo - ref_lo : lo - ref_lo + tab.shape[1]].tolist()
@@ -1022,7 +1030,7 @@ def test_last_stage_is_the_subtree_class():
 
 def test_witness_cells_predicts_the_kept_stages():
     """_schedule, from stage keys alone, gives the (lo, width) of every stage
-    the witness DP keeps, stage by stage and in order, and _witness_cells
+    the dense witness DP keeps, stage by stage and in order, and _witness_cells
     their total cells, for single sizes and size ranges."""
     cap = profile.DEFAULT_DP_CAP
     for label, tree in structured_trees(10) + random_trees(20, 40, seed0=3):
@@ -1033,7 +1041,7 @@ def test_witness_cells_predicts_the_kept_stages():
             nflags = rules.base.shape[0]
             for i_min, i_max in {(1, n), (1, 1), (n, n), (n // 2 + 1, n // 2 + 1),
                                  (n // 3 + 1, 2 * n // 3 + 1)}:
-                _, _, stages = profile._witness_stages(tree, rules, cap, i_min, i_max)
+                stages = _dense_witness_stages(tree, mode, i_min, i_max)[1]
                 planned = []
                 for k, key, lo, width in profile._schedule(keys, n, i_min, i_max):
                     assert (k, key) == (len(planned), keys[k]), label
@@ -1113,32 +1121,114 @@ def test_clipped_and_dense_routes_agree(monkeypatch):
         assert got[0] == got[1], label
 
 
+def _k_rule(tree, mode, need, by_class):
+    """The route log of a DP over the stage keys of by_class that needs K =
+    need to cover its sizes: clipped runs at K0 .. min(max(K0, need),
+    _CLIP_K_MAX), then a dense run if that is below need, when the tree has
+    n <= _CLIP_STAGE_RATIO * stages; else one dense run."""
+    k0 = 1 + (edge_peak_lower_bound(tree.n, subtree_weights(tree).eta) if mode == "edge" else 0)
+    stages = len(profile._subtree_classes(tree, tree.n, by_class)[1])
+    if tree.n > profile._CLIP_STAGE_RATIO * stages:
+        return [None]
+    last = max(k0, need)
+    rule = list(range(k0, min(last, profile._CLIP_K_MAX) + 1))
+    return rule + ([None] if last > profile._CLIP_K_MAX else [])
+
+
 def test_clipped_route_steps_k_from_its_start(monkeypatch):
     """A tree with n <= _CLIP_STAGE_RATIO * stages makes clipped runs at K =
-    K0, K0 + 1, ... until one covers every size, or up to _CLIP_K_MAX and
-    then one dense run; any other tree makes one dense run.  K0 is one above
-    p = edge_peak_lower_bound(n, eta) in edge mode and 1 in vertex mode.
-    Counted by driver runs: the edge mode of a star with n = 60 starts at K =
-    p + 1 = 4, misses the sizes above it (its peak is 30) and falls back to
-    the dense DP; a path clips at K = p + 1 = 2; a caterpillar with spine 5
-    and legs 6 steps from K = 3 to its edge peak, _CLIP_K_MAX."""
+    K0, K0 + 1, ... until one covers every size asked for, or up to
+    _CLIP_K_MAX and then one dense run; any other tree makes one dense run.
+    K0 is one above p = edge_peak_lower_bound(n, eta) in edge mode and 1 in
+    vertex mode.  Profiles ask for every size, over their class-order
+    stages; a witness at i = ceil(n/2) asks for size i, over its vertex-id
+    order stages.  Counted by driver runs: the edge mode of a star with n =
+    60 starts at K = p + 1 = 4, misses the sizes above it (its peak and
+    b_e(30) are 30) and falls back to the dense DP; a path clips at K = p +
+    1 = 2; a caterpillar with spine 5 and legs 6 steps from K = 3 to its
+    edge peak, _CLIP_K_MAX; a complete binary tree with d = 8 has too few
+    stages to clip."""
     runs = _driver_runs(monkeypatch)
     log = _route_log(monkeypatch)
     star, path = generate_tree("star", {"n": 60}), generate_tree("path", {"n": 60})
     caterpillar = generate_tree("caterpillar", {"spine": 5, "legs": 6})
-    pinned = [(star, "edge", [4, None]), (star, "vertex", [1]), (path, "edge", [2]),
-              (path, "vertex", [1]), (caterpillar, "edge", [3, 4])]
+    binary = generate_tree("complete_tary", {"t": 2, "d": 8})
+    # (tree, mode, profile route, witness route), None where not pinned.
+    pinned = [(star, "edge", [4, None], [4, None]), (star, "vertex", [1], [1]),
+              (path, "edge", [2], [2]), (path, "vertex", [1], [1]),
+              (caterpillar, "edge", [3, 4], None),
+              (binary, "edge", [None], [None]), (binary, "vertex", [None], [None])]
     corpus = [tree for _, tree in structured_trees(12) + random_trees(30, 300, seed0=5)]
-    corpus += [generate_tree("complete_tary", {"t": 2, "d": 8}), caterpillar]
-    for tree, mode, expected in pinned + [(t, m, None) for t in corpus for m in ("edge", "vertex")]:
+    corpus += [binary, caterpillar]
+    for tree, mode, expected, witnessed in (
+        pinned + [(t, m, None, None) for t in corpus for m in ("edge", "vertex")]
+    ):
         runs.clear()
         log.clear()
-        peak = max((edge_profile if mode == "edge" else vertex_profile)(tree))
-        k0 = 1 + (edge_peak_lower_bound(tree.n, subtree_weights(tree).eta) if mode == "edge" else 0)
-        stages = len(profile._subtree_classes(tree, tree.n, True)[1])
-        last = max(k0, peak)
-        rule = list(range(k0, min(last, profile._CLIP_K_MAX) + 1))
-        rule += [None] if last > profile._CLIP_K_MAX else []
-        assert log == (rule if tree.n <= profile._CLIP_STAGE_RATIO * stages else [None])
+        values = (edge_profile if mode == "edge" else vertex_profile)(tree)
+        assert log == _k_rule(tree, mode, max(values), True)
         assert expected is None or log == expected
         assert len(runs) == len(log)
+        i = (tree.n + 1) // 2
+        runs.clear()
+        log.clear()
+        witness_subset(tree, i, mode)
+        assert log == _k_rule(tree, mode, values[i - 1], False)
+        assert witnessed is None or log == witnessed
+        assert len(runs) == len(log)
+
+
+def test_witness_routes_agree(monkeypatch):
+    """With both route constants forced to 0 every witness runs the dense
+    DP, and forced to n clipped runs only; the sets are equal at every
+    size, in both modes, on structured trees (n = 1 and n = 2 among them)
+    and random trees."""
+    log = _route_log(monkeypatch)
+    for label, tree in structured_trees(12) + random_trees(40, 30, seed0=21):
+        for mode in ("edge", "vertex"):
+            got = []
+            for value in (0, tree.n):
+                log.clear()
+                with monkeypatch.context() as m:
+                    _force_route(m, value)
+                    got.append(witness_subsets(tree, range(1, tree.n + 1), mode))
+                assert log == [None] if value == 0 else log and None not in log, (label, value)
+            assert got[0] == got[1], (label, mode)
+
+
+def test_clipped_witness_budget_admits_what_the_dense_one_refuses():
+    """From the stage keys alone: a vertex-mode path with n = 9,600 queried
+    at i = n/2 needs more dense cells than WITNESS_MAX_CELLS, while its first
+    clipped run, at K = 1, fits in the same 256 MiB."""
+    tree = generate_tree("path", {"n": 9600})
+    cls, keys = profile._subtree_classes(tree, tree.n, False)
+    assert profile._clip_ks("vertex", cls, keys, tree.n)[0] == 1
+    assert profile._witness_cells(keys, tree.n, 4800, 4800, 3) > profile.WITNESS_MAX_CELLS
+    assert profile._clipped_bytes(keys, 1, 3) <= profile.WITNESS_MAX_CELLS * 4
+
+
+@pytest.mark.parametrize(
+    "kind, params, mode",
+    [
+        ("path", {"n": 2000}, "vertex"),
+        ("path", {"n": 1000}, "edge"),
+        ("random_prufer", {"n": 1000}, "edge"),
+        ("random_recursive", {"n": 1000}, "vertex"),
+        ("caterpillar", {"spine": 200, "legs": 4}, "edge"),
+    ],
+)
+def test_clipped_witness_peak_within_its_bound(monkeypatch, kind, params, mode):
+    """A witness query kept from a clipped run at K = k peaks, under
+    tracemalloc and from its class walk on, at no more than _clipped_bytes
+    of its stage keys at k, the bound its budget check reads."""
+    log = _route_log(monkeypatch)
+    tree = generate_tree(kind, params, seed=6)
+    tracemalloc.start()
+    try:
+        witness_subset(tree, tree.n // 2, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log and log[-1] is not None, log
+    keys = profile._subtree_classes(tree, tree.n, False)[1]
+    assert 0 < peak <= profile._clipped_bytes(keys, log[-1], len(profile._MODES[mode].into))
