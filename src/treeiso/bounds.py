@@ -5,12 +5,15 @@ f(v) = w(v) * ([v in S] - [parent(v) in S]), w the subtree weight and the
 root's parent outside S.  The labels sum to |S|, and each one off the root
 is 0 or a signed distinct subtree weight, so the number of subset sizes
 with a small minimum boundary is bounded by a binomial count, which in
-turn forces the edge peak upward.
+turn forces the edge peak upward.  flux_sums checks a batch of subsets
+in a few numpy calls, one 0/1 row each.
 """
 from __future__ import annotations
 
 import math
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .tree import RootedTree, WeightTable, postorder
 
@@ -18,19 +21,31 @@ if TYPE_CHECKING:
     from .profile import IsoProfile
 
 
+def _flux_label_rows(tree: RootedTree, rows, weights: WeightTable):
+    """The int64 flux labels of each row of an int8 (subsets x n) matrix."""
+    parent = np.array([v if p is None else p for v, p in enumerate(tree.parent)])
+    diff = rows - rows[:, parent]
+    diff[:, tree.root] = rows[:, tree.root]
+    return diff * np.array(weights.weight, np.int64)
+
+
+def flux_sums(tree: RootedTree, rows, weights: WeightTable):
+    """(label sums, |S|) of the rows of an int8 (subsets x n) 0/1 matrix."""
+    return _flux_label_rows(tree, rows, weights).sum(axis=1), rows.sum(axis=1)
+
+
 def flux_labels(tree: RootedTree, members, weights: WeightTable) -> list:
     """The flux label of every vertex: for v other than the root, the label
     of edge (v, parent v), 0 off the boundary of S and +-w(v) on it; at the
     root, w(root) = n when it is in S.  ValueError for an id outside 0..n-1."""
-    inside = tree.membership(members)
-    w = weights.weight
-    return [w[v] * (inside[v] - (p is not None and inside[p])) for v, p in enumerate(tree.parent)]
+    row = np.array([tree.membership(members)], np.int8)
+    return _flux_label_rows(tree, row, weights)[0].tolist()
 
 
 def check_flux_conservation(tree: RootedTree, members, weights: WeightTable) -> bool:
     """Whether the flux labels sum to |S|, each vertex counted once."""
-    subset = frozenset(members)
-    return sum(flux_labels(tree, subset, weights)) == len(subset)
+    row = np.array([tree.membership(frozenset(members))], np.int8)
+    return bool(np.equal(*flux_sums(tree, row, weights)))
 
 
 def cut_count_upper_bound(eta: int, k: int) -> int:

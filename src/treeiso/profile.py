@@ -50,7 +50,7 @@ ORACLE_MAX_VERTICES = 24
 _ORACLE_CHUNK = 1 << 16
 # Most cells, summed over every flag row of every kept stage, that one dense
 # witness DP may hold: 2**26 int32 cells are 256 MiB, which also bounds the
-# bytes of a clipped witness run.  Both are checked from the stage keys
+# bytes of a clipped witness run.  Both are checked from the stage sizes
 # before any table exists (see _witness_cells and _clipped_bytes).  A path
 # with n = 2000 queried at i = n/2 keeps about 3 million vertex-mode cells;
 # one with n = 50,000 would keep about 1.9 billion, and its clipped runs
@@ -179,9 +179,8 @@ def _short_runs(into: list, child_short: bool) -> tuple:
 
 _MODES = {"edge": _mode(2, _E_IN, _EDGE_TRANS), "vertex": _mode(3, _V_IN, _VERTEX_TRANS)}
 
-# (tree, its class-order stage keys) while compute_profile runs on it, so
-# that its edge and vertex DPs share one class computation and edge_profile
-# and vertex_profile keep their signatures; only compute_profile sets it.
+# (tree, _subtree_classes of it) while compute_profile runs, so that its
+# edge and vertex DPs share one class walk and keep their signatures.
 _shared_classes = contextvars.ContextVar("_shared_classes", default=None)
 
 
@@ -213,17 +212,8 @@ class IsoProfile:
         vertex_values = tuple(vertex_values)
         if len(edge_values) != len(vertex_values) or not edge_values:
             raise ValueError("profiles must be nonempty and of equal length")
-        ep, ea = peaks(edge_values)
-        vp, va = peaks(vertex_values)
-        return cls(
-            n=len(edge_values),
-            edge_values=edge_values,
-            vertex_values=vertex_values,
-            edge_peak=ep,
-            vertex_peak=vp,
-            edge_argpeak=ea,
-            vertex_argpeak=va,
-        )
+        (ep, ea), (vp, va) = peaks(edge_values), peaks(vertex_values)
+        return cls(len(edge_values), edge_values, vertex_values, ep, vp, ea, va)
 
     def to_dict(self) -> dict:
         return {
@@ -297,10 +287,7 @@ def brute_force_profiles(tree: RootedTree, limit: int = DEFAULT_ORACLE_LIMIT):
         sizes = slice(h.bit_count(), h.bit_count() + low_bits + 1)
         np.minimum(edge_best[sizes], np.minimum.reduceat(cut, starts), out=edge_best[sizes])
         np.minimum(vert_best[sizes], np.minimum.reduceat(touched, starts), out=vert_best[sizes])
-    return (
-        [int(x) for x in edge_best[1:]],
-        [int(x) for x in vert_best[1:]],
-    )
+    return edge_best[1:].tolist(), vert_best[1:].tolist()
 
 
 def _or_table(masks):
@@ -348,28 +335,26 @@ def _profile(tree: RootedTree, mode: str, size_cap: int):
     """The first clipped run of _clip_ks that covers every size, else the dense DP."""
     shared = _shared_classes.get()
     last, keys = shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap, True)
-    rules, n = _MODES[mode], tree.n
-    for k in _clip_ks(mode, last, keys, n):
-        covered, values = _clipped_profile(rules, keys, n, k)
+    rules, n, size = _MODES[mode], tree.n, _stage_sizes(keys)
+    for k in _clip_ks(mode, last, size, n):
+        covered, values = _clipped_profile(rules, keys, size, n, k)
         if covered:
             return values
-    for _, root in _stages(*_dense(rules), keys, n, 1, n):
+    for _, root in _stages(*_dense(rules), keys, size, n, 1, n):
         pass
-    return [int(x) for x in np.min(root, axis=0)]
+    return np.min(root, axis=0).tolist()
 
 
-def _clip_ks(mode: str, last, keys, n: int):
-    """The K of each clipped run that a profile or witness DP over the stage
-    keys may make, in order: K0, K0 + 1, ... <= _CLIP_K_MAX when n <=
-    _CLIP_STAGE_RATIO * stages, else none.  K0 is one above
-    edge_peak_lower_bound(n, eta) in edge mode and 1 in vertex mode.  eta,
-    the number of distinct subtree sizes, is read off the last stage ids: a
-    vertex's last stage is over its subtree."""
-    if n > _CLIP_STAGE_RATIO * len(keys):
+def _clip_ks(mode: str, last, size, n: int):
+    """The K of each clipped run a profile or witness DP over stages of these
+    sizes may make, in order: K0, K0 + 1, ... <= _CLIP_K_MAX when n <=
+    _CLIP_STAGE_RATIO * stages, else none.  K0 is 1 in vertex mode and one
+    above edge_peak_lower_bound(n, eta) in edge mode, eta the number of
+    distinct sizes of the last stages, each over a vertex's subtree."""
+    if n > _CLIP_STAGE_RATIO * len(size):
         return range(0)
     if mode == "vertex":
         return range(1, _CLIP_K_MAX + 1)
-    size = _stage_sizes(keys)
     # A byte per subtree size, not a set of them: this runs before the
     # witness budget check, on trees that check may refuse.
     held = bytearray(n + 1)
@@ -378,10 +363,10 @@ def _clip_ks(mode: str, last, keys, n: int):
     return range(1 + edge_peak_lower_bound(n, held.count(1)), _CLIP_K_MAX + 1)
 
 
-def _clipped_profile(rules: _Mode, keys, n: int, k: int):
+def _clipped_profile(rules: _Mode, keys, size, n: int, k: int):
     """One clipped run at K = k: (whether it covers all sizes 0..n, the value
     of each size 1..n: the number of the k + 1 level unions that miss it)."""
-    for _, root in _stages(*_clipped(rules, k), keys, n, 0, n):
+    for _, root in _stages(*_clipped(rules, k), keys, size, n, 0, n):
         pass
     levels = _level_unions(root, k)
     raw = np.frombuffer(b"".join(u.to_bytes(n // 8 + 1, "little") for u in levels), dtype=np.uint8)
@@ -755,24 +740,17 @@ def _stage_sizes(keys) -> list:
     return size
 
 
-def _schedule(keys, n: int, i_min: int, i_max: int):
-    """Every DP stage over the stage keys of _subtree_classes, in DP order,
-    for subsets of i_min .. i_max of the n vertices: yields (stage id, key,
-    lo, width), with (lo, width) the _window of the stage's vertex count."""
-    for k, (key, s) in enumerate(zip(keys, _stage_sizes(keys))):
-        yield (k, key) + _window(s, n, i_min, i_max)
-
-
-def _stages(base, merge, keys, n: int, i_min: int, i_max: int):
-    """The DP over the stages of _schedule in the table algebra of _dense
-    or _clipped: yields (lo, table) for each stage, in order, base(lo,
+def _stages(base, merge, keys, size, n: int, i_min: int, i_max: int):
+    """The DP over the stage keys, in order, in the table algebra of _dense
+    or _clipped, for subsets of i_min .. i_max of the n vertices: yields
+    (lo, table) per stage, (lo, width) the _window of its size, base(lo,
     width) for the vertex alone and merge(cur, child, skip, width) for a
     (prefix, child) stage.  A stage is kept until every stage that merges
-    it, as prefix or as child, has done so; only the root's last stage is
-    merged by none."""
+    it has done so; only the root's last stage is merged by none."""
     uses = Counter(x for key in keys for x in key)
     final = [None] * len(keys)
-    for k, key, lo, width in _schedule(keys, n, i_min, i_max):
+    for k, key in enumerate(keys):
+        lo, width = _window(size[k], n, i_min, i_max)
         if key:
             (cur_lo, cur), (child_lo, child) = final[key[0]], final[key[1]]
             stage = lo, merge(cur, child, lo - cur_lo - child_lo, width)
@@ -842,22 +820,22 @@ def _sumset(a: int, b: int) -> int:
     return out
 
 
-def _witness_cells(keys, n: int, i_min: int, i_max: int, nflags: int) -> int:
+def _witness_cells(size, n: int, i_min: int, i_max: int, nflags: int) -> int:
     """Cells the dense stages of _witness_stages hold, over all flag rows,
-    from the stage keys alone: the widths of _schedule's stages."""
-    return nflags * sum(width for *_, width in _schedule(keys, n, i_min, i_max))
+    from the stage sizes alone: the widths of their _windows."""
+    return nflags * sum(_window(s, n, i_min, i_max)[1] for s in size)
 
 
-def _clipped_bytes(keys, k: int, nflags: int) -> int:
+def _clipped_bytes(size, k: int, nflags: int) -> int:
     """Bytes the stages of one clipped run at K = k may hold, from the stage
-    keys alone: k + 1 bits for each of the s + 1 cells of a stage over s
+    sizes alone: k + 1 bits for each of the s + 1 cells of a stage over s
     vertices under each flag, as Python-int digits, plus per level a
     (c, bits, j) tuple, the headers of its two ints, its share of its row's
     list and a digit of rounding; a flag row holds at most k + 1 levels."""
     digit = sys.int_info.bits_per_digit
     level = sys.getsizeof([None]) + sys.getsizeof((0, 0, 0)) + 2 * sys.getsizeof(1 << digit)
-    cells = sum(_stage_sizes(keys)) + len(keys)
-    return nflags * (k + 1) * (cells * sys.int_info.sizeof_digit // digit + len(keys) * level)
+    cells = sum(size) + len(size)
+    return nflags * (k + 1) * (cells * sys.int_info.sizeof_digit // digit + len(size) * level)
 
 
 def _witness_stages(tree: RootedTree, mode: str, size_cap: int, sizes: list):
@@ -871,24 +849,25 @@ def _witness_stages(tree: RootedTree, mode: str, size_cap: int, sizes: list):
     rules, n = _MODES[mode], tree.n
     nflags = len(rules.into)
     cls, keys = _subtree_classes(tree, size_cap, False)
-    for k in _clip_ks(mode, cls, keys, n):
-        if _clipped_bytes(keys, k, nflags) > WITNESS_MAX_CELLS * rules.base.itemsize:
+    size = _stage_sizes(keys)
+    for k in _clip_ks(mode, cls, size, n):
+        if _clipped_bytes(size, k, nflags) > WITNESS_MAX_CELLS * rules.base.itemsize:
             break
-        stages = _clipped_stages(rules, keys, n, k, cls[tree.root], sizes)
+        stages = _clipped_stages(rules, keys, size, n, k, cls[tree.root], sizes)
         if stages:
             return cls, keys, stages, (_clipped_cell, _clipped_split)
-    cells = _witness_cells(keys, n, sizes[0], sizes[-1], nflags)
+    cells = _witness_cells(size, n, sizes[0], sizes[-1], nflags)
     if cells > WITNESS_MAX_CELLS:
         raise SizeCapError(
             f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
         )
-    stages = list(_stages(*_dense(rules), keys, n, sizes[0], sizes[-1]))
+    stages = list(_stages(*_dense(rules), keys, size, n, sizes[0], sizes[-1]))
     return cls, keys, stages, (_dense_cell, _dense_split)
 
 
-def _clipped_stages(rules: _Mode, keys, n: int, k: int, root: int, sizes: list):
+def _clipped_stages(rules: _Mode, keys, size, n: int, k: int, root: int, sizes: list):
     """Every stage of one clipped run at K = k if stage root holds each of
     the sizes, else None."""
-    stages = list(_stages(*_clipped(rules, k), keys, n, 0, n))
+    stages = list(_stages(*_clipped(rules, k), keys, size, n, 0, n))
     held = _level_unions(stages[root][1], k)[-1]
     return stages if all(held >> i & 1 for i in sizes) else None

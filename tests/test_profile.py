@@ -700,7 +700,7 @@ def _clipped_live_peak(tree, mode, k):
         return live.track(stage, made[-1])
 
     keys = profile._subtree_classes(tree, tree.n, True)[1]
-    for _ in profile._stages(base, tracked, keys, tree.n, 0, tree.n):
+    for _ in profile._stages(base, tracked, keys, profile._stage_sizes(keys), tree.n, 0, tree.n):
         pass
     assert len(made) == len(keys)
     return live.peak, _last_use_peak(keys, made)
@@ -949,7 +949,8 @@ def _dense_witness_stages(tree, mode, i_min, i_max):
 def _full_root_table(tree, mode):
     """The root table over every cell 0..n: the last stage of _stages(..., 0, n)."""
     keys = profile._subtree_classes(tree, profile.DEFAULT_DP_CAP, True)[1]
-    for _, table in profile._stages(*profile._dense(profile._MODES[mode]), keys, tree.n, 0, tree.n):
+    dense = profile._dense(profile._MODES[mode])
+    for _, table in profile._stages(*dense, keys, profile._stage_sizes(keys), tree.n, 0, tree.n):
         pass
     return table
 
@@ -1029,26 +1030,25 @@ def test_last_stage_is_the_subtree_class():
 
 
 def test_witness_cells_predicts_the_kept_stages():
-    """_schedule, from stage keys alone, gives the (lo, width) of every stage
-    the dense witness DP keeps, stage by stage and in order, and _witness_cells
-    their total cells, for single sizes and size ranges."""
+    """The _window of each stage size, from the stage keys alone, gives the
+    (lo, width) of every stage the dense witness DP keeps, stage by stage
+    and in order, and _witness_cells their total cells, for single sizes
+    and size ranges."""
     cap = profile.DEFAULT_DP_CAP
     for label, tree in structured_trees(10) + random_trees(20, 40, seed0=3):
         n = tree.n
         keys = profile._subtree_classes(tree, cap, False)[1]
+        size = profile._stage_sizes(keys)
         for mode in ("edge", "vertex"):
             rules = profile._MODES[mode]
             nflags = rules.base.shape[0]
             for i_min, i_max in {(1, n), (1, 1), (n, n), (n // 2 + 1, n // 2 + 1),
                                  (n // 3 + 1, 2 * n // 3 + 1)}:
                 stages = _dense_witness_stages(tree, mode, i_min, i_max)[1]
-                planned = []
-                for k, key, lo, width in profile._schedule(keys, n, i_min, i_max):
-                    assert (k, key) == (len(planned), keys[k]), label
-                    planned.append((lo, width))
+                planned = [profile._window(s, n, i_min, i_max) for s in size]
                 assert planned == [(lo, tab.shape[1]) for lo, tab in stages], label
                 kept = sum(tab.size for _, tab in stages)
-                assert profile._witness_cells(keys, n, i_min, i_max, nflags) == kept, label
+                assert profile._witness_cells(size, n, i_min, i_max, nflags) == kept, label
 
 
 def test_witness_refuses_over_budget_before_building_tables():
@@ -1068,7 +1068,7 @@ def test_witness_refuses_over_budget_before_building_tables():
         assert peak < 10 << 20, mode
     small = generate_tree("path", {"n": 2000})
     keys = profile._subtree_classes(small, small.n, False)[1]
-    cells = profile._witness_cells(keys, 2000, 1000, 1000, 3)
+    cells = profile._witness_cells(profile._stage_sizes(keys), 2000, 1000, 1000, 3)
     assert cells <= profile.WITNESS_MAX_CELLS
 
 
@@ -1087,10 +1087,11 @@ def test_clipped_run_is_exact_up_to_k():
         if tuple(keys) in seen:
             continue
         seen.add(tuple(keys))
+        size = profile._stage_sizes(keys)
         for mode in ("edge", "vertex"):
             dense = np.min(_full_root_table(tree, mode), axis=0)[1:].tolist()
             for k in range(max(dense) + 1):
-                covered, clipped = profile._clipped_profile(profile._MODES[mode], keys, n, k)
+                covered, clipped = profile._clipped_profile(profile._MODES[mode], keys, size, n, k)
                 assert clipped == [v if v <= k else k + 1 for v in dense], (label, mode, k)
                 assert covered == (k == max(dense)), (label, mode, k)
 
@@ -1202,9 +1203,10 @@ def test_clipped_witness_budget_admits_what_the_dense_one_refuses():
     clipped run, at K = 1, fits in the same 256 MiB."""
     tree = generate_tree("path", {"n": 9600})
     cls, keys = profile._subtree_classes(tree, tree.n, False)
-    assert profile._clip_ks("vertex", cls, keys, tree.n)[0] == 1
-    assert profile._witness_cells(keys, tree.n, 4800, 4800, 3) > profile.WITNESS_MAX_CELLS
-    assert profile._clipped_bytes(keys, 1, 3) <= profile.WITNESS_MAX_CELLS * 4
+    size = profile._stage_sizes(keys)
+    assert profile._clip_ks("vertex", cls, size, tree.n)[0] == 1
+    assert profile._witness_cells(size, tree.n, 4800, 4800, 3) > profile.WITNESS_MAX_CELLS
+    assert profile._clipped_bytes(size, 1, 3) <= profile.WITNESS_MAX_CELLS * 4
 
 
 @pytest.mark.parametrize(
@@ -1230,5 +1232,5 @@ def test_clipped_witness_peak_within_its_bound(monkeypatch, kind, params, mode):
     finally:
         tracemalloc.stop()
     assert log and log[-1] is not None, log
-    keys = profile._subtree_classes(tree, tree.n, False)[1]
-    assert 0 < peak <= profile._clipped_bytes(keys, log[-1], len(profile._MODES[mode].into))
+    size = profile._stage_sizes(profile._subtree_classes(tree, tree.n, False)[1])
+    assert 0 < peak <= profile._clipped_bytes(size, log[-1], len(profile._MODES[mode].into))

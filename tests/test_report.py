@@ -5,6 +5,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from treeiso import (
@@ -18,6 +19,7 @@ from treeiso import (
     subtree_weights,
     verify_suite,
 )
+from treeiso.bounds import flux_sums
 from treeiso.report import TreeEntry, _cut_count_table, analyze_tree, _render, sweep_rows
 from helpers import random_trees, structured_trees
 
@@ -104,35 +106,41 @@ def test_flux_failure_detail_names_size_and_sum(monkeypatch):
     """A failed flux check names each failing subset by |S| and its label sum."""
     import treeiso.report as report_mod
 
-    monkeypatch.setattr(
-        report_mod, "check_flux_conservation", lambda tree, s, w: len(s) < tree.n
-    )
+    def full_set_off_by_one(tree, rows, w):
+        sums, sizes = flux_sums(tree, rows, w)
+        return sums + (sizes == tree.n), sizes
+
+    monkeypatch.setattr(report_mod, "flux_sums", full_set_off_by_one)
     report = analyze_tree(bin3(), {"label": "bin3"})
     verdict = next(v for v in report.verdicts if v.name.startswith("flux_conservation"))
     assert not verdict.passed
-    assert verdict.details == "32 subsets checked, failures: ['|S|=7 sum=7']"
+    assert verdict.details == "32 subsets checked, failures: ['|S|=7 sum=8']"
 
 
 def test_flux_subsets_are_the_bits_of_each_draw(monkeypatch):
-    """The flux check gets the empty set, the full set, then one subset per
-    getrandbits(n) draw of the report's seed: vertex v is in it exactly
-    when bit v of the draw is set."""
+    """The batched flux check gets one int8 membership row per subset: the
+    empty set, the full set, then one subset per getrandbits(n) draw of the
+    report's seed, vertex v in it exactly when bit v of the draw is set."""
     import treeiso.report as report_mod
 
     seen = []
     monkeypatch.setattr(
-        report_mod, "check_flux_conservation", lambda tree, s, w: seen.append(s) or True
+        report_mod, "flux_sums", lambda tree, rows, w: seen.append(rows) or flux_sums(tree, rows, w)
     )
-    for tree in (bin3(), generate_tree("random_prufer", {"n": 300}, seed=4)):
+    trees = (bin3(), generate_tree("path", {"n": 1}), generate_tree("random_prufer", {"n": 300}, seed=4))
+    for tree in trees:
         seen.clear()
-        analyze_tree(tree, oracle_limit=0, suite_seed=9, flux_counter=2)
+        report = analyze_tree(tree, oracle_limit=0, suite_seed=9, flux_counter=2)
         rng = random.Random(9 * 1_000_003 + 2)
         n = tree.n
         draws = [rng.getrandbits(n) for _ in range(report_mod.FLUX_SUBSETS - 2)]
         expected = [frozenset(), frozenset(range(n))] + [
             frozenset(v for v in range(n) if (bits >> v) & 1) for bits in draws
         ]
-        assert seen == expected
+        [rows] = seen
+        assert rows.dtype == np.int8 and rows.shape == (report_mod.FLUX_SUBSETS, n)
+        assert [frozenset(np.flatnonzero(row).tolist()) for row in rows] == expected
+        assert report.passed
 
 
 def test_verify_suite_passes_and_exit_status():
