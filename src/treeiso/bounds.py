@@ -5,8 +5,10 @@ f(v) = w(v) * ([v in S] - [parent(v) in S]), w the subtree weight and the
 root's parent outside S.  The labels sum to |S|, and each one off the root
 is 0 or a signed distinct subtree weight, so the number of subset sizes
 with a small minimum boundary is bounded by a binomial count, which in
-turn forces the edge peak upward.  flux_sums checks a batch of subsets
-in a few numpy calls, one 0/1 row each.
+turn forces the edge peak upward.  The label sum equals
+sum over v in S of (w(v) - sum of w over v's children), so the rule holds
+for every S exactly when w(v) = 1 + sum of w over v's children at every
+vertex; flux_identity_failures checks that identity once.
 """
 from __future__ import annotations
 
@@ -29,9 +31,15 @@ def _flux_label_rows(tree: RootedTree, rows, weights: WeightTable):
     return diff * np.array(weights.weight, np.int64)
 
 
-def flux_sums(tree: RootedTree, rows, weights: WeightTable):
-    """(label sums, |S|) of the rows of an int8 (subsets x n) 0/1 matrix."""
-    return _flux_label_rows(tree, rows, weights).sum(axis=1), rows.sum(axis=1)
+def flux_identity_failures(tree: RootedTree, weights: WeightTable) -> list:
+    """The vertices v, ascending, where w(v) != 1 + the sum of w over v's
+    children: empty exactly when the flux labels sum to |S| for every S."""
+    n = tree.n
+    w = np.array(weights.weight, np.int64)
+    # The root's weight goes to a sink slot n, past every vertex.
+    child_sums = np.zeros(n + 1, np.int64)
+    np.add.at(child_sums, [n if p is None else p for p in tree.parent], w)
+    return np.flatnonzero(w != 1 + child_sums[:n]).tolist()
 
 
 def flux_labels(tree: RootedTree, members, weights: WeightTable) -> list:
@@ -44,8 +52,8 @@ def flux_labels(tree: RootedTree, members, weights: WeightTable) -> list:
 
 def check_flux_conservation(tree: RootedTree, members, weights: WeightTable) -> bool:
     """Whether the flux labels sum to |S|, each vertex counted once."""
-    row = np.array([tree.membership(frozenset(members))], np.int8)
-    return bool(np.equal(*flux_sums(tree, row, weights)))
+    row = np.array([tree.membership(members)], np.int8)
+    return int(_flux_label_rows(tree, row, weights).sum()) == int(row.sum())
 
 
 def cut_count_upper_bound(eta: int, k: int) -> int:

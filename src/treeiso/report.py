@@ -6,23 +6,22 @@ import io
 import itertools
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
 
-import numpy as np
-
 from .bounds import (
     analytic_peak_lower_bounds,
-    # Not called here since _cut_count_table counts and bounds in one pass
-    # and flux_sums checks all flux subsets at once; kept as names of this
-    # module, which bench/spans.py wraps for its timing spans.
+    # check_flux_conservation, count_sizes_with_cut_at_most and
+    # cut_count_upper_bound are not called here, since
+    # flux_identity_failures checks every subset at once and
+    # _cut_count_table counts and bounds in one pass; they stay names of
+    # this module because bench/spans.py wraps them for its timing spans.
     check_flux_conservation,
     count_sizes_with_cut_at_most,
     cut_count_upper_bound,
     edge_peak_lower_bound,
-    flux_sums,
+    flux_identity_failures,
     prefix_upper_bounds,
     sandwich_check,
 )
@@ -37,9 +36,6 @@ from .profile import (
 from .tree import GenerationError, RootedTree, generate_tree, subtree_weights
 
 FORMATS = ("csv", "json")
-# Subsets per tree in the batched flux check: the empty set, the full set,
-# then getrandbits(n) draws.
-FLUX_SUBSETS = 32
 FLOAT_TOL = 1e-9
 
 # Most digits a cut-count bound may have.  Fixed, not the interpreter's
@@ -70,7 +66,6 @@ class BoundsReport:
     profile: dict
     bounds: dict
     derived: dict
-    flux: dict
     verdicts: list
     findings: list
 
@@ -84,7 +79,6 @@ class BoundsReport:
             "profile": self.profile,
             "bounds": self.bounds,
             "derived": self.derived,
-            "flux": self.flux,
             "verdicts": [v.to_dict() for v in self.verdicts],
             "findings": [v.to_dict() for v in self.findings],
             "pass": self.passed,
@@ -102,7 +96,6 @@ class TreeEntry:
 
 @dataclass
 class SuiteResult:
-    seed: int
     options: dict
     reports: list
     errors: list
@@ -110,7 +103,6 @@ class SuiteResult:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
             "options": self.options,
             "reports": [r.to_dict() for r in self.reports],
             "errors": self.errors,
@@ -121,14 +113,13 @@ class SuiteResult:
 def derived_parameter_bounds(profile: IsoProfile, delta: int) -> dict:
     """Lower bounds on layout/decomposition parameters implied by the profiles.
 
-    pathwidth and bandwidth are bounded by the vertex peak, cutwidth by the
-    edge peak, wirelength by the profile sum, and thinness by the vertex
-    peak over the maximum degree.
+    pathwidth is bounded by the vertex peak (bandwidth by the same value,
+    so it is not repeated), cutwidth by the edge peak, wirelength by the
+    profile sum, and thinness by the vertex peak over the maximum degree.
     """
     thinness = -(-profile.vertex_peak // delta) if delta > 0 else 0
     return {
         "pathwidth_lb": profile.vertex_peak,
-        "bandwidth_lb": profile.vertex_peak,
         "cutwidth_lb": profile.edge_peak,
         "wirelength_lb": sum(profile.edge_values),
         "thinness_lb": thinness,
@@ -175,8 +166,6 @@ def analyze_tree(
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     k_max: int = None,
     dp_cap: int = DEFAULT_DP_CAP,
-    suite_seed: int = 0,
-    flux_counter: int = 0,
 ) -> BoundsReport:
     """Run every check on one tree and assemble its report.
 
@@ -207,21 +196,13 @@ def analyze_tree(
         )
         verdicts.append(Verdict("oracle: dp profiles equal exhaustive enumeration", ok, detail))
 
-    rng = random.Random(suite_seed * 1_000_003 + flux_counter)
-    subsets = np.zeros((FLUX_SUBSETS, n), np.int8)
-    subsets[1] = 1
-    for row in subsets[2:]:
-        # Vertex v is in the subset when bit v of the draw is set.
-        draw = rng.getrandbits(n).to_bytes((n + 7) // 8, "little")
-        row[:] = np.unpackbits(np.frombuffer(draw, np.uint8), bitorder="little")[:n]
-    sums, sizes = flux_sums(tree, subsets, weights)
-    flux_failures = [f"|S|={k} sum={t}" for t, k in zip(sums.tolist(), sizes.tolist()) if t != k]
+    flux_failures = flux_identity_failures(tree, weights)
     verdicts.append(
         Verdict(
             "flux_conservation: f(root) + sum_e f(e) == |S|",
             not flux_failures,
-            f"{len(subsets)} subsets checked"
-            + (f", failures: {flux_failures[:3]}" if flux_failures else ""),
+            f"w(v) != 1 + sum_c w(c) at vertices {flux_failures[:3]}" if flux_failures
+            else f"w(v) == 1 + sum_c w(c) at all {n} vertices, so for every S",
         )
     )
 
@@ -319,9 +300,6 @@ def analyze_tree(
             "vertex_argpeak": profile.vertex_argpeak,
         },
         bounds={
-            "eta": weights.eta,
-            "depth": weights.depth,
-            "delta": delta,
             "p": p,
             "theorem1": table,
             "prefix_edge_max": max(edge_ub),
@@ -330,7 +308,6 @@ def analyze_tree(
             "sandwich_pass": sandwich_ok,
         },
         derived=derived_parameter_bounds(profile, delta),
-        flux={"suite_seed": suite_seed, "counter": flux_counter, "subsets": len(subsets)},
         verdicts=verdicts,
         findings=findings,
     )
@@ -342,19 +319,18 @@ def verify_suite(
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     k_max: int = None,
     dp_cap: int = DEFAULT_DP_CAP,
-    seed: int = 0,
 ) -> SuiteResult:
     """Run every check on a list of trees; items are RootedTree or TreeEntry.
 
     Exit status 2 when any input failed to load or exceeded a cap, else 1
-    when any mandatory verdict failed, else 0.  Identical inputs and seed
-    give byte-identical serialized results.
+    when any mandatory verdict failed, else 0.  Identical inputs give
+    byte-identical serialized results.
     """
     reports = []
     errors = []
-    for counter, item in enumerate(items):
+    for index, item in enumerate(items):
         if isinstance(item, RootedTree):
-            item = TreeEntry(source={"index": counter}, tree=item)
+            item = TreeEntry(source={"index": index}, tree=item)
         if item.error is not None:
             errors.append({"source": item.source, "error": item.error})
             continue
@@ -366,8 +342,6 @@ def verify_suite(
                     oracle_limit=oracle_limit,
                     k_max=k_max,
                     dp_cap=dp_cap,
-                    suite_seed=seed,
-                    flux_counter=counter,
                 )
             )
         except SizeCapError as exc:
@@ -379,13 +353,7 @@ def verify_suite(
     else:
         status = 0
     return SuiteResult(
-        seed=seed,
-        options={
-            "oracle_limit": oracle_limit,
-            "k_max": k_max,
-            "dp_cap": dp_cap,
-            "flux_subsets": FLUX_SUBSETS,
-        },
+        options={"oracle_limit": oracle_limit, "k_max": k_max, "dp_cap": dp_cap},
         reports=reports,
         errors=errors,
         exit_status=status,

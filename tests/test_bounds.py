@@ -26,7 +26,7 @@ from treeiso import (
     vertex_boundary_size,
     vertex_profile,
 )
-from treeiso.bounds import _flux_label_rows, flux_sums
+from treeiso.bounds import _flux_label_rows, flux_identity_failures
 from treeiso.profile import IsoProfile
 from helpers import random_trees, reroot, structured_trees
 
@@ -117,7 +117,7 @@ def test_flux_rejects_weight_off_by_one_at_any_vertex():
 
 def test_flux_batch_matches_per_vertex_loop():
     """The batched rule gives, row by row, the labels of a per-vertex loop
-    over the definition, their sums and |S|, on random trees rerooted away
+    over the definition, and they sum to |S|, on random trees rerooted away
     from vertex 0 too, for the empty row, the full row and random rows."""
     rng = random.Random(7)
     for label, tree in random_trees(40, 30, seed0=5):
@@ -131,27 +131,49 @@ def test_flux_batch_matches_per_vertex_loop():
             ]
             matrix = np.array(rows, np.int8)
             assert _flux_label_rows(t, matrix, w).tolist() == expected, (label, root)
-            sums, sizes = flux_sums(t, matrix, w)
-            assert sums.tolist() == [sum(e) for e in expected], (label, root)
-            assert sizes.tolist() == [sum(row) for row in rows], (label, root)
+            assert [sum(e) for e in expected] == [sum(row) for row in rows], (label, root)
+            assert flux_identity_failures(t, w) == [], (label, root)
 
 
-def test_flux_batch_of_32_rows_on_50000_vertices_peaks_under_20_mib():
-    """The batched rule keeps int8 membership and difference rows and one
-    int64 label matrix: on a path with n = 50,000 and 32 rows it peaks
-    under 20 MiB, and every row conserves."""
+def test_flux_identity_failures_are_the_singletons_that_fail():
+    """A vertex fails the identity exactly when S = {v} fails the flux rule,
+    for weight tables wrong at several vertices at once, and the identity
+    holds exactly when every subset conserves."""
+    rng = random.Random(11)
+    for label, tree in random_trees(40, 8, seed0=19):
+        w = subtree_weights(tree)
+        weight = list(w.weight)
+        for v in rng.sample(range(tree.n), rng.randint(0, min(3, tree.n))):
+            weight[v] += rng.choice((-2, -1, 1, 2))
+        bad = dataclasses.replace(w, weight=tuple(weight))
+        failures = flux_identity_failures(tree, bad)
+        singletons = [v for v in range(tree.n) if not check_flux_conservation(tree, {v}, bad)]
+        assert failures == singletons, label
+        subsets = (
+            [v for v in range(tree.n) if (mask >> v) & 1] for mask in range(1 << tree.n)
+        )
+        assert all(check_flux_conservation(tree, s, bad) for s in subsets) == (not failures), label
+
+
+def test_flux_identity_on_50000_vertices_peaks_under_4_mib():
+    """The exact check keeps one int64 weight vector, one int64 child-sum
+    vector and the parent list: on a path with n = 50,000 it peaks under
+    4 MiB, finds no failure on the true weights, and finds the two vertices
+    a weight off by one at the middle breaks."""
     tree = generate_tree("path", {"n": 50_000})
     w = subtree_weights(tree)
-    rows = np.random.default_rng(3).integers(0, 2, size=(32, tree.n), dtype=np.int8)
-    rows[0], rows[1] = 0, 1
     tracemalloc.start()
     try:
-        sums, sizes = flux_sums(tree, rows, w)
+        failures = flux_identity_failures(tree, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 << 20, peak
-    assert sums.tolist() == sizes.tolist() and sizes[1] == tree.n
+    assert peak < 4 << 20, peak
+    assert failures == []
+    weight = list(w.weight)
+    weight[25_000] += 1
+    bad = dataclasses.replace(w, weight=tuple(weight))
+    assert flux_identity_failures(tree, bad) == [24_999, 25_000]
 
 
 def test_flux_out_of_range_vertex():

@@ -118,6 +118,22 @@ def test_verify_deterministic_output(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_seed_changes_no_verify_output_and_bounds_has_no_seed(tmp_path, capsys):
+    """verify accepts --seed, but no output depends on it; bounds has no
+    --seed, so it is a usage error (exit 2)."""
+    args = ["verify", "--gen", "random_prufer:n=30,seed=3", "--gen", "star:n=8"]
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + ["--seed", "1", "--out", str(out_a)]) == 0
+    assert main(args + ["--seed", "2", "--out", str(out_b)]) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+    tree_path = tmp_path / "t.json"
+    assert main(["generate", "path", "-p", "n=4", "--out", str(tree_path)]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bounds", str(tree_path), "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_verify_csv_labels_generated_trees_by_spec(tmp_path):
     """Each --gen row of the suite CSV is labelled with the spec that
     regenerates its tree, so trees of one kind stay apart; file paths and

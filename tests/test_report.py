@@ -1,11 +1,10 @@
 """Derived parameter bounds, per-tree reports, the suite, and emission."""
+import dataclasses
 import functools
 import json
-import random
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from treeiso import (
@@ -19,7 +18,6 @@ from treeiso import (
     subtree_weights,
     verify_suite,
 )
-from treeiso.bounds import flux_sums
 from treeiso.report import TreeEntry, _cut_count_table, analyze_tree, _render, sweep_rows
 from helpers import random_trees, structured_trees
 
@@ -33,7 +31,6 @@ def test_derived_bounds_binary_depth3():
     bounds = derived_parameter_bounds(compute_profile(tree), tree.max_degree())
     assert bounds == {
         "pathwidth_lb": 1,
-        "bandwidth_lb": 1,
         "cutwidth_lb": 2,
         "wirelength_lb": 8,
         "thinness_lb": 1,
@@ -68,9 +65,9 @@ def test_analyze_tree_binary_depth3():
     report = analyze_tree(bin3(), {"kind": "complete_tary", "params": {"t": 2, "d": 3}})
     assert report.passed
     assert report.tree["n"] == 7
-    assert report.bounds["eta"] == 3
-    assert report.bounds["depth"] == 3
-    assert report.bounds["delta"] == 3
+    assert report.tree["eta"] == 3
+    assert report.tree["depth"] == 3
+    assert report.tree["delta"] == 3
     assert report.bounds["p"] == 1
     assert report.bounds["sandwich_pass"] is True
     assert report.profile["edge_peak"] == 2
@@ -93,7 +90,7 @@ def test_report_self_consistency():
         b = report.bounds
         assert b["sandwich_pass"] == (
             report.profile["edge_peak"] >= report.profile["vertex_peak"]
-            and b["delta"] * report.profile["vertex_peak"] >= report.profile["edge_peak"]
+            and report.tree["delta"] * report.profile["vertex_peak"] >= report.profile["edge_peak"]
         ), label
         count_ok = all(row["ell"] <= int(row["bound"]) for row in b["theorem1"])
         verdict = next(v for v in report.verdicts if v.name.startswith("cut_count_bound"))
@@ -102,50 +99,40 @@ def test_report_self_consistency():
         assert p_verdict.passed == (b["p"] <= report.profile["edge_peak"]), label
 
 
-def test_flux_failure_detail_names_size_and_sum(monkeypatch):
-    """A failed flux check names each failing subset by |S| and its label sum."""
+def test_flux_verdict_names_vertex_where_weight_is_off_by_one(monkeypatch):
+    """A weight table off by one at any single vertex, the root included,
+    fails the flux verdict, which names that vertex; the true table passes."""
     import treeiso.report as report_mod
 
-    def full_set_off_by_one(tree, rows, w):
-        sums, sizes = flux_sums(tree, rows, w)
-        return sums + (sizes == tree.n), sizes
+    def flux_verdict(tree):
+        report = analyze_tree(tree, oracle_limit=0)
+        return next(x for x in report.verdicts if x.name.startswith("flux_conservation"))
 
-    monkeypatch.setattr(report_mod, "flux_sums", full_set_off_by_one)
-    report = analyze_tree(bin3(), {"label": "bin3"})
-    verdict = next(v for v in report.verdicts if v.name.startswith("flux_conservation"))
-    assert not verdict.passed
-    assert verdict.details == "32 subsets checked, failures: ['|S|=7 sum=8']"
+    real = report_mod.subtree_weights
+    for tree in (bin3(), generate_tree("random_prufer", {"n": 60}, seed=5)):
+        monkeypatch.undo()
+        verdict = flux_verdict(tree)
+        assert verdict.passed
+        assert verdict.details == f"w(v) == 1 + sum_c w(c) at all {tree.n} vertices, so for every S"
+        for v in range(tree.n):
+            for d in (1, -1):
+                def off_by_one(t, v=v, d=d):
+                    w = real(t)
+                    weight = list(w.weight)
+                    weight[v] += d
+                    return dataclasses.replace(w, weight=tuple(weight))
 
-
-def test_flux_subsets_are_the_bits_of_each_draw(monkeypatch):
-    """The batched flux check gets one int8 membership row per subset: the
-    empty set, the full set, then one subset per getrandbits(n) draw of the
-    report's seed, vertex v in it exactly when bit v of the draw is set."""
-    import treeiso.report as report_mod
-
-    seen = []
-    monkeypatch.setattr(
-        report_mod, "flux_sums", lambda tree, rows, w: seen.append(rows) or flux_sums(tree, rows, w)
-    )
-    trees = (bin3(), generate_tree("path", {"n": 1}), generate_tree("random_prufer", {"n": 300}, seed=4))
-    for tree in trees:
-        seen.clear()
-        report = analyze_tree(tree, oracle_limit=0, suite_seed=9, flux_counter=2)
-        rng = random.Random(9 * 1_000_003 + 2)
-        n = tree.n
-        draws = [rng.getrandbits(n) for _ in range(report_mod.FLUX_SUBSETS - 2)]
-        expected = [frozenset(), frozenset(range(n))] + [
-            frozenset(v for v in range(n) if (bits >> v) & 1) for bits in draws
-        ]
-        [rows] = seen
-        assert rows.dtype == np.int8 and rows.shape == (report_mod.FLUX_SUBSETS, n)
-        assert [frozenset(np.flatnonzero(row).tolist()) for row in rows] == expected
-        assert report.passed
+                monkeypatch.setattr(report_mod, "subtree_weights", off_by_one)
+                verdict = flux_verdict(tree)
+                # v and its parent break the identity; both are named.
+                bad = sorted({v} | ({tree.parent[v]} - {None}))
+                assert not verdict.passed, (tree.n, v, d)
+                assert verdict.details == f"w(v) != 1 + sum_c w(c) at vertices {bad}"
 
 
 def test_verify_suite_passes_and_exit_status():
     trees = [tree for _, tree in structured_trees(8)[:10]]
-    result = verify_suite(trees, seed=5)
+    result = verify_suite(trees)
     assert result.exit_status == 0
     assert len(result.reports) == len(trees)
     assert all(r.passed for r in result.reports)
@@ -204,7 +191,7 @@ def test_verify_suite_deterministic_bytes():
             )
             for i in range(6)
         ]
-        return verify_suite(entries, seed=99)
+        return verify_suite(entries)
 
     first = _render(build(), "json")
     second = _render(build(), "json")
@@ -401,9 +388,6 @@ def test_render_pins_csv_bytes():
         "profile.vertex_peak,1\n"
         "profile.edge_argpeak,2\n"
         "profile.vertex_argpeak,1\n"
-        "bounds.eta,3\n"
-        "bounds.depth,3\n"
-        "bounds.delta,3\n"
         "bounds.p,1\n"
         "bounds.theorem1.0.k,0\n"
     )
