@@ -23,11 +23,12 @@ if TYPE_CHECKING:
     from .profile import IsoProfile
 
 
-def _flux_label_rows(tree: RootedTree, rows, weights: WeightTable):
-    """The int64 flux labels of each row of an int8 (subsets x n) matrix."""
+def _flux_label_row(tree: RootedTree, row, weights: WeightTable):
+    """The int64 flux labels of one subset, given as an int8 row of n
+    membership flags."""
     parent = np.array([v if p is None else p for v, p in enumerate(tree.parent)])
-    diff = rows - rows[:, parent]
-    diff[:, tree.root] = rows[:, tree.root]
+    diff = row - row[parent]
+    diff[tree.root] = row[tree.root]
     return diff * np.array(weights.weight, np.int64)
 
 
@@ -46,14 +47,14 @@ def flux_labels(tree: RootedTree, members, weights: WeightTable) -> list:
     """The flux label of every vertex: for v other than the root, the label
     of edge (v, parent v), 0 off the boundary of S and +-w(v) on it; at the
     root, w(root) = n when it is in S.  ValueError for an id outside 0..n-1."""
-    row = np.array([tree.membership(members)], np.int8)
-    return _flux_label_rows(tree, row, weights)[0].tolist()
+    row = np.array(tree.membership(members), np.int8)
+    return _flux_label_row(tree, row, weights).tolist()
 
 
 def check_flux_conservation(tree: RootedTree, members, weights: WeightTable) -> bool:
     """Whether the flux labels sum to |S|, each vertex counted once."""
-    row = np.array([tree.membership(members)], np.int8)
-    return int(_flux_label_rows(tree, row, weights).sum()) == int(row.sum())
+    row = np.array(tree.membership(members), np.int8)
+    return int(_flux_label_row(tree, row, weights).sum()) == int(row.sum())
 
 
 def cut_count_upper_bound(eta: int, k: int) -> int:

@@ -23,7 +23,9 @@ sets of values up to a bound K as Python-int bitsets.  No merge cost is
 negative, so a clipped run gives the exact value of every size whose value
 is at most K and leaves the others out: a run whose root covers every size
 it is asked for certifies itself.  Profiles and witnesses take one route,
-the K runs of _clip_ks, then the dense DP.
+the K runs of _clip_ks, then the dense DP.  A clipped run is full width,
+whatever sizes it was made for, so the last witness tree keeps its clipped
+run of each mode for the next query on it.
 """
 from __future__ import annotations
 
@@ -405,7 +407,8 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
     DP takes the profiles' route: clipped runs at growing K, kept when the
     root holds size i, else the dense tables cut to the cells a size-i
     subset can reach.  It raises SizeCapError before building any table
-    when those dense cells would exceed WITNESS_MAX_CELLS.
+    when those dense cells would exceed WITNESS_MAX_CELLS.  A later call on
+    the same tree object reuses its clipped runs (see witness_subsets).
     """
     return witness_subsets(tree, [i], mode, size_cap)[i]
 
@@ -416,6 +419,12 @@ def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_
     A clipped run is kept when its root holds every size; dense stages keep
     the cells any of the sizes can reach (see _witness_stages).  Either way
     the sets and their tie order are those of witness_subset.
+
+    The last tree queried keeps its clipped run of each mode, so a call on
+    the same tree object, with the same size_cap, whose sizes that run's
+    root holds builds nothing, and one whose sizes it misses resumes at the
+    next K.  The kept runs and the run being built share the one budget of
+    WITNESS_MAX_CELLS int32 cells; dense runs are never kept.
     """
     rules = _MODES.get(mode)
     if rules is None:
@@ -429,8 +438,81 @@ def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_
     sizes = sorted(set(sizes))
     if not sizes:
         return {}
-    cls, keys, stages, read = _witness_stages(tree, mode, size_cap, sizes)
-    return {i: _backtrack(tree, rules, cls, keys, stages, read, i) for i in sizes}
+    cls, keys, run = _witness_run(tree, mode, size_cap, sizes)
+    return {i: _backtrack(tree, rules, cls, keys, run.stages, run.read, i) for i in sizes}
+
+
+# Plain classes: a frozen dataclass takes about 1 ms to make and a NamedTuple
+# about 0.3 ms, against 0.01 ms, and every import of the module makes them.
+class _Run:
+    """One witness DP run: every stage and the (cell, split) pair of its
+    algebra for _backtrack.  A clipped run also has its K, the bitset of
+    the sizes its root holds and its _clipped_bytes price; a dense one has
+    K None."""
+
+    __slots__ = ("stages", "read", "k", "held", "price")
+
+    def __init__(self, stages: list, read: tuple, k=None, held: int = 0, price: int = 0):
+        self.stages, self.read, self.k, self.held, self.price = stages, read, k, held, price
+
+
+class _Memo:
+    """The clipped runs kept from the last witness tree: the tree itself,
+    held so that no other object can take its id, the size_cap of its
+    calls, its vertex-id-order _subtree_classes, shared by both modes, and
+    the _Run of each mode.  Never changed once published, only replaced."""
+
+    __slots__ = ("tree", "size_cap", "classes", "runs")
+
+    def __init__(self, tree: RootedTree, size_cap: int, classes: tuple, runs: dict):
+        self.tree, self.size_cap, self.classes, self.runs = tree, size_cap, classes, runs
+
+    def serves(self, tree: RootedTree, size_cap: int) -> bool:
+        return self.tree is tree and self.size_cap == size_cap
+
+
+# The _Memo of the last witness tree, or None (see _witness_run).  It is
+# matched by identity, so only calls on that tree object read it.
+_witness_memo = None
+
+
+def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
+    """(cls, keys, run) for witness_subsets: the memo's run of the mode when
+    its root holds every size, else the run _witness_stages builds, whose
+    clipped K starts above the memo's; a clipped one is then published.
+
+    Before each run is built the memo is dropped if it holds another
+    tree's runs, which this call replaces, or if the run would not fit
+    beside its runs in the budget: a dense run never does.  A call refused
+    before building anything leaves the memo as it was.
+    """
+    global _witness_memo
+    memo = _witness_memo
+    if memo is not None and memo.serves(tree, size_cap):
+        classes, held = memo.classes, memo.runs.get(mode)
+    else:
+        classes, held = _subtree_classes(tree, size_cap, False), None
+    if held is not None and all(held.held >> i & 1 for i in sizes):
+        return (*classes, held)
+    start = held.k + 1 if held is not None else 1
+    # No local reference may keep a held run alive once room drops it.
+    memo = held = None
+
+    def room(nbytes: int):
+        global _witness_memo
+        kept = _witness_memo
+        if kept is not None and (
+            not kept.serves(tree, size_cap)
+            or nbytes + sum(r.price for r in kept.runs.values()) > _witness_budget()
+        ):
+            _witness_memo = None
+
+    cls, keys, run = _witness_stages(tree, mode, size_cap, sizes, start, classes, room)
+    if run.k is not None:
+        memo = _witness_memo
+        runs = memo.runs if memo is not None and memo.serves(tree, size_cap) else {}
+        _witness_memo = _Memo(tree, size_cap, (cls, keys), {**runs, mode: run})
+    return cls, keys, run
 
 
 def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, stages, read, i: int) -> frozenset:
@@ -838,36 +920,53 @@ def _clipped_bytes(size, k: int, nflags: int) -> int:
     return nflags * (k + 1) * (cells * sys.int_info.sizeof_digit // digit + len(size) * level)
 
 
-def _witness_stages(tree: RootedTree, mode: str, size_cap: int, sizes: list):
-    """(last stage id per vertex, stage keys, every stage of one DP run, the
-    (cell, split) of its algebra for _backtrack) for the sorted sizes,
-    children in vertex-id order.  The run is the first clipped one of
-    _clip_ks whose root holds every size, each within the budget of
-    WITNESS_MAX_CELLS int32 cells by _clipped_bytes, else the dense DP
-    windowed to sizes[0] .. sizes[-1].  SizeCapError, before any table is
-    built, above size_cap vertices or a dense DP of WITNESS_MAX_CELLS cells."""
+def _witness_budget() -> int:
+    """The bytes of WITNESS_MAX_CELLS int32 cells."""
+    return WITNESS_MAX_CELLS * np.dtype(np.int32).itemsize
+
+
+def _witness_stages(tree: RootedTree, mode: str, size_cap: int, sizes: list, start: int = 1,
+                    classes=None, room=lambda nbytes: None):
+    """(last stage id per vertex, stage keys, the _Run of one DP) for the
+    sorted sizes, children in vertex-id order.  The run is the first
+    clipped one of _clip_ks from K = start whose root holds every size,
+    each within the budget of WITNESS_MAX_CELLS int32 cells by
+    _clipped_bytes, else the dense DP windowed to sizes[0] .. sizes[-1].
+    SizeCapError, before any table is built, above size_cap vertices or a
+    dense DP of WITNESS_MAX_CELLS cells.  classes, when given, is
+    _subtree_classes(tree, size_cap, False).  room(nbytes) is called just
+    before a run is built, with its price: _clipped_bytes for a clipped
+    run, the whole budget for a dense one, which is never kept."""
     rules, n = _MODES[mode], tree.n
     nflags = len(rules.into)
-    cls, keys = _subtree_classes(tree, size_cap, False)
+    cls, keys = classes or _subtree_classes(tree, size_cap, False)
     size = _stage_sizes(keys)
+    budget = _witness_budget()
     for k in _clip_ks(mode, cls, size, n):
-        if _clipped_bytes(size, k, nflags) > WITNESS_MAX_CELLS * rules.base.itemsize:
+        if k < start:
+            continue
+        price = _clipped_bytes(size, k, nflags)
+        if price > budget:
             break
-        stages = _clipped_stages(rules, keys, size, n, k, cls[tree.root], sizes)
-        if stages:
-            return cls, keys, stages, (_clipped_cell, _clipped_split)
+        room(price)
+        run = _clipped_run(rules, keys, size, n, k, cls[tree.root], sizes, price)
+        if run:
+            return cls, keys, run
     cells = _witness_cells(size, n, sizes[0], sizes[-1], nflags)
     if cells > WITNESS_MAX_CELLS:
         raise SizeCapError(
             f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
         )
+    room(budget)
     stages = list(_stages(*_dense(rules), keys, size, n, sizes[0], sizes[-1]))
-    return cls, keys, stages, (_dense_cell, _dense_split)
+    return cls, keys, _Run(stages, (_dense_cell, _dense_split))
 
 
-def _clipped_stages(rules: _Mode, keys, size, n: int, k: int, root: int, sizes: list):
-    """Every stage of one clipped run at K = k if stage root holds each of
-    the sizes, else None."""
+def _clipped_run(rules: _Mode, keys, size, n: int, k: int, root: int, sizes: list, price: int):
+    """The _Run of one clipped run at K = k if stage root holds each of the
+    sizes, else None."""
     stages = list(_stages(*_clipped(rules, k), keys, size, n, 0, n))
     held = _level_unions(stages[root][1], k)[-1]
-    return stages if all(held >> i & 1 for i in sizes) else None
+    if all(held >> i & 1 for i in sizes):
+        return _Run(stages, (_clipped_cell, _clipped_split), k, held, price)
+    return None

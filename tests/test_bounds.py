@@ -26,7 +26,7 @@ from treeiso import (
     vertex_boundary_size,
     vertex_profile,
 )
-from treeiso.bounds import _flux_label_rows, flux_identity_failures
+from treeiso.bounds import _flux_label_row, flux_identity_failures
 from treeiso.profile import IsoProfile
 from helpers import random_trees, reroot, structured_trees
 
@@ -116,9 +116,9 @@ def test_flux_rejects_weight_off_by_one_at_any_vertex():
 
 
 def test_flux_batch_matches_per_vertex_loop():
-    """The batched rule gives, row by row, the labels of a per-vertex loop
-    over the definition, and they sum to |S|, on random trees rerooted away
-    from vertex 0 too, for the empty row, the full row and random rows."""
+    """The vectorised rule gives, row by row, the labels of a per-vertex
+    loop over the definition, and they sum to |S|, on random trees rerooted
+    away from vertex 0 too, for the empty row, the full row and random rows."""
     rng = random.Random(7)
     for label, tree in random_trees(40, 30, seed0=5):
         for root in {0, tree.n // 2, tree.n - 1}:
@@ -129,8 +129,8 @@ def test_flux_batch_matches_per_vertex_loop():
                 [w.weight[v] * (row[v] - (p is not None and row[p])) for v, p in enumerate(t.parent)]
                 for row in rows
             ]
-            matrix = np.array(rows, np.int8)
-            assert _flux_label_rows(t, matrix, w).tolist() == expected, (label, root)
+            for row, labels in zip(rows, expected):
+                assert _flux_label_row(t, np.array(row, np.int8), w).tolist() == labels, (label, root)
             assert [sum(e) for e in expected] == [sum(row) for row in rows], (label, root)
             assert flux_identity_failures(t, w) == [], (label, root)
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import sys
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -246,10 +247,14 @@ WITNESS_SETS = {
 
 
 def test_witness_deterministic():
-    tree = generate_tree("random_prufer", {"n": 13}, seed=21)
+    def tree():
+        # Built anew per call, so that each side runs its own DP rather
+        # than reusing the clipped run kept for the tree object.
+        return generate_tree("random_prufer", {"n": 13}, seed=21)
+
     for i in (1, 4, 7, 13):
-        assert witness_subset(tree, i, "edge") == witness_subset(tree, i, "edge")
-        assert witness_subset(tree, i, "vertex") == witness_subset(tree, i, "vertex")
+        assert witness_subset(tree(), i, "edge") == witness_subset(tree(), i, "edge")
+        assert witness_subset(tree(), i, "vertex") == witness_subset(tree(), i, "vertex")
     for (name, mode), expected in WITNESS_SETS.items():
         kind, params, seed = WITNESS_TREES[name]
         tree = generate_tree(kind, params, seed=seed)
@@ -389,7 +394,9 @@ def test_equal_subtrees_share_one_merge_chain(monkeypatch, kind, params, merges)
             _force_route(m, 0)
             for run in (dp, lambda t: witness_subset(t, t.n // 2, mode)):
                 calls.clear()
-                run(tree)
+                # A tree built anew: on the held one, the witness would
+                # reuse its clipped run and merge nothing.
+                run(generate_tree(kind, params))
                 assert len(calls) == merges
                 assert all(rules is profile._MODES[mode] for rules in calls)
 
@@ -942,8 +949,8 @@ def _dense_witness_stages(tree, mode, i_min, i_max):
     with pytest.MonkeyPatch.context() as m:
         _force_route(m, 0)
         sizes = range(i_min, i_max + 1)
-        cls, _, stages, _ = profile._witness_stages(tree, mode, profile.DEFAULT_DP_CAP, sizes)
-    return cls, stages
+        cls, _, run = profile._witness_stages(tree, mode, profile.DEFAULT_DP_CAP, sizes)
+    return cls, run.stages
 
 
 def _full_root_table(tree, mode):
@@ -1195,6 +1202,148 @@ def test_witness_routes_agree(monkeypatch):
                     got.append(witness_subsets(tree, range(1, tree.n + 1), mode))
                 assert log == [None] if value == 0 else log and None not in log, (label, value)
             assert got[0] == got[1], (label, mode)
+
+
+def _caterpillar():
+    """A caterpillar with spine 5 and legs 6 (n = 35): its edge-mode witness
+    route starts at K = 3, whose run holds sizes 1, 2, 3 and 5 but not 4
+    (b_e(4) = 4), and its vertex-mode route at K = 1, which holds every size."""
+    return generate_tree("caterpillar", {"spine": 5, "legs": 6})
+
+
+def _memo_log(monkeypatch):
+    """A list that gets, per run of the stage driver, the modes whose runs
+    the witness memo holds as that run starts, or None when it holds none."""
+    log = []
+    stages = profile._stages
+
+    def logged(*args):
+        memo = profile._witness_memo
+        log.append(None if memo is None else sorted(memo.runs))
+        return stages(*args)
+
+    monkeypatch.setattr(profile, "_stages", logged)
+    monkeypatch.setattr(profile, "_witness_memo", None)
+    return log
+
+
+def test_witness_memo_serves_interleaved_modes(monkeypatch):
+    """Edge and vertex calls at three sizes, interleaved, on one tree make
+    one driver run per mode, the vertex one with the edge run still held,
+    and give the sets of one witness_subsets call per mode on an equal tree
+    built anew.  A dense run, which is never kept, drops both runs first."""
+    log = _memo_log(monkeypatch)
+    tree = _caterpillar()
+    got = {"edge": {}, "vertex": {}}
+    for i in (1, 2, 3):
+        for mode in ("edge", "vertex"):
+            got[mode][i] = witness_subset(tree, i, mode)
+    assert log == [None, ["edge"]]
+    with monkeypatch.context() as m:
+        m.setattr(profile, "_CLIP_K_MAX", 3)
+        got["edge"][4] = witness_subset(tree, 4, "edge")
+    assert log == [None, ["edge"], None] and profile._witness_memo is None
+    for mode, sizes in (("edge", (1, 2, 3, 4)), ("vertex", (1, 2, 3))):
+        assert got[mode] == witness_subsets(_caterpillar(), sizes, mode), mode
+
+
+def test_witness_memo_resumes_above_its_k(monkeypatch):
+    """A size the held run at K misses resumes the route at K + 1, with no
+    rerun at K, and the run it keeps then serves the sizes the first one
+    held; an equal but distinct tree object misses, and the held tree's
+    run is dropped before its run is built."""
+    log = _route_log(monkeypatch)
+    held = _memo_log(monkeypatch)
+    tree = _caterpillar()
+    assert edge_profile(tree)[3] == 4
+    log.clear()
+    witness_subset(tree, 3, "edge")
+    assert log == [3]
+    log.clear()
+    sets = {i: witness_subset(tree, i, "edge") for i in (4, 2, 3)}
+    assert log == [4]
+    assert sets == witness_subsets(_caterpillar(), (2, 3, 4), "edge")
+    log.clear()
+    held.clear()
+    witness_subset(_caterpillar(), 2, "edge")
+    assert log == [3] and held == [None]
+
+
+def test_witness_memo_survives_refused_calls(monkeypatch):
+    """A call on the held tree refused over its size_cap, or over the budget
+    when it resumes above the held K, builds nothing and leaves the held
+    run serving the sizes it holds."""
+    log = _route_log(monkeypatch)
+    monkeypatch.setattr(profile, "_witness_memo", None)
+    expected = witness_subset(_caterpillar(), 5, "edge")
+    tree = _caterpillar()
+    witness_subset(tree, 3, "edge")
+    with pytest.raises(SizeCapError, match="size cap"):
+        witness_subset(tree, 3, "edge", size_cap=tree.n - 1)
+    with monkeypatch.context() as m:
+        m.setattr(profile, "WITNESS_MAX_CELLS", 1)
+        with pytest.raises(SizeCapError, match="budget"):
+            witness_subset(tree, 4, "edge")
+    assert witness_subset(tree, 5, "edge") == expected
+    assert log == [3, 3]
+
+
+def test_witness_memo_shares_the_budget(monkeypatch):
+    """With a budget that holds either mode's run of the caterpillar but
+    not both, the held edge run is dropped before the vertex run is built,
+    so the next edge call builds again; the sets are those of equal trees
+    built anew."""
+    tree = _caterpillar()
+    cls, keys = profile._subtree_classes(tree, tree.n, False)
+    size = profile._stage_sizes(keys)
+    edge, vertex = profile._clipped_bytes(size, 3, 2), profile._clipped_bytes(size, 1, 3)
+    cells = max(edge, vertex) // 4 + 1
+    assert edge + vertex > 4 * cells
+    log = _memo_log(monkeypatch)
+    monkeypatch.setattr(profile, "WITNESS_MAX_CELLS", cells)
+    got = [witness_subset(tree, i, mode) for mode in ("edge", "vertex", "edge") for i in (1, 2)]
+    assert log == [None, None, None]
+    assert sorted(profile._witness_memo.runs) == ["edge"]
+    fresh = [witness_subset(_caterpillar(), i, mode) for mode in ("edge", "vertex", "edge")
+             for i in (1, 2)]
+    assert got == fresh
+
+
+def test_witness_memo_under_concurrent_callers(monkeypatch):
+    """Six threads, more than the cores, query two trees in both modes at
+    random sizes, with the interpreter switching threads every microsecond:
+    each set equals one computed beforehand on an equal tree, so no caller
+    ever reads another tree's runs or a half-published memo."""
+    monkeypatch.setattr(profile, "_witness_memo", None)
+    shapes = [("caterpillar", {"spine": 5, "legs": 6}, 0), ("random_prufer", {"n": 40}, 3)]
+    trees = [generate_tree(kind, params, seed=seed) for kind, params, seed in shapes]
+    expected = [
+        {mode: witness_subsets(generate_tree(kind, params, seed=seed), range(1, 36), mode)
+         for mode in ("edge", "vertex")}
+        for kind, params, seed in shapes
+    ]
+    wrong, done = [], []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            t, mode, i = rng.randrange(2), rng.choice(("edge", "vertex")), rng.randrange(1, 36)
+            if witness_subset(trees[t], i, mode) != expected[t][mode][i]:
+                wrong.append((t, mode, i))
+        done.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == list(range(6)) and wrong == []
 
 
 def test_clipped_witness_budget_admits_what_the_dense_one_refuses():
