@@ -24,8 +24,11 @@ negative, so a clipped run gives the exact value of every size whose value
 is at most K and leaves the others out: a run whose root covers every size
 it is asked for certifies itself.  Profiles and witnesses take one route,
 the K runs of _clip_ks, then the dense DP.  A clipped run is full width,
-whatever sizes it was made for, so the last witness tree keeps its clipped
-run of each mode for the next query on it.
+whatever sizes it was made for, so the last witness tree keeps its last
+clipped run of each mode for the next query on it.  Every witness run is
+priced by its bytes against one budget before it is built; a clipped run
+replaces the mode's kept one, a dense run is never kept, and either drops
+the kept runs only when it would not fit beside them.
 """
 from __future__ import annotations
 
@@ -50,10 +53,10 @@ ORACLE_MAX_VERTICES = 24
 # Subsets the oracle evaluates per chunk, so that its working arrays stay
 # at a few MiB whatever n is.
 _ORACLE_CHUNK = 1 << 16
-# Most cells, summed over every flag row of every kept stage, that one dense
-# witness DP may hold: 2**26 int32 cells are 256 MiB, which also bounds the
-# bytes of a clipped witness run.  Both are checked from the stage sizes
-# before any table exists (see _witness_cells and _clipped_bytes).  A path
+# The witness budget: 2**26 int32 cells, 256 MiB, for the run being built
+# and the runs kept beside it.  Every run is priced from the stage sizes
+# before any table exists: a dense one at 4 bytes per cell of its stages'
+# flag rows (_witness_cells), a clipped one by _clipped_bytes.  A path
 # with n = 2000 queried at i = n/2 keeps about 3 million vertex-mode cells;
 # one with n = 50,000 would keep about 1.9 billion, and its clipped runs
 # about 1 GB, so it is refused.
@@ -404,7 +407,7 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
     Deterministic: DP splits are re-read in a fixed scan order (previous
     flag, then child flag, then child allocation, each ascending), children
     in ascending-id merge order, so ties always resolve the same way.  The
-    DP takes the profiles' route: clipped runs at growing K, kept when the
+    DP takes the profiles' route: clipped runs at growing K, used when the
     root holds size i, else the dense tables cut to the cells a size-i
     subset can reach.  It raises SizeCapError before building any table
     when those dense cells would exceed WITNESS_MAX_CELLS.  A later call on
@@ -414,17 +417,20 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
 
 
 def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_DP_CAP) -> dict:
-    """{i: witness_subset(tree, i, mode)} for every i in sizes, from one DP.
+    """{i: witness_subset(tree, i, mode)} for every i in sizes, from one DP
+    run: the first clipped one whose root holds every size, else dense
+    stages cut to the cells any of the sizes can reach.  Either way the
+    sets and their tie order are those of witness_subset.
 
-    A clipped run is kept when its root holds every size; dense stages keep
-    the cells any of the sizes can reach (see _witness_stages).  Either way
-    the sets and their tie order are those of witness_subset.
-
-    The last tree queried keeps its clipped run of each mode, so a call on
-    the same tree object, with the same size_cap, whose sizes that run's
-    root holds builds nothing, and one whose sizes it misses resumes at the
-    next K.  The kept runs and the run being built share the one budget of
-    WITNESS_MAX_CELLS int32 cells; dense runs are never kept.
+    The last tree queried keeps its last clipped run of each mode, so a
+    call on the same tree object, with the same size_cap, whose sizes that
+    run's root holds builds nothing, and one whose sizes it misses resumes
+    at the next K.  One rule prices and keeps every run: before it is built
+    it is priced by its bytes against the budget of WITNESS_MAX_CELLS int32
+    cells; a clipped run first drops the mode's kept run, whose sizes it
+    holds too, and is kept once built, whatever its root holds; a dense run
+    is never kept; either drops the kept runs only when it would not fit
+    beside them.
     """
     rules = _MODES.get(mode)
     if rules is None:
@@ -477,16 +483,16 @@ _witness_memo = None
 
 
 def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
-    """(cls, keys, run) for witness_subsets: the memo's run of the mode when
-    its root holds every size, else the run _witness_stages builds, whose
-    clipped K starts above the memo's; a clipped one is then published.
-
-    Before each run is built the memo is dropped if it holds another
-    tree's runs, which this call replaces, or if the run would not fit
-    beside its runs in the budget: a dense run never does.  A call refused
-    before building anything leaves the memo as it was.
-    """
-    global _witness_memo
+    """(last stage id per vertex, stage keys, the _Run of one DP) for the
+    sorted sizes, children in vertex-id order: the memo's run of the mode
+    if its root holds every size, else the first clipped run of _clip_ks
+    above the memo's K that does, else the dense DP windowed to sizes[0] ..
+    sizes[-1], each priced and kept by the rule of witness_subsets.  A
+    clipped run over budget ends the clipped route.  SizeCapError, before
+    any table is built and with the memo as it was, above size_cap vertices
+    or when the dense run is over budget."""
+    rules, n = _MODES[mode], tree.n
+    nflags = len(rules.into)
     memo = _witness_memo
     if memo is not None and memo.serves(tree, size_cap):
         classes, held = memo.classes, memo.runs.get(mode)
@@ -495,28 +501,53 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
     if held is not None and all(held.held >> i & 1 for i in sizes):
         return (*classes, held)
     start = held.k + 1 if held is not None else 1
-    # No local reference may keep a held run alive once room drops it.
+    # No local reference may keep a run alive once the memo drops it.
     memo = held = None
+    cls, keys = classes
+    size = _stage_sizes(keys)
+    for k in _clip_ks(mode, cls, size, n):
+        if k < start:
+            continue
+        price = _clipped_bytes(size, k, nflags)
+        if price > _witness_budget():
+            break
+        run = stages = None
+        _keep(tree, size_cap, classes, price, {mode: None})
+        stages = list(_stages(*_clipped(rules, k), keys, size, n, 0, n))
+        held = _level_unions(stages[cls[tree.root]][1], k)[-1]
+        run = _Run(stages, (_clipped_cell, _clipped_split), k, held, price)
+        _keep(tree, size_cap, classes, 0, {mode: run})
+        if all(held >> i & 1 for i in sizes):
+            return cls, keys, run
+    run = stages = None
+    cells = _witness_cells(size, n, sizes[0], sizes[-1], nflags)
+    if cells > WITNESS_MAX_CELLS:
+        raise SizeCapError(
+            f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
+        )
+    _keep(tree, size_cap, classes, cells * np.dtype(np.int32).itemsize, {})
+    stages = list(_stages(*_dense(rules), keys, size, n, sizes[0], sizes[-1]))
+    return cls, keys, _Run(stages, (_dense_cell, _dense_split))
 
-    def room(nbytes: int):
-        global _witness_memo
-        kept = _witness_memo
-        if kept is not None and (
-            not kept.serves(tree, size_cap)
-            or nbytes + sum(r.price for r in kept.runs.values()) > _witness_budget()
-        ):
-            _witness_memo = None
 
-    cls, keys, run = _witness_stages(tree, mode, size_cap, sizes, start, classes, room)
-    if run.k is not None:
-        memo = _witness_memo
-        runs = memo.runs if memo is not None and memo.serves(tree, size_cap) else {}
-        _witness_memo = _Memo(tree, size_cap, (cls, keys), {**runs, mode: run})
-    return cls, keys, run
+def _keep(tree: RootedTree, size_cap: int, classes: tuple, price: int, runs: dict) -> None:
+    """Publish the memo of tree: the runs it holds of tree, none if it holds
+    another's, updated by runs, where a None drops that mode's run; all of
+    them dropped when a run of price bytes would not fit beside them in the
+    budget.  The memo is read afresh here, so runs another caller published
+    meanwhile are merged only when they are of this tree."""
+    global _witness_memo
+    memo = _witness_memo
+    if memo is not None and memo.serves(tree, size_cap):
+        runs = {**memo.runs, **runs}
+    runs = {m: run for m, run in runs.items() if run is not None}
+    if price + sum(run.price for run in runs.values()) > _witness_budget():
+        runs = {}
+    _witness_memo = _Memo(tree, size_cap, classes, runs) if runs else None
 
 
 def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, stages, read, i: int) -> frozenset:
-    """The size-i witness read back from _witness_stages' stages by read,
+    """The size-i witness read back from _witness_run's stages by read,
     the (cell, split) pair of their algebra.
 
     cell(stage, s, j) is the value of cell j under flag s; the root's least
@@ -903,7 +934,7 @@ def _sumset(a: int, b: int) -> int:
 
 
 def _witness_cells(size, n: int, i_min: int, i_max: int, nflags: int) -> int:
-    """Cells the dense stages of _witness_stages hold, over all flag rows,
+    """Cells the dense stages of _witness_run hold, over all flag rows,
     from the stage sizes alone: the widths of their _windows."""
     return nflags * sum(_window(s, n, i_min, i_max)[1] for s in size)
 
@@ -923,50 +954,3 @@ def _clipped_bytes(size, k: int, nflags: int) -> int:
 def _witness_budget() -> int:
     """The bytes of WITNESS_MAX_CELLS int32 cells."""
     return WITNESS_MAX_CELLS * np.dtype(np.int32).itemsize
-
-
-def _witness_stages(tree: RootedTree, mode: str, size_cap: int, sizes: list, start: int = 1,
-                    classes=None, room=lambda nbytes: None):
-    """(last stage id per vertex, stage keys, the _Run of one DP) for the
-    sorted sizes, children in vertex-id order.  The run is the first
-    clipped one of _clip_ks from K = start whose root holds every size,
-    each within the budget of WITNESS_MAX_CELLS int32 cells by
-    _clipped_bytes, else the dense DP windowed to sizes[0] .. sizes[-1].
-    SizeCapError, before any table is built, above size_cap vertices or a
-    dense DP of WITNESS_MAX_CELLS cells.  classes, when given, is
-    _subtree_classes(tree, size_cap, False).  room(nbytes) is called just
-    before a run is built, with its price: _clipped_bytes for a clipped
-    run, the whole budget for a dense one, which is never kept."""
-    rules, n = _MODES[mode], tree.n
-    nflags = len(rules.into)
-    cls, keys = classes or _subtree_classes(tree, size_cap, False)
-    size = _stage_sizes(keys)
-    budget = _witness_budget()
-    for k in _clip_ks(mode, cls, size, n):
-        if k < start:
-            continue
-        price = _clipped_bytes(size, k, nflags)
-        if price > budget:
-            break
-        room(price)
-        run = _clipped_run(rules, keys, size, n, k, cls[tree.root], sizes, price)
-        if run:
-            return cls, keys, run
-    cells = _witness_cells(size, n, sizes[0], sizes[-1], nflags)
-    if cells > WITNESS_MAX_CELLS:
-        raise SizeCapError(
-            f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
-        )
-    room(budget)
-    stages = list(_stages(*_dense(rules), keys, size, n, sizes[0], sizes[-1]))
-    return cls, keys, _Run(stages, (_dense_cell, _dense_split))
-
-
-def _clipped_run(rules: _Mode, keys, size, n: int, k: int, root: int, sizes: list, price: int):
-    """The _Run of one clipped run at K = k if stage root holds each of the
-    sizes, else None."""
-    stages = list(_stages(*_clipped(rules, k), keys, size, n, 0, n))
-    held = _level_unions(stages[root][1], k)[-1]
-    if all(held >> i & 1 for i in sizes):
-        return _Run(stages, (_clipped_cell, _clipped_split), k, held, price)
-    return None

@@ -945,11 +945,13 @@ def test_stage_tables_are_int32_within_sentinel(tree):
 
 def _dense_witness_stages(tree, mode, i_min, i_max):
     """(last stage id per vertex, every stage) of the witness DP for sizes
-    i_min .. i_max with the dense route forced."""
+    i_min .. i_max with the dense route forced, from an empty memo, so that
+    no held clipped run can answer it."""
     with pytest.MonkeyPatch.context() as m:
         _force_route(m, 0)
+        m.setattr(profile, "_witness_memo", None)
         sizes = range(i_min, i_max + 1)
-        cls, _, run = profile._witness_stages(tree, mode, profile.DEFAULT_DP_CAP, sizes)
+        cls, _, run = profile._witness_run(tree, mode, profile.DEFAULT_DP_CAP, sizes)
     return cls, run.stages
 
 
@@ -1231,7 +1233,8 @@ def test_witness_memo_serves_interleaved_modes(monkeypatch):
     """Edge and vertex calls at three sizes, interleaved, on one tree make
     one driver run per mode, the vertex one with the edge run still held,
     and give the sets of one witness_subsets call per mode on an equal tree
-    built anew.  A dense run, which is never kept, drops both runs first."""
+    built anew.  A dense run, which is never kept, keeps both held runs
+    when it fits beside them, and drops both first when it does not."""
     log = _memo_log(monkeypatch)
     tree = _caterpillar()
     got = {"edge": {}, "vertex": {}}
@@ -1242,16 +1245,46 @@ def test_witness_memo_serves_interleaved_modes(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(profile, "_CLIP_K_MAX", 3)
         got["edge"][4] = witness_subset(tree, 4, "edge")
-    assert log == [None, ["edge"], None] and profile._witness_memo is None
+        assert log == [None, ["edge"], ["edge", "vertex"]]
+        assert sorted(profile._witness_memo.runs) == ["edge", "vertex"]
+        # A budget that holds the two runs, and the dense run alone, but not
+        # all three.
+        keys = profile._subtree_classes(tree, tree.n, False)[1]
+        cells = profile._witness_cells(profile._stage_sizes(keys), tree.n, 4, 4, 2)
+        held = sum(run.price for run in profile._witness_memo.runs.values())
+        assert 0 < cells <= (held + 3) // 4
+        m.setattr(profile, "WITNESS_MAX_CELLS", (held + 3) // 4)
+        assert witness_subset(tree, 4, "edge") == got["edge"][4]
+    assert log == [None, ["edge"], ["edge", "vertex"], None] and profile._witness_memo is None
     for mode, sizes in (("edge", (1, 2, 3, 4)), ("vertex", (1, 2, 3))):
         assert got[mode] == witness_subsets(_caterpillar(), sizes, mode), mode
 
 
+def test_witness_memo_keeps_a_missed_run_beside_dense_runs(monkeypatch):
+    """A star with n = 60 clips its vertex witnesses at K = 1, while its
+    edge ones start at K = 4, which misses sizes above 4, and go dense.
+    Edge and vertex calls interleaved at i = 15, 30, 45 make five driver
+    runs: the missed K = 4 run is kept, so the later edge calls go straight
+    to the dense DP, and the dense runs, never kept, fit beside the held
+    vertex run.  The sets are those of witness_subsets on a star built anew."""
+    log = _route_log(monkeypatch)
+    monkeypatch.setattr(profile, "_witness_memo", None)
+    tree = generate_tree("star", {"n": 60})
+    got = {"edge": {}, "vertex": {}}
+    for i in (15, 30, 45):
+        for mode in ("edge", "vertex"):
+            got[mode][i] = witness_subset(tree, i, mode)
+    assert log == [4, None, 1, None, None]
+    for mode in ("edge", "vertex"):
+        assert got[mode] == witness_subsets(generate_tree("star", {"n": 60}), (15, 30, 45), mode)
+
+
 def test_witness_memo_resumes_above_its_k(monkeypatch):
     """A size the held run at K misses resumes the route at K + 1, with no
-    rerun at K, and the run it keeps then serves the sizes the first one
-    held; an equal but distinct tree object misses, and the held tree's
-    run is dropped before its run is built."""
+    rerun at K and with the run at K dropped before the run at K + 1 is
+    built, and the run it keeps then serves the sizes the first one held;
+    an equal but distinct tree object misses, and the held tree's run is
+    dropped before its run is built."""
     log = _route_log(monkeypatch)
     held = _memo_log(monkeypatch)
     tree = _caterpillar()
@@ -1260,8 +1293,9 @@ def test_witness_memo_resumes_above_its_k(monkeypatch):
     witness_subset(tree, 3, "edge")
     assert log == [3]
     log.clear()
+    held.clear()
     sets = {i: witness_subset(tree, i, "edge") for i in (4, 2, 3)}
-    assert log == [4]
+    assert log == [4] and held == [None]
     assert sets == witness_subsets(_caterpillar(), (2, 3, 4), "edge")
     log.clear()
     held.clear()
