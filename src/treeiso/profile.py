@@ -23,12 +23,15 @@ sets of values up to a bound K as Python-int bitsets.  No merge cost is
 negative, so a clipped run gives the exact value of every size whose value
 is at most K and leaves the others out: a run whose root covers every size
 it is asked for certifies itself.  Profiles and witnesses take one route,
-the K runs of _clip_ks, then the dense DP.  A clipped run is full width,
-whatever sizes it was made for, so the last witness tree keeps its last
-clipped run of each mode for the next query on it.  Every witness run is
-priced by its bytes against one budget before it is built; a clipped run
-replaces the mode's kept one, a dense run is never kept, and either drops
-the kept runs only when it would not fit beside them.
+the K runs of _clip_ks, then the dense DP.  Below the root a profile DP
+keeps every cell of every stage, so one run also gives the profile of
+each subtree, read off its class's stage (subtree_profiles).  A clipped
+run is full width, whatever sizes it was made for, so the last witness
+tree keeps its last clipped run of each mode for the next query on it.
+Every witness run is priced by its bytes against one budget before it is
+built; a clipped run replaces the mode's kept one, a dense run is never
+kept, and either drops the kept runs only when it would not fit beside
+them.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ import contextvars
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -112,7 +115,7 @@ _VERTEX_TRANS = {
 }
 
 
-@dataclass(frozen=True)
+# A plain class, like _Run and _Memo below, for the import cost they state.
 class _Mode:
     """One DP mode's flag rules, read off its transition table.
 
@@ -124,11 +127,11 @@ class _Mode:
     child or the current table as the short side (see _short_runs).
     """
 
-    in_flag: int
-    into: list
-    base: np.ndarray
-    child_runs: tuple
-    cur_runs: tuple
+    __slots__ = ("in_flag", "into", "base", "child_runs", "cur_runs")
+
+    def __init__(self, in_flag: int, into: list, base, child_runs: tuple, cur_runs: tuple):
+        self.in_flag, self.into, self.base = in_flag, into, base
+        self.child_runs, self.cur_runs = child_runs, cur_runs
 
 
 def _mode(nflags: int, in_flag: int, trans: dict) -> _Mode:
@@ -276,9 +279,7 @@ def brute_force_profiles(tree: RootedTree, limit: int = DEFAULT_ORACLE_LIMIT):
     kid = [sum(1 << c for c in tree.children[u]) for u in range(n)]
     nbr = [m if p is None else m | 1 << p for m, p in zip(kid, tree.parent)]
     low_bits = min(n, _ORACLE_CHUNK.bit_length() - 1)
-    counts = np.bitwise_count(np.arange(1 << low_bits, dtype=np.uint32))
-    low = np.argsort(counts, kind="stable").astype(np.uint32)
-    starts = np.searchsorted(counts[low], np.arange(low_bits + 1))
+    low, starts = _popcount_order(low_bits)
     kid_low, kid_high = _or_table(kid[:low_bits])[low], _or_table(kid[low_bits:])
     nbr_low, nbr_high = _or_table(nbr[:low_bits])[low], _or_table(nbr[low_bits:])
     nonroot = ((1 << n) - 1) ^ (1 << tree.root)
@@ -293,6 +294,19 @@ def brute_force_profiles(tree: RootedTree, limit: int = DEFAULT_ORACLE_LIMIT):
         np.minimum(edge_best[sizes], np.minimum.reduceat(cut, starts), out=edge_best[sizes])
         np.minimum(vert_best[sizes], np.minimum.reduceat(touched, starts), out=vert_best[sizes])
     return edge_best[1:].tolist(), vert_best[1:].tolist()
+
+
+@lru_cache(maxsize=None)
+def _popcount_order(low_bits: int):
+    """(every mask below 2^low_bits, stably sorted by popcount; the index in
+    that order where each popcount 0..low_bits starts), read-only, made once
+    per low_bits, of which the oracle has at most 17."""
+    counts = np.bitwise_count(np.arange(1 << low_bits, dtype=np.uint32))
+    low = np.argsort(counts, kind="stable").astype(np.uint32)
+    starts = np.searchsorted(counts[low], np.arange(low_bits + 1))
+    low.setflags(write=False)
+    starts.setflags(write=False)
+    return low, starts
 
 
 def _or_table(masks):
@@ -322,7 +336,7 @@ def edge_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
     strictly inside the subtree.  Merging a child adds one cut when the
     selection flags of parent and child differ.
     """
-    return _profile(tree, "edge", size_cap)
+    return _profile(tree, "edge", _class_walk(tree, size_cap))[0]
 
 
 def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
@@ -333,21 +347,47 @@ def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
     A unit cost is paid exactly when a vertex outside the selection first
     gains a selected neighbor.
     """
-    return _profile(tree, "vertex", size_cap)
+    return _profile(tree, "vertex", _class_walk(tree, size_cap))[0]
 
 
-def _profile(tree: RootedTree, mode: str, size_cap: int):
-    """The first clipped run of _clip_ks that covers every size, else the dense DP."""
+def _class_walk(tree: RootedTree, size_cap: int):
+    """The class-order _subtree_classes of tree: compute_profile's, while it
+    runs on tree, else a new walk."""
     shared = _shared_classes.get()
-    last, keys = shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap, True)
+    return shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap, True)
+
+
+def _profile(tree: RootedTree, mode: str, walk, classes=None) -> list:
+    """The profile of each subtree class in classes, by default the root's,
+    from walk, tree's class-order _subtree_classes: for a class over s
+    vertices, the least value over flags of its stage at cells 1..s.
+
+    One route answers them all: the first clipped run of _clip_ks that
+    covers sizes 0..s of every asked class, else the dense DP, exact at
+    every stage.  Below the root a dense stage is full width (lo = 0), so
+    an inner class's stage is its subtree's own root table; only the
+    root's is windowed, to lo = 1."""
+    last, keys = walk
+    if classes is None:
+        classes = [last[tree.root]]
     rules, n, size = _MODES[mode], tree.n, _stage_sizes(keys)
     for k in _clip_ks(mode, last, size, n):
-        covered, values = _clipped_profile(rules, keys, size, n, k)
-        if covered:
-            return values
-    for _, root in _stages(*_dense(rules), keys, size, n, 1, n):
-        pass
-    return np.min(root, axis=0).tolist()
+        answers = _clipped_profile(rules, keys, size, n, k, classes)
+        if all(covered for covered, _ in answers):
+            return [values for _, values in answers]
+    stages = _class_stages(_dense(rules), keys, size, n, 1, classes)
+    return [np.min(table, axis=0)[1 - lo :].tolist() for lo, table in stages]
+
+
+def _class_stages(algebra, keys, size, n: int, i_min: int, classes) -> list:
+    """The stage (lo, table) of each class in classes from one _stages run
+    of the (base, merge) algebra for sizes i_min .. n, taken as the driver
+    yields it, since the driver frees it once merged."""
+    found = dict.fromkeys(classes)
+    for c, stage in enumerate(_stages(*algebra, keys, size, n, i_min, n)):
+        if c in found:
+            found[c] = stage
+    return [found[c] for c in classes]
 
 
 def _clip_ks(mode: str, last, size, n: int):
@@ -368,15 +408,20 @@ def _clip_ks(mode: str, last, size, n: int):
     return range(1 + edge_peak_lower_bound(n, held.count(1)), _CLIP_K_MAX + 1)
 
 
-def _clipped_profile(rules: _Mode, keys, size, n: int, k: int):
-    """One clipped run at K = k: (whether it covers all sizes 0..n, the value
-    of each size 1..n: the number of the k + 1 level unions that miss it)."""
-    for _, root in _stages(*_clipped(rules, k), keys, size, n, 0, n):
-        pass
-    levels = _level_unions(root, k)
-    raw = np.frombuffer(b"".join(u.to_bytes(n // 8 + 1, "little") for u in levels), dtype=np.uint8)
-    covered = np.unpackbits(raw, bitorder="little").reshape(k + 1, -1).sum(axis=0)
-    return levels[-1] == (2 << n) - 1, (k + 1 - covered[1 : n + 1]).tolist()
+def _clipped_profile(rules: _Mode, keys, size, n: int, k: int, classes) -> list:
+    """One clipped run at K = k: for each class in classes, over s vertices,
+    (whether it covers all sizes 0..s, the value of each size 1..s: the
+    number of the k + 1 level unions that miss it)."""
+    answers = []
+    stages = _class_stages(_clipped(rules, k), keys, size, n, 0, classes)
+    for c, (_, table) in zip(classes, stages):
+        s = size[c]
+        levels = _level_unions(table, k)
+        raw = b"".join(u.to_bytes(s // 8 + 1, "little") for u in levels)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        covered = bits.reshape(k + 1, -1).sum(axis=0)
+        answers.append((levels[-1] == (2 << s) - 1, (k + 1 - covered[1 : s + 1]).tolist()))
+    return answers
 
 
 def _level_unions(table, k: int) -> list:
@@ -399,6 +444,23 @@ def compute_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP) -> IsoProf
         )
     finally:
         _shared_classes.reset(token)
+
+
+def subtree_profiles(tree: RootedTree, vertices, size_cap: int = DEFAULT_DP_CAP) -> dict:
+    """{v: compute_profile of the subtree rooted at v} for every v in
+    vertices, from one class walk and one DP route per mode.  Equal subtrees
+    share their stages, so each subtree's profile is read off its class's
+    stage; a clipped run serves only when it covers every asked subtree.
+    SizeCapError above size_cap vertices, before any work."""
+    vertices = list(vertices)
+    for v in vertices:
+        if not _is_int(v) or not 0 <= v < tree.n:
+            raise ValueError(f"vertex {v!r} out of range [0, {tree.n - 1}]")
+    walk = _subtree_classes(tree, size_cap, True)
+    classes = sorted({walk[0][v] for v in vertices})
+    edge, vertex = (_profile(tree, mode, walk, classes) for mode in ("edge", "vertex"))
+    by_class = {c: IsoProfile.from_values(e, x) for c, e, x in zip(classes, edge, vertex)}
+    return {v: by_class[walk[0][v]] for v in vertices}
 
 
 def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_DP_CAP):
@@ -444,8 +506,8 @@ def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_
     sizes = sorted(set(sizes))
     if not sizes:
         return {}
-    cls, keys, run = _witness_run(tree, mode, size_cap, sizes)
-    return {i: _backtrack(tree, rules, cls, keys, run.stages, run.read, i) for i in sizes}
+    cls, keys, size, run = _witness_run(tree, mode, size_cap, sizes)
+    return {i: _backtrack(tree, rules, cls, keys, size, run.stages, run.read, i) for i in sizes}
 
 
 # Plain classes: a frozen dataclass takes about 1 ms to make and a NamedTuple
@@ -465,8 +527,9 @@ class _Run:
 class _Memo:
     """The clipped runs kept from the last witness tree: the tree itself,
     held so that no other object can take its id, the size_cap of its
-    calls, its vertex-id-order _subtree_classes, shared by both modes, and
-    the _Run of each mode.  Never changed once published, only replaced."""
+    calls, its vertex-id-order _subtree_classes with their _stage_sizes,
+    shared by both modes, and the _Run of each mode.  Never changed once
+    published, only replaced."""
 
     __slots__ = ("tree", "size_cap", "classes", "runs")
 
@@ -483,28 +546,28 @@ _witness_memo = None
 
 
 def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
-    """(last stage id per vertex, stage keys, the _Run of one DP) for the
-    sorted sizes, children in vertex-id order: the memo's run of the mode
-    if its root holds every size, else the first clipped run of _clip_ks
-    above the memo's K that does, else the dense DP windowed to sizes[0] ..
-    sizes[-1], each priced and kept by the rule of witness_subsets.  A
-    clipped run over budget ends the clipped route.  SizeCapError, before
-    any table is built and with the memo as it was, above size_cap vertices
-    or when the dense run is over budget."""
+    """(last stage id per vertex, stage keys, stage sizes, the _Run of one
+    DP) for the sorted sizes, children in vertex-id order: the memo's run
+    of the mode if its root holds every size, else the first clipped run of
+    _clip_ks above the memo's K that does, else the dense DP windowed to
+    sizes[0] .. sizes[-1], each priced and kept by the rule of
+    witness_subsets.  A clipped run over budget ends the clipped route.
+    SizeCapError, before any table is built and with the memo as it was,
+    above size_cap vertices or when the dense run is over budget."""
     rules, n = _MODES[mode], tree.n
     nflags = len(rules.into)
     memo = _witness_memo
     if memo is not None and memo.serves(tree, size_cap):
         classes, held = memo.classes, memo.runs.get(mode)
     else:
-        classes, held = _subtree_classes(tree, size_cap, False), None
+        cls, keys = _subtree_classes(tree, size_cap, False)
+        classes, held = (cls, keys, _stage_sizes(keys)), None
     if held is not None and all(held.held >> i & 1 for i in sizes):
         return (*classes, held)
     start = held.k + 1 if held is not None else 1
     # No local reference may keep a run alive once the memo drops it.
     memo = held = None
-    cls, keys = classes
-    size = _stage_sizes(keys)
+    cls, keys, size = classes
     for k in _clip_ks(mode, cls, size, n):
         if k < start:
             continue
@@ -518,7 +581,7 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
         run = _Run(stages, (_clipped_cell, _clipped_split), k, held, price)
         _keep(tree, size_cap, classes, 0, {mode: run})
         if all(held >> i & 1 for i in sizes):
-            return cls, keys, run
+            return (*classes, run)
     run = stages = None
     cells = _witness_cells(size, n, sizes[0], sizes[-1], nflags)
     if cells > WITNESS_MAX_CELLS:
@@ -527,7 +590,7 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
         )
     _keep(tree, size_cap, classes, cells * np.dtype(np.int32).itemsize, {})
     stages = list(_stages(*_dense(rules), keys, size, n, sizes[0], sizes[-1]))
-    return cls, keys, _Run(stages, (_dense_cell, _dense_split))
+    return (*classes, _Run(stages, (_dense_cell, _dense_split)))
 
 
 def _keep(tree: RootedTree, size_cap: int, classes: tuple, price: int, runs: dict) -> None:
@@ -546,7 +609,7 @@ def _keep(tree: RootedTree, size_cap: int, classes: tuple, price: int, runs: dic
     _witness_memo = _Memo(tree, size_cap, classes, runs) if runs else None
 
 
-def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, stages, read, i: int) -> frozenset:
+def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, size, stages, read, i: int) -> frozenset:
     """The size-i witness read back from _witness_run's stages by read,
     the (cell, split) pair of their algebra.
 
@@ -555,7 +618,9 @@ def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, stages, read, i: int) 
     chain is walked from its last stage back to the vertex alone: at each
     stage, split gives the first (s_prev, sc, x) in the scan order that
     makes the cell's value from cell j - x of the prefix and cell x of the
-    child, with those two cells' values.
+    child, with those two cells' values.  A subtree whose share j is 0 or
+    its size has one subset, none or all of it, so it is taken whole with
+    no split search; its value is 0, as a base cell's.
     """
     cell, split = read
     root = stages[cls[tree.root]]
@@ -567,6 +632,16 @@ def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, stages, read, i: int) 
     while work:
         v, j, s_after, value = work.pop()
         k = cls[v]
+        if j == 0 or j == size[k]:
+            if value != 0:
+                raise AssertionError("DP backtracking reached an infeasible base cell")
+            if j:
+                whole = [v]
+                while whole:
+                    u = whole.pop()
+                    selected.append(u)
+                    whole.extend(tree.children[u])
+            continue
         for child in reversed(tree.children[v]):
             k, c = keys[k]
             found = split(rules.into[s_after], stages[k], stages[c], j, value)

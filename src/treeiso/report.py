@@ -32,6 +32,7 @@ from .profile import (
     SizeCapError,
     brute_force_profiles,
     compute_profile,
+    subtree_profiles,
 )
 from .tree import GenerationError, RootedTree, generate_tree, subtree_weights
 
@@ -370,24 +371,40 @@ def sweep_rows(max_vertices: int = DEFAULT_DP_CAP) -> list:
     ratios edge_peak/d and vertex_peak*sqrt(t)/d, the t*d / (t-1)*d / d
     upper-bound values, and whether the cut-count bound held for every k up
     to the edge peak.
+
+    Every child of the root of T_{d+1} roots a copy of T_d, so the profiles
+    of one t come from one subtree_profiles call on its deepest tree, at
+    the vertices of its first-child path; n and eta come from each T_d.
     """
     rows = []
     for t in (2,) + SWEEP_TARY_BRANCHING:
+        depths = []
         for d in SWEEP_BINARY_DEPTHS if t == 2 else itertools.count(2):
             try:
                 tree = generate_tree("complete_tary", {"t": t, "d": d}, max_vertices=max_vertices)
             except GenerationError:
                 break
-            weights = subtree_weights(tree)
-            profile = compute_profile(tree, max_vertices)
-            p = edge_peak_lower_bound(tree.n, weights.eta)
-            _, ok = _cut_count_table(profile.edge_values, weights.eta, profile.edge_peak)
+            depths.append((d, tree.n, subtree_weights(tree).eta))
+        if not depths:
+            continue
+        # tree is the deepest, of d_max levels; spine[k], its vertex at depth
+        # k on the first-child path, roots a copy of T_{d_max - k}.
+        d_max, spine = depths[-1][0], [tree.root]
+        while tree.children[spine[-1]]:
+            spine.append(tree.children[spine[-1]][0])
+        profiles = subtree_profiles(tree, [spine[d_max - d] for d, _, _ in depths], max_vertices)
+        for d, n, eta in depths:
+            profile = profiles[spine[d_max - d]]
+            if profile.n != n:
+                raise AssertionError(f"depth-{d} spine subtree has {profile.n} vertices, not {n}")
+            p = edge_peak_lower_bound(n, eta)
+            _, ok = _cut_count_table(profile.edge_values, eta, profile.edge_peak)
             rows.append(
                 {
                     "t": t,
                     "d": d,
-                    "n": tree.n,
-                    "eta": weights.eta,
+                    "n": n,
+                    "eta": eta,
                     "edge_peak": profile.edge_peak,
                     "vertex_peak": profile.vertex_peak,
                     "p": p,

@@ -24,6 +24,7 @@ from treeiso import (
     edge_profile,
     generate_tree,
     peaks,
+    subtree_profiles,
     subtree_weights,
     vertex_boundary_size,
     vertex_profile,
@@ -804,6 +805,79 @@ def test_dp_matches_oracle_property(tree):
     assert (edge_profile(tree), vertex_profile(tree)) == brute_force_profiles(tree)
 
 
+def _subtree(tree, v):
+    """The subtree rooted at v as a tree of its own: v is vertex 0, the
+    others follow in breadth-first order."""
+    order = [v]
+    for u in order:
+        order.extend(tree.children[u])
+    ids = {u: k for k, u in enumerate(order)}
+    return RootedTree.from_parents([None] + [ids[tree.parent[u]] for u in order[1:]], 0)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.one_of(labelled_trees(40), repeated_subtree_trees), st.data())
+def test_subtree_profiles_match_each_subtree_alone(tree, data):
+    """subtree_profiles at drawn vertices, one route per mode for all of
+    them, equals compute_profile of each subtree rebuilt as a tree of its
+    own, and the oracle's profiles where that has at most 16 vertices."""
+    vertices = data.draw(st.lists(st.integers(0, tree.n - 1), min_size=1, max_size=6))
+    got = subtree_profiles(tree, vertices)
+    assert sorted(got) == sorted(set(vertices))
+    for v in vertices:
+        alone = _subtree(tree, v)
+        assert got[v] == compute_profile(alone), v
+        if alone.n <= 16:
+            oracle = brute_force_profiles(alone)
+            assert (list(got[v].edge_values), list(got[v].vertex_values)) == oracle, v
+
+
+def test_subtree_profiles_routes_agree(monkeypatch):
+    """Every vertex's subtree profile from one subtree_profiles call, with
+    the dense route forced and with clipped runs up to K = n forced, equals
+    compute_profile of the subtree alone, on structured and random trees."""
+    log = _route_log(monkeypatch)
+    for label, tree in structured_trees(10) + random_trees(30, 30, seed0=4):
+        alone = [compute_profile(_subtree(tree, v)) for v in range(tree.n)]
+        for value in (0, tree.n):
+            log.clear()
+            with monkeypatch.context() as m:
+                _force_route(m, value)
+                got = subtree_profiles(tree, range(tree.n))
+            assert [got[v] for v in range(tree.n)] == alone, (label, value)
+            assert (None in log) == (value == 0), (label, value)
+
+
+def test_subtree_profiles_clip_only_when_every_subtree_is_covered(monkeypatch):
+    """A broom, a path of 30 vertices whose end holds a star of 8 leaves:
+    the whole tree's edge profile peaks at 1, the star's at 4.  The edge
+    route starts at K = 2, whose run covers the root; it does not serve a
+    call that also asks for the star, which steps on to K = 4."""
+    broom = RootedTree.from_parents([None] + list(range(29)) + [29] * 8, 0)
+    star = _subtree(broom, 29)
+    assert (compute_profile(broom).edge_peak, compute_profile(star).edge_peak) == (1, 4)
+    log = _route_log(monkeypatch)
+    root_only = edge_profile(broom)
+    assert log == [2]
+    log.clear()
+    both = subtree_profiles(broom, [0, 29])
+    assert log == [2, 3, 4, 1]  # edge K = 2, 3, 4, then vertex K = 1
+    assert list(both[0].edge_values) == root_only
+    assert both[29] == compute_profile(star)
+
+
+def test_subtree_profiles_argument_errors():
+    """A vertex outside 0..n-1 or not an int is refused, -1 included, which
+    would otherwise index from the end; a tree above size_cap too."""
+    tree = bin3()
+    assert subtree_profiles(tree, []) == {}
+    for bad in (-1, 7, 2.0, True):
+        with pytest.raises(ValueError, match="out of range"):
+            subtree_profiles(tree, [0, bad])
+    with pytest.raises(SizeCapError):
+        subtree_profiles(tree, [0], size_cap=6)
+
+
 @settings(deadline=None)
 @given(st.one_of(labelled_trees(40), repeated_subtree_trees), st.data())
 def test_profiles_invariant_under_relabelling(tree, data):
@@ -951,7 +1025,7 @@ def _dense_witness_stages(tree, mode, i_min, i_max):
         _force_route(m, 0)
         m.setattr(profile, "_witness_memo", None)
         sizes = range(i_min, i_max + 1)
-        cls, _, run = profile._witness_run(tree, mode, profile.DEFAULT_DP_CAP, sizes)
+        cls, _, _, run = profile._witness_run(tree, mode, profile.DEFAULT_DP_CAP, sizes)
     return cls, run.stages
 
 
@@ -1019,6 +1093,76 @@ def test_witness_subsets_are_pinned():
             sets = witness_subsets(tree, range(1, tree.n + 1), mode)
             digest.update(repr([sorted(sets[i]) for i in range(1, tree.n + 1)]).encode())
     assert digest.hexdigest() == "0af9154c90eb54fbd1cee63786245e5728ae7195b22503cc905014b3208e0852"
+
+
+def _full_walk(tree, mode, i):
+    """witness_subset(tree, i, mode) read back with no subtree taken whole:
+    every vertex's prefix chain is split down to the vertex alone, whose
+    cell must be 0."""
+    rules = profile._MODES[mode]
+    cls, keys, _, run = profile._witness_run(tree, mode, profile.DEFAULT_DP_CAP, [i])
+    cell, split = run.read
+    root = run.stages[cls[tree.root]]
+    values = [cell(root, s, i) for s in range(len(rules.into))]
+    selected, work = [], [(tree.root, i, values.index(min(values)), min(values))]
+    while work:
+        v, j, s_after, value = work.pop()
+        k = cls[v]
+        for child in reversed(tree.children[v]):
+            k, c = keys[k]
+            found = split(rules.into[s_after], run.stages[k], run.stages[c], j, value)
+            s_after, sc, x, value, child_value = found
+            work.append((child, x, sc, child_value))
+            j -= x
+        assert value == 0
+        if s_after == rules.in_flag:
+            selected.append(v)
+    return frozenset(selected)
+
+
+def test_witness_takes_forced_subtrees_whole(monkeypatch):
+    """A subtree whose share of the witness is none or all of its vertices
+    is taken whole, with no split search.  Every size, both modes, on the
+    dense and the clipped route: the sets equal those of the walk that
+    splits every chain, which searches once per edge, and the searches
+    drop (to about half on this corpus)."""
+    searches = []
+
+    def counted(split):
+        return lambda *args: searches.append(1) or split(*args)
+
+    for name in ("_dense_split", "_clipped_split"):
+        monkeypatch.setattr(profile, name, counted(getattr(profile, name)))
+    trees = structured_trees(8) + random_trees(8, 24, seed0=6)
+    trees.append(("caterpillar", generate_tree("caterpillar", {"spine": 5, "legs": 6})))
+    fast = full = 0
+    for dense in (True, False):
+        with monkeypatch.context() as m:
+            if dense:
+                _force_route(m, 0)
+            for label, tree in trees:
+                for mode in ("edge", "vertex"):
+                    for i in range(1, tree.n + 1):
+                        m.setattr(profile, "_witness_memo", None)
+                        searches.clear()
+                        got = witness_subset(tree, i, mode)
+                        fast += len(searches)
+                        searches.clear()
+                        assert got == _full_walk(tree, mode, i), (label, mode, i, dense)
+                        assert len(searches) == tree.n - 1
+                        full += len(searches)
+    assert 0 < fast < full
+
+
+def test_forced_subtree_keeps_the_base_cell_check():
+    """A subtree taken whole must read 0, as a vertex alone does: a root
+    cell of 1 at i = n, where the whole tree is forced in, raises."""
+    tree = generate_tree("path", {"n": 5})
+    cls, keys = profile._subtree_classes(tree, tree.n, False)
+    size, stages = profile._stage_sizes(keys), [None] * len(keys)
+    read = (lambda stage, s, j: 1), None
+    with pytest.raises(AssertionError, match="infeasible base cell"):
+        profile._backtrack(tree, profile._MODES["edge"], cls, keys, size, stages, read, tree.n)
 
 
 def test_last_stage_is_the_subtree_class():
@@ -1100,7 +1244,10 @@ def test_clipped_run_is_exact_up_to_k():
         for mode in ("edge", "vertex"):
             dense = np.min(_full_root_table(tree, mode), axis=0)[1:].tolist()
             for k in range(max(dense) + 1):
-                covered, clipped = profile._clipped_profile(profile._MODES[mode], keys, size, n, k)
+                # The root's class is the last stage.
+                [(covered, clipped)] = profile._clipped_profile(
+                    profile._MODES[mode], keys, size, n, k, [len(keys) - 1]
+                )
                 assert clipped == [v if v <= k else k + 1 for v in dense], (label, mode, k)
                 assert covered == (k == max(dense)), (label, mode, k)
 

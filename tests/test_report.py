@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import json
+import math
 import sys
 import time
 
@@ -13,11 +14,13 @@ from treeiso import (
     count_sizes_with_cut_at_most,
     cut_count_upper_bound,
     derived_parameter_bounds,
+    edge_peak_lower_bound,
     emit,
     generate_tree,
     subtree_weights,
     verify_suite,
 )
+from treeiso import profile
 from treeiso.report import TreeEntry, _cut_count_table, analyze_tree, _render, sweep_rows
 from helpers import random_trees, structured_trees
 
@@ -346,6 +349,57 @@ def test_sweep_rows_generates_up_to_its_own_cap(monkeypatch):
     ]
     assert [(row["t"], row["d"]) for row in rows] == expected
     assert max(row["n"] for row in rows) == 156
+
+
+def test_sweep_rows_equal_rows_from_each_trees_own_profile(monkeypatch):
+    """Each row at cap 5000, whose profiles are read off one DP per
+    branching factor on its deepest tree, equals the row built from
+    compute_profile of T_d itself.  The small T_d route clipped there while
+    the deepest trees run dense, so this also checks one algebra against
+    the other."""
+    rows = sweep_rows(max_vertices=5000)
+    assert len(rows) == 31
+    dense_runs = []
+    dense = profile._dense
+    monkeypatch.setattr(profile, "_dense", lambda rules: dense_runs.append(1) or dense(rules))
+    clipped_only = 0
+    for row in rows:
+        t, d = row["t"], row["d"]
+        tree = generate_tree("complete_tary", {"t": t, "d": d})
+        before = len(dense_runs)
+        prof = compute_profile(tree)
+        clipped_only += len(dense_runs) == before
+        eta = subtree_weights(tree).eta
+        p = edge_peak_lower_bound(tree.n, eta)
+        assert row == {
+            "t": t,
+            "d": d,
+            "n": tree.n,
+            "eta": eta,
+            "edge_peak": prof.edge_peak,
+            "vertex_peak": prof.vertex_peak,
+            "p": p,
+            "edge_peak_over_d": prof.edge_peak / d,
+            "vertex_peak_sqrt_t_over_d": prof.vertex_peak * math.sqrt(t) / d,
+            "edge_upper_td": t * d,
+            "edge_upper_t_minus_1_d": (t - 1) * d,
+            "vertex_upper_d": d,
+            "p_le_edge_peak": p <= prof.edge_peak,
+            "cut_count_bound_ok": _cut_count_table(prof.edge_values, eta, prof.edge_peak)[1],
+        }, (t, d)
+    assert clipped_only > 0
+
+
+def test_sweep_rows_runs_one_dp_per_mode_and_branching_factor(monkeypatch):
+    """At cap 5000 the sweep makes 10 runs of the stage driver, one per mode
+    for each of its 5 branching factors, where a route per depth made 78,
+    and each of its 31 rows still comes from a tree of its own n."""
+    runs = []
+    stages = profile._stages
+    monkeypatch.setattr(profile, "_stages", lambda *args: runs.append(1) or stages(*args))
+    rows = sweep_rows(max_vertices=5000)
+    assert (len(rows), len(runs)) == (31, 10)
+    assert all(row["n"] == (row["t"] ** row["d"] - 1) // (row["t"] - 1) for row in rows)
 
 
 def test_sweep_rows_emit(tmp_path):
