@@ -2,8 +2,8 @@
 
 Two independent routes to the same numbers: a quadratic subtree-merge
 dynamic program (edge_profile / vertex_profile) and an exhaustive
-enumeration over all 2^n vertex subsets (brute_force_profiles) that serves
-as the oracle at small n.
+enumeration over all 2^n vertex subsets (brute_force_profiles), the
+oracle at small n.
 
 The dynamic program merges tables once per distinct stage, not once per
 vertex.  A stage is the vertex alone or (prefix stage, child's last
@@ -35,7 +35,6 @@ them.
 """
 from __future__ import annotations
 
-import contextvars
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -155,7 +154,7 @@ def _short_runs(into: list, child_short: bool) -> tuple:
     new_rows.start + k, k < r, with merge cost cost[k].  cost is None when
     every cost is 0.  A run is a maximal stretch of terms, in ascending
     long-side flag, where that flag and the new flag both step by one, so
-    one 2-D slice of each table serves it.  Every term is in exactly one
+    one 2-D slice of each table holds it.  Every term is in exactly one
     run.
     """
     terms = sorted(
@@ -186,10 +185,6 @@ def _short_runs(into: list, child_short: bool) -> tuple:
 
 
 _MODES = {"edge": _mode(2, _E_IN, _EDGE_TRANS), "vertex": _mode(3, _V_IN, _VERTEX_TRANS)}
-
-# (tree, _subtree_classes of it) while compute_profile runs, so that its
-# edge and vertex DPs share one class walk and keep their signatures.
-_shared_classes = contextvars.ContextVar("_shared_classes", default=None)
 
 
 class SizeCapError(ValueError):
@@ -336,7 +331,7 @@ def edge_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
     strictly inside the subtree.  Merging a child adds one cut when the
     selection flags of parent and child differ.
     """
-    return _profile(tree, "edge", _class_walk(tree, size_cap))[0]
+    return _profile(tree, "edge", _subtree_classes(tree, size_cap, True))[0]
 
 
 def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
@@ -347,14 +342,7 @@ def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
     A unit cost is paid exactly when a vertex outside the selection first
     gains a selected neighbor.
     """
-    return _profile(tree, "vertex", _class_walk(tree, size_cap))[0]
-
-
-def _class_walk(tree: RootedTree, size_cap: int):
-    """The class-order _subtree_classes of tree: compute_profile's, while it
-    runs on tree, else a new walk."""
-    shared = _shared_classes.get()
-    return shared[1] if shared and shared[0] is tree else _subtree_classes(tree, size_cap, True)
+    return _profile(tree, "vertex", _subtree_classes(tree, size_cap, True))[0]
 
 
 def _profile(tree: RootedTree, mode: str, walk, classes=None) -> list:
@@ -437,27 +425,27 @@ def _level_unions(table, k: int) -> list:
 
 
 def compute_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP) -> IsoProfile:
-    token = _shared_classes.set((tree, _subtree_classes(tree, size_cap, True)))
-    try:
-        return IsoProfile.from_values(
-            edge_profile(tree, size_cap), vertex_profile(tree, size_cap)
-        )
-    finally:
-        _shared_classes.reset(token)
+    """The edge and vertex profiles of tree and their peaks: the root case
+    of subtree_profiles, so both modes share one class walk.  SizeCapError
+    above size_cap vertices, before any work."""
+    return subtree_profiles(tree, [tree.root], size_cap)[tree.root]
 
 
 def subtree_profiles(tree: RootedTree, vertices, size_cap: int = DEFAULT_DP_CAP) -> dict:
     """{v: compute_profile of the subtree rooted at v} for every v in
     vertices, from one class walk and one DP route per mode.  Equal subtrees
     share their stages, so each subtree's profile is read off its class's
-    stage; a clipped run serves only when it covers every asked subtree.
-    SizeCapError above size_cap vertices, before any work."""
+    stage; a clipped run is used only when it covers every asked subtree.
+    SizeCapError above size_cap vertices, before any work; an empty
+    vertices runs no DP."""
     vertices = list(vertices)
     for v in vertices:
         if not _is_int(v) or not 0 <= v < tree.n:
             raise ValueError(f"vertex {v!r} out of range [0, {tree.n - 1}]")
     walk = _subtree_classes(tree, size_cap, True)
     classes = sorted({walk[0][v] for v in vertices})
+    if not classes:
+        return {}
     edge, vertex = (_profile(tree, mode, walk, classes) for mode in ("edge", "vertex"))
     by_class = {c: IsoProfile.from_values(e, x) for c, e, x in zip(classes, edge, vertex)}
     return {v: by_class[walk[0][v]] for v in vertices}
@@ -485,14 +473,15 @@ def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_
     sets and their tie order are those of witness_subset.
 
     The last tree queried keeps its last clipped run of each mode, so a
-    call on the same tree object, with the same size_cap, whose sizes that
-    run's root holds builds nothing, and one whose sizes it misses resumes
-    at the next K.  One rule prices and keeps every run: before it is built
-    it is priced by its bytes against the budget of WITNESS_MAX_CELLS int32
-    cells; a clipped run first drops the mode's kept run, whose sizes it
-    holds too, and is kept once built, whatever its root holds; a dense run
-    is never kept; either drops the kept runs only when it would not fit
-    beside them.
+    call on the same tree object whose sizes that run's root holds builds
+    nothing, and one whose sizes it misses resumes at the next K.  One rule
+    prices and keeps every run: before it is built it is priced by its
+    bytes against the budget of WITNESS_MAX_CELLS int32 cells; a clipped
+    run first drops the mode's kept run, whose sizes it holds too, and is
+    kept once built, whatever its root holds; a dense run is never kept;
+    either drops the kept runs only when it would not fit beside them.  A
+    tree over the size cap raises SizeCapError after the argument checks
+    and before the kept runs are read, whatever the sizes.
     """
     rules = _MODES.get(mode)
     if rules is None:
@@ -503,6 +492,7 @@ def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_
             raise ValueError(f"subset size must be an integer, got {i!r}")
         if not (1 <= i <= tree.n):
             raise ValueError(f"subset size {i} out of range [1, {tree.n}]")
+    _check_size_cap(tree, size_cap)
     sizes = sorted(set(sizes))
     if not sizes:
         return {}
@@ -526,18 +516,14 @@ class _Run:
 
 class _Memo:
     """The clipped runs kept from the last witness tree: the tree itself,
-    held so that no other object can take its id, the size_cap of its
-    calls, its vertex-id-order _subtree_classes with their _stage_sizes,
-    shared by both modes, and the _Run of each mode.  Never changed once
-    published, only replaced."""
+    held so that no other object can take its id, its vertex-id-order
+    _subtree_classes with their _stage_sizes, shared by both modes, and the
+    _Run of each mode.  Never changed once published, only replaced."""
 
-    __slots__ = ("tree", "size_cap", "classes", "runs")
+    __slots__ = ("tree", "classes", "runs")
 
-    def __init__(self, tree: RootedTree, size_cap: int, classes: tuple, runs: dict):
-        self.tree, self.size_cap, self.classes, self.runs = tree, size_cap, classes, runs
-
-    def serves(self, tree: RootedTree, size_cap: int) -> bool:
-        return self.tree is tree and self.size_cap == size_cap
+    def __init__(self, tree: RootedTree, classes: tuple, runs: dict):
+        self.tree, self.classes, self.runs = tree, classes, runs
 
 
 # The _Memo of the last witness tree, or None (see _witness_run).  It is
@@ -553,11 +539,12 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
     sizes[0] .. sizes[-1], each priced and kept by the rule of
     witness_subsets.  A clipped run over budget ends the clipped route.
     SizeCapError, before any table is built and with the memo as it was,
-    above size_cap vertices or when the dense run is over budget."""
+    when the dense run is over budget; witness_subsets has checked
+    size_cap, which only a walk on a memo miss reads."""
     rules, n = _MODES[mode], tree.n
     nflags = len(rules.into)
     memo = _witness_memo
-    if memo is not None and memo.serves(tree, size_cap):
+    if memo is not None and memo.tree is tree:
         classes, held = memo.classes, memo.runs.get(mode)
     else:
         cls, keys = _subtree_classes(tree, size_cap, False)
@@ -575,11 +562,11 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
         if price > _witness_budget():
             break
         run = stages = None
-        _keep(tree, size_cap, classes, price, {mode: None})
+        _keep(tree, classes, price, {mode: None})
         stages = list(_stages(*_clipped(rules, k), keys, size, n, 0, n))
         held = _level_unions(stages[cls[tree.root]][1], k)[-1]
         run = _Run(stages, (_clipped_cell, _clipped_split), k, held, price)
-        _keep(tree, size_cap, classes, 0, {mode: run})
+        _keep(tree, classes, 0, {mode: run})
         if all(held >> i & 1 for i in sizes):
             return (*classes, run)
     run = stages = None
@@ -588,12 +575,12 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
         raise SizeCapError(
             f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
         )
-    _keep(tree, size_cap, classes, cells * np.dtype(np.int32).itemsize, {})
+    _keep(tree, classes, cells * np.dtype(np.int32).itemsize, {})
     stages = list(_stages(*_dense(rules), keys, size, n, sizes[0], sizes[-1]))
     return (*classes, _Run(stages, (_dense_cell, _dense_split)))
 
 
-def _keep(tree: RootedTree, size_cap: int, classes: tuple, price: int, runs: dict) -> None:
+def _keep(tree: RootedTree, classes: tuple, price: int, runs: dict) -> None:
     """Publish the memo of tree: the runs it holds of tree, none if it holds
     another's, updated by runs, where a None drops that mode's run; all of
     them dropped when a run of price bytes would not fit beside them in the
@@ -601,12 +588,12 @@ def _keep(tree: RootedTree, size_cap: int, classes: tuple, price: int, runs: dic
     meanwhile are merged only when they are of this tree."""
     global _witness_memo
     memo = _witness_memo
-    if memo is not None and memo.serves(tree, size_cap):
+    if memo is not None and memo.tree is tree:
         runs = {**memo.runs, **runs}
     runs = {m: run for m, run in runs.items() if run is not None}
     if price + sum(run.price for run in runs.values()) > _witness_budget():
         runs = {}
-    _witness_memo = _Memo(tree, size_cap, classes, runs) if runs else None
+    _witness_memo = _Memo(tree, classes, runs) if runs else None
 
 
 def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, size, stages, read, i: int) -> frozenset:
@@ -890,8 +877,7 @@ def _subtree_classes(tree: RootedTree, size_cap: int, by_class: bool):
     does not add to the DP's peak memory.  Trees above size_cap raise
     SizeCapError before any work.
     """
-    if tree.n > size_cap:
-        raise SizeCapError(f"tree has {tree.n} vertices, above the DP size cap {size_cap}")
+    _check_size_cap(tree, size_cap)
     stages = {(): 0}
     last = [0] * tree.n
     for v in postorder(tree):
@@ -902,6 +888,11 @@ def _subtree_classes(tree: RootedTree, size_cap: int, by_class: bool):
                 k = stages.setdefault((k, c), len(stages))
             last[v] = k
     return last, list(stages)
+
+
+def _check_size_cap(tree: RootedTree, size_cap: int) -> None:
+    if tree.n > size_cap:
+        raise SizeCapError(f"tree has {tree.n} vertices, above the DP size cap {size_cap}")
 
 
 def _window(s: int, n: int, i_min: int, i_max: int):

@@ -281,6 +281,14 @@ def test_witness_argument_errors():
         witness_subset(tree, True, "edge")
     with pytest.raises(ValueError, match="must be an integer, got True"):
         witness_subsets(tree, [1, True], "edge")
+    # Argument errors come first; then the size cap, for no sizes as well.
+    with pytest.raises(ValueError, match="out of range"):
+        witness_subsets(tree, [8], "edge", size_cap=tree.n - 1)
+    with pytest.raises(ValueError, match="mode"):
+        witness_subsets(tree, [], "boundary", size_cap=tree.n - 1)
+    for sizes in ([], [3]):
+        with pytest.raises(SizeCapError, match="size cap"):
+            witness_subsets(tree, sizes, "edge", size_cap=tree.n - 1)
 
 
 def test_profile_determinism():
@@ -866,16 +874,21 @@ def test_subtree_profiles_clip_only_when_every_subtree_is_covered(monkeypatch):
     assert both[29] == compute_profile(star)
 
 
-def test_subtree_profiles_argument_errors():
+def test_subtree_profiles_argument_errors(monkeypatch):
     """A vertex outside 0..n-1 or not an int is refused, -1 included, which
-    would otherwise index from the end; a tree above size_cap too."""
+    would otherwise index from the end; a tree above size_cap too, with no
+    vertices as well.  No vertices run no DP."""
+    runs = []
+    stages = profile._stages
+    monkeypatch.setattr(profile, "_stages", lambda *args: runs.append(1) or stages(*args))
     tree = bin3()
-    assert subtree_profiles(tree, []) == {}
+    assert subtree_profiles(tree, []) == {} and runs == []
     for bad in (-1, 7, 2.0, True):
         with pytest.raises(ValueError, match="out of range"):
             subtree_profiles(tree, [0, bad])
-    with pytest.raises(SizeCapError):
-        subtree_profiles(tree, [0], size_cap=6)
+    for vertices in ([0], []):
+        with pytest.raises(SizeCapError, match="size cap"):
+            subtree_profiles(tree, vertices, size_cap=6)
 
 
 @settings(deadline=None)
@@ -968,7 +981,6 @@ def test_compute_profile_builds_subtree_classes_once(monkeypatch):
     with pytest.raises(SizeCapError):
         compute_profile(tree, size_cap=29)
     assert calls == [(30, True)] * 3 + [(30, False), (30, True)]
-    assert profile._shared_classes.get() is None
 
 
 def test_sentinel_headroom_and_base_table():
@@ -1467,6 +1479,20 @@ def test_witness_memo_survives_refused_calls(monkeypatch):
             witness_subset(tree, 4, "edge")
     assert witness_subset(tree, 5, "edge") == expected
     assert log == [3, 3]
+
+
+def test_witness_memo_is_keyed_by_the_tree_alone(monkeypatch):
+    """Calls on the held tree with other size caps it is within are served
+    by the kept run: no run is built, and the sets are those of an equal
+    tree built anew."""
+    log = _route_log(monkeypatch)
+    monkeypatch.setattr(profile, "_witness_memo", None)
+    tree = _caterpillar()
+    got = {3: witness_subset(tree, 3, "edge")}
+    for i, cap in ((3, tree.n), (5, tree.n + 1), (1, 2 * profile.DEFAULT_DP_CAP)):
+        got[i] = witness_subset(tree, i, "edge", size_cap=cap)
+    assert log == [3]
+    assert got == witness_subsets(_caterpillar(), (1, 3, 5), "edge")
 
 
 def test_witness_memo_shares_the_budget(monkeypatch):
