@@ -172,8 +172,8 @@ def analyze_tree(
 
     Mandatory verdicts: oracle equivalence (when n is small enough), flux
     conservation, the binomial cut-count bound, the certified edge-peak
-    lower bound, prefix dominance, and the peak sandwich.  Ceiling and
-    closed-form checks are reported as findings and never gate.
+    lower bound, prefix dominance, and the peak sandwich.  Closed-form
+    checks are reported as findings and never gate.
     """
     if k_max is not None and k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -240,27 +240,11 @@ def analyze_tree(
             + (f", first violations at i = {dominance_violations[:3]}" if dominance_violations else ""),
         )
     )
-    edge_ceiling = max(delta - 1, 0) * weights.depth
-    findings.append(
-        Verdict(
-            "prefix_edge_ceiling: max_i |delta(S_i)| <= (delta-1)*depth",
-            max(edge_ub) <= edge_ceiling,
-            f"max = {max(edge_ub)}, ceiling = {edge_ceiling}",
-        )
-    )
-    findings.append(
-        Verdict(
-            "prefix_vertex_ceiling: max_i |phi(S_i)| <= depth",
-            max(vertex_ub) <= weights.depth,
-            f"max = {max(vertex_ub)}, ceiling = {weights.depth}",
-        )
-    )
 
-    sandwich_ok = sandwich_check(profile, delta)
     verdicts.append(
         Verdict(
             "sandwich: edge_peak >= vertex_peak >= edge_peak/delta",
-            sandwich_ok,
+            sandwich_check(profile, delta),
             f"edge_peak = {profile.edge_peak}, vertex_peak = {profile.vertex_peak}, "
             f"delta = {delta}",
         )
@@ -306,7 +290,6 @@ def analyze_tree(
             "prefix_edge_max": max(edge_ub),
             "prefix_vertex_max": max(vertex_ub),
             "corollary3_be_lb": be_lb,
-            "sandwich_pass": sandwich_ok,
         },
         derived=derived_parameter_bounds(profile, delta),
         verdicts=verdicts,

@@ -1,5 +1,6 @@
 """Flux conservation, binomial counting bounds, prefix bounds, sandwich."""
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from treeiso import (
+    RootedTree,
     analytic_peak_lower_bounds,
     check_flux_conservation,
     compute_profile,
@@ -28,6 +30,7 @@ from treeiso import (
 )
 from treeiso.bounds import _flux_label_row, flux_identity_failures
 from treeiso.profile import IsoProfile
+from treeiso.tree import _prufer_parents
 from helpers import random_trees, reroot, structured_trees
 
 BIN3_EDGE = [1, 2, 1, 1, 2, 1, 0]
@@ -253,6 +256,22 @@ def test_analytic_bounds_closed_form():
         analytic_peak_lower_bounds(10, 0, 1)
 
 
+def test_corollary3_never_exceeds_p():
+    """The closed-form edge estimate is at most p, so the analytic_lb
+    finding can fail only where edge_peak_lb or sandwich fails: its vertex
+    half is be/delta <= p/delta <= edge_peak/delta <= vertex_peak.  Proof:
+    n <= 2*C(2*eta + p, p) <= 2*(e*(2*eta + p)/(2*eta))**(2*eta), so
+    p >= (2*eta/e)*(n/2)**(1/(2*eta)) - 2*eta >= eta*(n**(1/(2*eta)) - 2e)/e."""
+    sizes = sorted({round(10 ** (j / 8)) for j in range(49)})
+    positive = 0
+    for eta in range(1, 41):
+        for n in sizes:
+            be = analytic_peak_lower_bounds(n, eta, 1)[0]
+            assert be <= edge_peak_lower_bound(n, eta), (n, eta)
+            positive += be > 0
+    assert positive == 76, positive
+
+
 def test_prefix_upper_bounds_path():
     edge_ub, vertex_ub = prefix_upper_bounds(generate_tree("path", {"n": 6}))
     assert edge_ub == [1, 1, 1, 1, 1, 0]
@@ -317,21 +336,44 @@ def test_prefix_matches_adjacency_version_on_reroots():
             )
 
 
+def _rooted_labelled_trees(n):
+    """Every rooted labelled tree on n vertices: each Prufer sequence's tree
+    rooted at each vertex."""
+    for seq in itertools.product(range(n), repeat=max(n - 2, 0)):
+        tree = RootedTree.from_parents(_prufer_parents(list(seq), n), 0)
+        for root in range(n):
+            yield reroot(tree, root)
+
+
 def test_prefix_dominance_and_ceilings():
+    """Post-order prefixes dominate both profiles.  Their boundaries stay
+    within (delta-1)*depth in edge mode on every tree but the single edge,
+    where delta = 1 makes that ceiling 0 and the one-vertex prefix cuts the
+    edge, and within depth in vertex mode on every tree: checked on every
+    root of every labelled tree with n <= 6 and on larger structured and
+    random trees."""
     for label, tree in structured_trees(10) + random_trees(50, 16, seed0=37):
-        w = subtree_weights(tree)
-        delta = tree.max_degree()
+        depth = subtree_weights(tree).depth
         edge_ub, vertex_ub = prefix_upper_bounds(tree)
         ep = edge_profile(tree)
         vp = vertex_profile(tree)
         for i in range(tree.n):
             assert edge_ub[i] >= ep[i], label
             assert vertex_ub[i] >= vp[i], label
-            # The (delta-1)*depth ceiling fails for the single-edge tree
-            # (delta = 1, boundary 1); that case is a reported finding.
-            if delta >= 2:
-                assert edge_ub[i] <= (delta - 1) * w.depth, label
-            assert vertex_ub[i] <= w.depth, label
+        edge_ceiling = max(tree.max_degree() - 1, 0) * depth
+        assert (max(edge_ub) <= edge_ceiling) == (tree.n != 2), label
+        assert max(vertex_ub) <= depth, label
+    for n in range(1, 7):
+        seen = set()
+        for tree in _rooted_labelled_trees(n):
+            label = (tree.root, tree.parent)
+            seen.add(label)
+            depth = subtree_weights(tree).depth
+            edge_ub, vertex_ub = prefix_upper_bounds(tree)
+            edge_ceiling = max(tree.max_degree() - 1, 0) * depth
+            assert (max(edge_ub) <= edge_ceiling) == (n != 2), label
+            assert max(vertex_ub) <= depth, label
+        assert len(seen) == n ** (n - 1)
 
 
 def test_sandwich_examples():

@@ -1290,6 +1290,49 @@ def test_clipped_and_dense_routes_agree(monkeypatch):
         assert got[0] == got[1], label
 
 
+def _path_and_star_closed_forms(n):
+    """(kind, tree, edge profile, vertex profile) of a path rooted at an end
+    and a star centred at its root: b_e = b_v = 1 below n on the path;
+    b_e(i) = min(i, n - i) and b_v = 1 below n on the star; both 0 at n."""
+    ones = [1] * (n - 1) + [0]
+    return [
+        ("path", generate_tree("path", {"n": n}), ones, ones),
+        ("star", generate_tree("star", {"n": n}), [min(i, n - i) for i in range(1, n + 1)], ones),
+    ]
+
+
+def test_path_and_star_closed_forms_above_the_oracle(monkeypatch):
+    """Both profiles of a path and a star with n = 5,000 equal their closed
+    forms, on the default route (the path and the star's vertex mode clip,
+    the star's edge mode is dense) and with the dense route forced."""
+    log = _route_log(monkeypatch)
+    routes = {("path", "edge"): [2], ("path", "vertex"): [1],
+              ("star", "edge"): [None], ("star", "vertex"): [1]}
+    for kind, tree, edge, vertex in _path_and_star_closed_forms(5000):
+        for mode, run, values in (("edge", edge_profile, edge), ("vertex", vertex_profile, vertex)):
+            log.clear()
+            assert run(tree) == values, (kind, mode)
+            assert log == routes[kind, mode], (kind, mode)
+            log.clear()
+            with monkeypatch.context() as m:
+                _force_route(m, 0)
+                assert run(tree) == values, (kind, mode)
+            assert log == [None], (kind, mode)
+
+
+def test_path_and_star_witnesses_meet_their_closed_forms():
+    """Witnesses at n/4, n/2 and 3n/4 on a path and a star with n = 2,000
+    have i vertices and the closed-form boundary."""
+    for kind, tree, edge, vertex in _path_and_star_closed_forms(2000):
+        for i in (500, 1000, 1500):
+            for mode, boundary, values in (
+                ("edge", edge_boundary_size, edge),
+                ("vertex", vertex_boundary_size, vertex),
+            ):
+                members = witness_subset(tree, i, mode)
+                assert (len(members), boundary(tree, members)) == (i, values[i - 1]), (kind, i, mode)
+
+
 def _k_rule(tree, mode, need, by_class):
     """The route log of a DP over the stage keys of by_class that needs K =
     need to cover its sizes: clipped runs at K0 .. min(max(K0, need),

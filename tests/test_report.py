@@ -72,7 +72,8 @@ def test_analyze_tree_binary_depth3():
     assert report.tree["depth"] == 3
     assert report.tree["delta"] == 3
     assert report.bounds["p"] == 1
-    assert report.bounds["sandwich_pass"] is True
+    sandwich = next(v for v in report.verdicts if v.name.startswith("sandwich"))
+    assert sandwich.passed is True
     assert report.profile["edge_peak"] == 2
     assert report.derived["wirelength_lb"] == 8
     for row in report.bounds["theorem1"]:
@@ -91,7 +92,8 @@ def test_report_self_consistency():
     for label, tree in structured_trees(9)[:20]:
         report = analyze_tree(tree, {"label": label})
         b = report.bounds
-        assert b["sandwich_pass"] == (
+        sandwich = next(v for v in report.verdicts if v.name.startswith("sandwich"))
+        assert sandwich.passed == (
             report.profile["edge_peak"] >= report.profile["vertex_peak"]
             and report.tree["delta"] * report.profile["vertex_peak"] >= report.profile["edge_peak"]
         ), label
@@ -100,6 +102,14 @@ def test_report_self_consistency():
         assert verdict.passed == count_ok, label
         p_verdict = next(v for v in report.verdicts if v.name.startswith("edge_peak_lb"))
         assert p_verdict.passed == (b["p"] <= report.profile["edge_peak"]), label
+
+
+def test_single_edge_report_passes_every_finding():
+    """No finding compares prefix maxima with the (delta-1)*depth ceiling,
+    which is 0 on the single edge while its one-vertex prefix cuts 1."""
+    report = analyze_tree(generate_tree("path", {"n": 2}))
+    assert report.passed and report.findings
+    assert all(f.passed for f in report.findings), report.findings
 
 
 def test_flux_verdict_names_vertex_where_weight_is_off_by_one(monkeypatch):
