@@ -74,10 +74,11 @@ _INF = np.iinfo(np.int32).max // 2 - 1
 
 # Merge route thresholds (the route policy is _merge's).  At most
 # _BLOCK_CELLS sums per block keep the block scratch at most 256 KiB.  The
-# thresholds are where the routes' times crossed on a 2-vCPU Xeon VM; for
-# _ROW_LOOP_MAX, timed on the merges of the benchmark workloads, a 4-cell
-# short side was faster than blocks in vertex mode and slower in edge mode,
-# and a 5-cell one slower in both.
+# thresholds are where the routes' times crossed on a 2-vCPU Xeon VM.  For
+# _ROW_LOOP_MAX, _merge_short against _merge_pairs on the merges of the
+# benchmark workloads' trees with the dense route forced took 0.75x / 0.50x
+# (edge / vertex) of the time at 3 short-side cells, 1.09x / 0.73x at 4 and
+# 1.38x / 1.06x at 5.
 _BLOCK_CELLS = 32_768
 _MIN_BLOCK_ROWS = 4
 _ROW_LOOP_MAX = 4
@@ -122,66 +123,31 @@ class _Mode:
     leads to s with its (child flag, cost) pairs, both in ascending flag
     order.  base is the table of a vertex alone: flag 0, or in_flag.  It is
     read-only and shared by every class, since no DP writes a table in place.
-    child_runs and cur_runs are into compiled for _merge_short, with the
-    child or the current table as the short side (see _short_runs).
+    child_terms and cur_terms file the same transitions for _merge_short by
+    the flag of its short side, the child or the current table: terms[f]
+    lists the (long-side flag, new parent flag, cost) of each transition
+    whose short-side flag is f.
     """
 
-    __slots__ = ("in_flag", "into", "base", "child_runs", "cur_runs")
+    __slots__ = ("in_flag", "into", "base", "child_terms", "cur_terms")
 
-    def __init__(self, in_flag: int, into: list, base, child_runs: tuple, cur_runs: tuple):
+    def __init__(self, in_flag: int, into: list, base, child_terms: list, cur_terms: list):
         self.in_flag, self.into, self.base = in_flag, into, base
-        self.child_runs, self.cur_runs = child_runs, cur_runs
+        self.child_terms, self.cur_terms = child_terms, cur_terms
 
 
 def _mode(nflags: int, in_flag: int, trans: dict) -> _Mode:
     into = [{} for _ in range(nflags)]
+    child_terms, cur_terms = [[] for _ in range(nflags)], [[] for _ in range(nflags)]
     for (s_prev, sc), (cost, s_new) in sorted(trans.items()):
         into[s_new].setdefault(s_prev, []).append((sc, cost))
+        child_terms[sc].append((s_prev, s_new, cost))
+        cur_terms[s_prev].append((sc, s_new, cost))
     into = [list(g.items()) for g in into]
     base = np.full((nflags, 2), _INF, dtype=np.int32)
     base[0, 0] = base[in_flag, 1] = 0
     base.setflags(write=False)
-    return _Mode(in_flag, into, base, _short_runs(into, True), _short_runs(into, False))
-
-
-def _short_runs(into: list, child_short: bool) -> tuple:
-    """The transitions of into as row runs for _merge_short, grouped by the
-    flag of the short side: the child when child_short, else cur.
-
-    runs[f] lists, for short-side flag f, tuples (long_rows, new_rows,
-    cost) of two equal-length slices and an (r, 1) int32 column: the
-    terms long-side flag long_rows.start + k -> new parent flag
-    new_rows.start + k, k < r, with merge cost cost[k].  cost is None when
-    every cost is 0.  A run is a maximal stretch of terms, in ascending
-    long-side flag, where that flag and the new flag both step by one, so
-    one 2-D slice of each table holds it.  Every term is in exactly one
-    run.
-    """
-    terms = sorted(
-        (sc, s_prev, cost, s_new) if child_short else (s_prev, sc, cost, s_new)
-        for s_new, pairs in enumerate(into)
-        for s_prev, sc_terms in pairs
-        for sc, cost in sc_terms
-    )
-    runs = [[] for _ in into]
-    for short, s_long, cost, s_new in terms:
-        group = runs[short]
-        r = len(group[-1][2]) if group else 0
-        if r and group[-1][:2] == (s_long - r, s_new - r):
-            group[-1][2].append(cost)
-        else:
-            group.append((s_long, s_new, [cost]))
-    return tuple(
-        tuple(
-            (
-                slice(s_long, s_long + len(costs)),
-                slice(s_new, s_new + len(costs)),
-                np.array(costs, dtype=np.int32)[:, None] if any(costs) else None,
-            )
-            for s_long, s_new, costs in group
-        )
-        for group in runs
-    )
+    return _Mode(in_flag, into, base, child_terms, cur_terms)
 
 
 _MODES = {"edge": _mode(2, _E_IN, _EDGE_TRANS), "vertex": _mode(3, _V_IN, _VERTEX_TRANS)}
@@ -752,30 +718,30 @@ def _merge(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: i
     """
     out = _empty_table(len(rules.into), width)
     if child.shape[1] <= cur.shape[1]:
-        short, long, runs = child, cur, rules.child_runs
+        short, long, terms = child, cur, rules.child_terms
     else:
-        short, long, runs = cur, child, rules.cur_runs
+        short, long, terms = cur, child, rules.cur_terms
     if short.shape[1] <= _ROW_LOOP_MAX:
-        _merge_short(short, long, runs, skip, out)
+        _merge_short(short, long, terms, skip, out)
     else:
         kernel = _min_plus_rows if long.shape[1] > _BLOCK_CELLS // _MIN_BLOCK_ROWS else _min_plus_blocks
         _merge_pairs(cur, child, rules.into, kernel, short is cur, skip, out)
     return out
 
 
-def _merge_short(short: np.ndarray, long: np.ndarray, runs: tuple, skip: int, out: np.ndarray):
+def _merge_short(short: np.ndarray, long: np.ndarray, terms: list, skip: int, out: np.ndarray):
     """Lower out by _merge walking the finite cells of its short side, the
-    child or cur, with the runs of _short_runs for that side.
+    child or cur, with the terms of rules.child_terms or cur_terms.
 
     Short cell x of flag f, value v, lands on out cells x - skip + j for
     the cells j of the long side that fall in the window, k0 <= j < k1.
-    Each run of runs[f] then lowers out[new_rows, those cells] to
-    long[long_rows, k0:k1] + v + cost: one 2-D np.minimum, after an np.add
-    when the run has a cost, and one np.add per cell, shared by its runs,
+    Each term (g, s, cost) of terms[f] then lowers out[s, those cells] to
+    long[g, k0:k1] + v + cost: one 1-D np.minimum, after an np.add when
+    the term has a cost, and one np.add per cell, shared by its terms,
     when v is nonzero.
     """
     lb, width = long.shape[1], out.shape[1]
-    for row, group in zip(short.tolist(), runs):
+    for row, group in zip(short.tolist(), terms):
         for start, v in enumerate(row, -skip):
             if v >= _INF:
                 continue
@@ -785,10 +751,9 @@ def _merge_short(short: np.ndarray, long: np.ndarray, runs: tuple, skip: int, ou
                 continue
             cells = slice(start + k0, start + k1)
             moved = long[:, k0:k1] + v if v else long[:, k0:k1]
-            for long_rows, new_rows, cost in group:
-                seg = out[new_rows, cells]
-                block = moved[long_rows]
-                np.minimum(seg, block if cost is None else block + cost, out=seg)
+            for g, s_new, cost in group:
+                seg = out[s_new, cells]
+                np.minimum(seg, moved[g] + cost if cost else moved[g], out=seg)
 
 
 def _merge_pairs(cur, child, into: list, kernel, cur_short: bool, skip: int, out: np.ndarray):

@@ -225,6 +225,9 @@ def test_edge_peak_lower_bound_values():
     assert edge_peak_lower_bound(2, 1) == 0
     assert edge_peak_lower_bound(1023, 10) == 3
     assert edge_peak_lower_bound(1, 1) == 0
+    with pytest.raises(ValueError) as info:
+        edge_peak_lower_bound(0, 1)
+    assert str(info.value) == "n must be >= 1, got 0"
 
 
 def test_edge_peak_lower_bound_is_valid():

@@ -175,6 +175,11 @@ def test_negative_k_max_is_usage_error(tmp_path, capsys):
 def test_bad_generator_params_is_usage_error(capsys):
     assert main(["generate", "complete_tary", "-p", "t=1", "-p", "d=2"]) == 2
     assert main(["generate", "path", "-p", "n=x"]) == 2
+    capsys.readouterr()
+    assert main(["generate", "path", "-p", "n5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad parameter 'n5', expected KEY=VALUE\n"
 
 
 def test_generator_parameters_take_ascii_decimal_integers_only(tmp_path, capsys):

@@ -526,7 +526,7 @@ def test_merge_follows_transition_table(monkeypatch, mode, trans):
         profile._merge_short, profile._merge_pairs, profile._min_plus_rows, profile._min_plus_blocks)
 
     def spied_short(short, long, runs, skip, out):
-        side = "child" if runs is rules.child_runs else "cur"
+        side = "child" if runs is rules.child_terms else "cur"
         sides.append(side)
         reached.add(("short", side, short.shape[1], skip > 0))
         merge_short(short, long, runs, skip, out)
@@ -591,22 +591,19 @@ def test_merge_follows_transition_table(monkeypatch, mode, trans):
 @pytest.mark.parametrize(
     "mode, trans", [("edge", profile._EDGE_TRANS), ("vertex", profile._VERTEX_TRANS)]
 )
-def test_short_runs_hold_each_transition_once(mode, trans):
-    """Both run tables of a mode, read back term by term, are the
-    transition table: each (s_prev, sc) -> (cost, s_new) exactly once."""
+def test_short_terms_hold_each_transition_once(mode, trans):
+    """Both term tables of a mode, read back term by term, are the
+    transition table: each (s_prev, sc) -> (cost, s_new) exactly once,
+    filed under the flag of the short side."""
     rules = profile._MODES[mode]
-    for runs, child_short in ((rules.child_runs, True), (rules.cur_runs, False)):
-        terms = []
-        for flag, group in enumerate(runs):
-            for long_rows, new_rows, cost in group:
-                r = long_rows.stop - long_rows.start
-                assert r == new_rows.stop - new_rows.start >= 1
-                assert cost is None or (cost.dtype == np.int32 and cost.shape == (r, 1))
-                for k in range(r):
-                    s_long = long_rows.start + k
-                    key = (s_long, flag) if child_short else (flag, s_long)
-                    terms.append((key, (0 if cost is None else int(cost[k, 0]), new_rows.start + k)))
-        assert sorted(terms) == sorted(trans.items())
+    for terms, child_short in ((rules.child_terms, True), (rules.cur_terms, False)):
+        assert len(terms) == len(rules.into)
+        read = []
+        for flag, group in enumerate(terms):
+            for s_long, s_new, cost in group:
+                key = (s_long, flag) if child_short else (flag, s_long)
+                read.append((key, (cost, s_new)))
+        assert sorted(read) == sorted(trans.items())
 
 
 def test_row_and_block_kernels_agree(monkeypatch):

@@ -186,6 +186,31 @@ def test_unknown_format_rejected():
         parse_tree(PATH3_JSON, "xml")
 
 
+# Input errors, each with the exact message it must give.
+INPUT_ERRORS = {
+    "json missing field": (lambda: parse_tree(b'{"n":3,"parent":[null,0,1]}', "json"),
+                           TreeFormatError, "malformed json: missing field 'root'"),
+    "json n not int": (lambda: parse_tree(b'{"n":"3","root":0,"parent":[null,0,1]}', "json"),
+                       TreeFormatError, "malformed json: field 'n' must be an integer"),
+    "json root not int": (lambda: parse_tree(b'{"n":3,"root":0.0,"parent":[null,0,1]}', "json"),
+                          TreeFormatError, "malformed json: field 'root' must be an integer"),
+    "json parent not array": (lambda: parse_tree(b'{"n":3,"root":0,"parent":{"0":null}}', "json"),
+                              TreeFormatError, "malformed json: field 'parent' must be an array"),
+    "serialize format": (lambda: serialize_tree(parse_tree(PATH3_JSON, "json"), "xml"),
+                         TreeFormatError, "unknown tree format 'xml', expected one of ('json', 'parent-list')"),
+    "float parameter": (lambda: generate_tree("path", {"n": 2.0}),
+                        GenerationError, "generator parameter 'n' must be an integer, got 2.0"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_error_messages(case):
+    call, error, message = INPUT_ERRORS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_serialize_path3_exact_bytes():
     t = parse_tree(PATH3_JSON, "json")
     assert serialize_tree(t, "json") == PATH3_JSON
