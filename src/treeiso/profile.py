@@ -14,24 +14,28 @@ take children in ascending class id, leaves (stage 0) first; witnesses in
 ascending vertex id, their tie order.  A complete t-ary tree costs one
 merge chain per level, a path what a per-vertex DP does.
 
-Each mode states its flag rules once, in a transition table that both
-algebras' merges, the one-vertex table and the witness backtracking read.
+Each mode states its flag rules once, in a transition table that the
+table algebras' merges, the one-vertex table and the witness backtracking
+read.
 
-One stage driver, _stages, runs either of two exact table algebras: _dense,
-int32 tables with _INF marking infeasible cells, and _clipped, the level
-sets of values up to a bound K as Python-int bitsets.  No merge cost is
-negative, so a clipped run gives the exact value of every size whose value
-is at most K and leaves the others out: a run whose root covers every size
-it is asked for certifies itself.  Profiles and witnesses take one route,
-the K runs of _clip_ks, then the dense DP.  Below the root a profile DP
-keeps every cell of every stage, so one run also gives the profile of
-each subtree, read off its class's stage (subtree_profiles).  A clipped
-run is full width, whatever sizes it was made for, so the last witness
-tree keeps its last clipped run of each mode for the next query on it.
-Every witness run is priced by its bytes against one budget before it is
-built; a clipped run replaces the mode's kept one, a dense run is never
-kept, and either drops the kept runs only when it would not fit beside
-them.
+One stage driver, _stages, runs any of three exact algebras: _dense,
+int32 tables with _INF marking infeasible cells; _clipped, the level sets
+of values up to a bound K as Python-int bitsets; and _level_one, the
+vertex mode's K = 1 level in closed form, from the sums of child subtree
+sizes at each vertex.  No merge cost is negative, so a clipped run gives
+the exact value of every size whose value is at most K and leaves the
+others out: a run whose root covers every size it is asked for certifies
+itself.  Profiles and witnesses take one route, the K runs of _clip_ks,
+then the dense DP; a profile's vertex-mode K = 1 run is a _level_one
+run, a witness's a clipped one, since it reads the sets back.  Below the
+root a profile DP keeps every cell of every stage, so one run also gives
+the profile of each subtree, read off its class's stage
+(subtree_profiles).  A clipped run is full width, whatever sizes it was
+made for, so the last witness tree keeps its last clipped run of each
+mode for the next query on it.  Every witness run is priced by its bytes
+against one budget before it is built; a clipped run replaces the mode's
+kept one, a dense run is never kept, and either drops the kept runs only
+when it would not fit beside them.
 """
 from __future__ import annotations
 
@@ -318,15 +322,19 @@ def _profile(tree: RootedTree, mode: str, walk, classes=None) -> list:
 
     One route answers them all: the first clipped run of _clip_ks that
     covers sizes 0..s of every asked class, else the dense DP, exact at
-    every stage.  Below the root a dense stage is full width (lo = 0), so
-    an inner class's stage is its subtree's own root table; only the
-    root's is windowed, to lo = 1."""
+    every stage.  The vertex mode's K = 1 run is _level_one_profile, which
+    reads the same values as a clipped run.  Below the root a dense stage
+    is full width (lo = 0), so an inner class's stage is its subtree's own
+    root table; only the root's is windowed, to lo = 1."""
     last, keys = walk
     if classes is None:
         classes = [last[tree.root]]
     rules, n, size = _MODES[mode], tree.n, _stage_sizes(keys)
     for k in _clip_ks(mode, last, size, n):
-        answers = _clipped_profile(rules, keys, size, n, k, classes)
+        if mode == "vertex" and k == 1:
+            answers = _level_one_profile(keys, size, n, classes)
+        else:
+            answers = _clipped_profile(rules, keys, size, n, k, classes)
         if all(covered for covered, _ in answers):
             return [values for _, values in answers]
     stages = _class_stages(_dense(rules), keys, size, n, 1, classes)
@@ -349,7 +357,8 @@ def _clip_ks(mode: str, last, size, n: int):
     sizes may make, in order: K0, K0 + 1, ... <= _CLIP_K_MAX when n <=
     _CLIP_STAGE_RATIO * stages, else none.  K0 is 1 in vertex mode and one
     above edge_peak_lower_bound(n, eta) in edge mode, eta the number of
-    distinct sizes of the last stages, each over a vertex's subtree."""
+    distinct sizes of the last stages, each over a vertex's subtree.  A
+    profile's vertex-mode K = 1 step is _level_one_profile."""
     if n > _CLIP_STAGE_RATIO * len(size):
         return range(0)
     if mode == "vertex":
@@ -363,19 +372,39 @@ def _clip_ks(mode: str, last, size, n: int):
 
 
 def _clipped_profile(rules: _Mode, keys, size, n: int, k: int, classes) -> list:
-    """One clipped run at K = k: for each class in classes, over s vertices,
-    (whether it covers all sizes 0..s, the value of each size 1..s: the
-    number of the k + 1 level unions that miss it)."""
-    answers = []
+    """One clipped run at K = k: _read_levels of each class in classes."""
     stages = _class_stages(_clipped(rules, k), keys, size, n, 0, classes)
-    for c, (_, table) in zip(classes, stages):
-        s = size[c]
-        levels = _level_unions(table, k)
-        raw = b"".join(u.to_bytes(s // 8 + 1, "little") for u in levels)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        covered = bits.reshape(k + 1, -1).sum(axis=0)
-        answers.append((levels[-1] == (2 << s) - 1, (k + 1 - covered[1 : s + 1]).tolist()))
+    return [_read_levels(_level_unions(table, k), size[c]) for c, (_, table) in zip(classes, stages)]
+
+
+def _level_one_profile(keys, size, n: int, classes) -> list:
+    """The vertex mode's _clipped_profile at K = 1, in closed form.  A set
+    has vertex boundary {u} exactly when it is a nonempty union of
+    components of T - u, so over a class of w vertices b_v(i) <= 1 exactly
+    when i is 0, w, a subset sum of one vertex's child subtree sizes
+    (_level_one), or w - 1 less one."""
+    answers = []
+    stages = _class_stages(_level_one(), keys, size, n, 0, classes)
+    for c, (_, (_, low)) in zip(classes, stages):
+        w = size[c]
+        ends = 1 | 1 << w
+        answers.append(_read_levels([ends, ends | low | _reflect(low, w)], w))
     return answers
+
+
+def _read_levels(levels: list, s: int) -> tuple:
+    """(whether the last of levels, the K + 1 level unions of a class over s
+    vertices, covers sizes 0..s, the value of each size 1..s: the number of
+    level unions that miss it)."""
+    raw = b"".join(u.to_bytes(s // 8 + 1, "little") for u in levels)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    covered = bits.reshape(len(levels), -1).sum(axis=0)
+    return levels[-1] == (2 << s) - 1, (len(levels) - covered[1 : s + 1]).tolist()
+
+
+def _reflect(bits: int, w: int) -> int:
+    """The bitset {w - 1 - i : i in bits}, for bits over 0..w - 1."""
+    return int(bin(bits)[:1:-1], 2) << w - bits.bit_length()
 
 
 def _level_unions(table, k: int) -> list:
@@ -950,6 +979,19 @@ def _clipped(rules: _Mode, k: int):
         return out
 
     return (lambda lo, width: base), merge
+
+
+def _level_one():
+    """The vertex mode's K = 1 algebra, for full-width stages: a stage is
+    (sums, low), the subset sums of the child subtree sizes merged into its
+    root and their union over all its vertices, as bitsets.  A child is a
+    whole subtree, so its size is its sums' top bit + 1."""
+
+    def merge(cur, child, skip, width):
+        sums = cur[0] | cur[0] << child[0].bit_length()
+        return sums, cur[1] | child[1] | sums
+
+    return (lambda lo, width: (1, 1)), merge
 
 
 def _sumset(a: int, b: int) -> int:

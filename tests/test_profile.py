@@ -871,6 +871,35 @@ def test_subtree_profiles_clip_only_when_every_subtree_is_covered(monkeypatch):
     assert both[29] == compute_profile(star)
 
 
+def test_level_one_step_clips_on_mixed_coverage(monkeypatch):
+    """A spider, three paths of 8 vertices on one root, has vertex peak 2,
+    and each leg vertex peak 1.  Asked for the root and a leg, the vertex
+    route's closed-form K = 1 run covers the leg but not the root, so it
+    steps on to a clipped run at K = 2, and every profile equals that of
+    its subtree alone.  Only the vertex mode takes the closed form: on
+    trees with n <= 2 the edge route also starts at K = 1, with a clipped
+    run."""
+    spider = RootedTree.from_parents([None] + [0 if j % 8 == 0 else j for j in range(24)], 0)
+    assert (compute_profile(spider).vertex_peak, compute_profile(_subtree(spider, 1)).vertex_peak) == (2, 1)
+    log = _route_log(monkeypatch)
+    closed, level_one = [], profile._level_one
+    monkeypatch.setattr(profile, "_level_one", lambda: closed.append(1) or level_one())
+    edge_profile(spider)
+    edge_log = list(log)
+    log.clear()
+    got = subtree_profiles(spider, [0, 1])
+    assert (log, closed) == (edge_log + [1, 2], [1])
+    for v in (0, 1):
+        assert got[v] == compute_profile(_subtree(spider, v)), v
+    for n in (1, 2):
+        path = generate_tree("path", {"n": n})
+        for mode, run in (("edge", edge_profile), ("vertex", vertex_profile)):
+            log.clear()
+            closed.clear()
+            assert run(path) == [1] * (n - 1) + [0], (n, mode)
+            assert (log, closed) == ([1], [1] if mode == "vertex" else []), (n, mode)
+
+
 def test_subtree_profiles_argument_errors(monkeypatch):
     """A vertex outside 0..n-1 or not an int is refused, -1 included, which
     would otherwise index from the end; a tree above size_cap too, with no
@@ -1261,13 +1290,51 @@ def test_clipped_run_is_exact_up_to_k():
                 assert covered == (k == max(dense)), (label, mode, k)
 
 
+def test_level_one_sets_match_the_dps(monkeypatch):
+    """On every subtree, of w vertices, the sizes where a profile is at
+    most 1 follow from subtree sizes alone.  Vertex mode: the closed-form K
+    = 1 run reads b_v(i) where it is at most 1 and 2 elsewhere, as a
+    clipped run at K = 1 does, and covers exactly when the peak is 1.  Edge
+    mode: b_e(i) <= 1 exactly when i is w(u) or w - w(u) for a vertex u of
+    the subtree, since a set with one cut edge is the side of that edge
+    away from the root or the other side.  Against the dense DP on random
+    trees with n = 100-600, above the oracle, and against the oracle on
+    structured and random trees with n <= 14."""
+    large = [generate_tree("random_prufer" if n % 200 else "random_recursive", {"n": n}, seed=n)
+             for n in range(100, 601, 100)]
+    small = [tree for _, tree in structured_trees(14) + random_trees(60, 14, seed0=28)]
+    for tree, oracle in [(t, False) for t in large] + [(t, True) for t in small]:
+        last, keys = profile._subtree_classes(tree, tree.n, True)
+        classes = sorted(set(last))
+        level_one = dict(zip(classes, profile._level_one_profile(
+            keys, profile._stage_sizes(keys), tree.n, classes)))
+        if oracle:
+            dps = {v: brute_force_profiles(_subtree(tree, v)) for v in range(tree.n)}
+        else:
+            with monkeypatch.context() as m:
+                _force_route(m, 0)
+                got = subtree_profiles(tree, range(tree.n))
+            dps = {v: (list(p.edge_values), list(p.vertex_values)) for v, p in got.items()}
+        sizes = _subtree_sizes(tree)
+        for v in range(tree.n):
+            subtree = [v]
+            for u in subtree:
+                subtree.extend(tree.children[u])
+            w, (edge, vertex), label = len(subtree), dps[v], (tree.n, v)
+            assert level_one[last[v]] == (max(vertex) <= 1, [min(b, 2) for b in vertex]), label
+            cuts = {sizes[u] for u in subtree} | {w - sizes[u] for u in subtree[1:]}
+            assert {i for i, b in enumerate(edge, 1) if b <= 1} == cuts, label
+
+
 def _route_log(monkeypatch):
     """A list that gets one entry per table algebra a profile builds, one
-    per run of the stage driver: K for a clipped run, None for a dense one."""
+    per run of the stage driver: K for a clipped run, 1 for the vertex
+    mode's closed-form K = 1 run, None for a dense one."""
     log = []
-    clipped, dense = profile._clipped, profile._dense
+    clipped, dense, level_one = profile._clipped, profile._dense, profile._level_one
     monkeypatch.setattr(profile, "_clipped", lambda rules, k: log.append(k) or clipped(rules, k))
     monkeypatch.setattr(profile, "_dense", lambda rules: log.append(None) or dense(rules))
+    monkeypatch.setattr(profile, "_level_one", lambda: log.append(1) or level_one())
     return log
 
 
