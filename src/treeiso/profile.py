@@ -27,20 +27,23 @@ the exact value of every size whose value is at most K and leaves the
 others out: a run whose root covers every size it is asked for certifies
 itself.  Profiles and witnesses take one route, the K runs of _clip_ks,
 then the dense DP; a profile's vertex-mode K = 1 run is a _level_one
-run, a witness's a clipped one, since it reads the sets back.  Below the
-root a profile DP keeps every cell of every stage, so one run also gives
-the profile of each subtree, read off its class's stage
-(subtree_profiles).  A clipped run is full width, whatever sizes it was
-made for, so the last witness tree keeps its last clipped run of each
-mode for the next query on it.  Every witness run is priced by its bytes
-against one budget before it is built; a clipped run replaces the mode's
-kept one, a dense run is never kept, and either drops the kept runs only
-when it would not fit beside them.
+run, a witness's a clipped one, since it reads the sets back, and a
+profile takes it even where the stage rule sends the tree dense.  Below
+the root a profile DP keeps every cell of every stage (in edge mode every
+cell up to n // 2, the rest mirrored), so one run also gives the profile
+of each subtree, read off its class's stage (subtree_profiles); the root
+stage is one row, its minimum over flags.  A clipped run is full width,
+whatever sizes it was made for, so the last witness tree keeps its last
+clipped run of each mode for the next query on it.  Every witness run is
+priced by its bytes against one budget before it is built; a clipped run
+replaces the mode's kept one, a dense run is never kept, and either drops
+the kept runs only when it would not fit beside them.
 """
 from __future__ import annotations
 
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -78,19 +81,28 @@ _INF = np.iinfo(np.int32).max // 2 - 1
 
 # Merge route thresholds (the route policy is _merge's).  At most
 # _BLOCK_CELLS sums per block keep the block scratch at most 256 KiB.  The
-# thresholds are where the routes' times crossed on a 2-vCPU Xeon VM.  For
-# _ROW_LOOP_MAX, _merge_short against _merge_pairs on the merges of the
-# benchmark workloads' trees with the dense route forced took 0.75x / 0.50x
-# (edge / vertex) of the time at 3 short-side cells, 1.09x / 0.73x at 4 and
-# 1.38x / 1.06x at 5.
+# thresholds are where the routes' times crossed on a 2-vCPU Xeon VM, with
+# the ufunc buffer at its default.  For _ROW_LOOP_MAX, _merge_short against
+# _merge_pairs on the merges of the benchmark workloads' trees with the dense
+# route forced took 0.75x / 0.50x (edge / vertex) of the time at 3 short-side
+# cells, 1.09x / 0.73x at 4 and 1.38x / 1.06x at 5.
 _BLOCK_CELLS = 32_768
 _MIN_BLOCK_ROWS = 4
 _ROW_LOOP_MAX = 4
-# Clipped route thresholds (the policy is _clip_ks'), timed on a 2-vCPU Xeon VM.
-# Random trees (n = 400, 5000; 0.30-0.39 stages per vertex): one run at K = 1, 2,
-# 4, 5 took 0.16-0.23, 0.28-0.39, 0.50-0.98, 0.55-1.13x the dense DP, so K = 5
-# cannot repay the runs below it.  Complete trees (<= 0.21 stages per vertex)
-# start far below their peaks; without the stage rule paper-tables took 1.33-1.46x.
+# The ufunc buffer, in elements, of every dense run (_small_ufunc_buffer).
+# At numpy's default of 8192, numpy 2.4.6 copies each operand row of at most
+# 2048 cells through the buffer: a whole _min_plus_blocks call took 0.74
+# ns/cell at 1025-cell rows and 0.73 at 2048, against 0.35 at 2049; at 256,
+# 0.39, 0.36 and 0.37 (2-vCPU Xeon VM).  Complete binary subtrees make
+# 2^k-cell rows.
+_UFUNC_BUFSIZE = 256
+# Clipped route thresholds (the policy is _clip_ks'), timed on a 2-vCPU Xeon VM
+# before the ufunc buffer was cut.  Random trees (n = 400, 5000; 0.30-0.39
+# stages per vertex): one run at K = 1, 2, 4, 5 took 0.16-0.23, 0.28-0.39,
+# 0.50-0.98, 0.55-1.13x the dense DP, so K = 5 cannot repay the runs below
+# it.  Complete trees (<= 0.21 stages per vertex) start far below their
+# peaks; without the stage rule paper-tables took 1.33-1.46x.  The vertex
+# mode's closed-form K = 1 step ignores both (see _profile).
 _CLIP_STAGE_RATIO = 4
 _CLIP_K_MAX = 4
 
@@ -130,10 +142,11 @@ class _Mode:
     child_terms and cur_terms file the same transitions for _merge_short by
     the flag of its short side, the child or the current table: terms[f]
     lists the (long-side flag, new parent flag, cost) of each transition
-    whose short-side flag is f.
+    whose short-side flag is f.  root is the _Mode of the same transitions
+    into flag 0 alone, whose merge makes the minimum over flags in one row.
     """
 
-    __slots__ = ("in_flag", "into", "base", "child_terms", "cur_terms")
+    __slots__ = ("in_flag", "into", "base", "child_terms", "cur_terms", "root")
 
     def __init__(self, in_flag: int, into: list, base, child_terms: list, cur_terms: list):
         self.in_flag, self.into, self.base = in_flag, into, base
@@ -141,7 +154,7 @@ class _Mode:
 
 
 def _mode(nflags: int, in_flag: int, trans: dict) -> _Mode:
-    into = [{} for _ in range(nflags)]
+    into = [{} for _ in range(1 + max(s for _, s in trans.values()))]
     child_terms, cur_terms = [[] for _ in range(nflags)], [[] for _ in range(nflags)]
     for (s_prev, sc), (cost, s_new) in sorted(trans.items()):
         into[s_new].setdefault(s_prev, []).append((sc, cost))
@@ -151,7 +164,10 @@ def _mode(nflags: int, in_flag: int, trans: dict) -> _Mode:
     base = np.full((nflags, 2), _INF, dtype=np.int32)
     base[0, 0] = base[in_flag, 1] = 0
     base.setflags(write=False)
-    return _Mode(in_flag, into, base, child_terms, cur_terms)
+    rules = _Mode(in_flag, into, base, child_terms, cur_terms)
+    one_row = {t: (cost, 0) for t, (cost, _) in trans.items()}
+    rules.root = rules if one_row == trans else _mode(nflags, in_flag, one_row)
+    return rules
 
 
 _MODES = {"edge": _mode(2, _E_IN, _EDGE_TRANS), "vertex": _mode(3, _V_IN, _VERTEX_TRANS)}
@@ -323,30 +339,60 @@ def _profile(tree: RootedTree, mode: str, walk, classes=None) -> list:
     One route answers them all: the first clipped run of _clip_ks that
     covers sizes 0..s of every asked class, else the dense DP, exact at
     every stage.  The vertex mode's K = 1 run is _level_one_profile, which
-    reads the same values as a clipped run.  Below the root a dense stage
-    is full width (lo = 0), so an inner class's stage is its subtree's own
-    root table; only the root's is windowed, to lo = 1."""
+    reads the same values as a clipped run; at one shift-OR per stage it is
+    run even where the stage rule of _clip_ks makes no clipped run, unless
+    _CLIP_K_MAX is 0.
+
+    The dense DP runs under _small_ufunc_buffer.  Below the root its stages
+    start at lo = 0, so an inner class's stage is its subtree's own root
+    table; only the root's is windowed, to lo = 1, and made as the one row
+    of its minimum over flags (_dense).  An edge profile is complement
+    symmetric, b_e(j) = b_e(s - j), so its stages keep sizes up to n // 2
+    and the rest of each class is read from its mirror."""
     last, keys = walk
     if classes is None:
         classes = [last[tree.root]]
     rules, n, size = _MODES[mode], tree.n, _stage_sizes(keys)
-    for k in _clip_ks(mode, last, size, n):
+    ks = _clip_ks(mode, last, size, n)
+    if mode == "vertex" and not ks and _CLIP_K_MAX:
+        ks = [1]
+    for k in ks:
         if mode == "vertex" and k == 1:
             answers = _level_one_profile(keys, size, n, classes)
         else:
             answers = _clipped_profile(rules, keys, size, n, k, classes)
         if all(covered for covered, _ in answers):
             return [values for _, values in answers]
-    stages = _class_stages(_dense(rules), keys, size, n, 1, classes)
-    return [np.min(table, axis=0)[1 - lo :].tolist() for lo, table in stages]
+    # Drop the values of the last run, which missed, before the dense run.
+    answers = []
+    i_max = max(1, n // 2) if mode == "edge" else n
+    with _small_ufunc_buffer():
+        stages = _class_stages(_dense(rules, True), keys, size, n, 1, i_max, classes)
+    for c, (lo, table) in zip(classes, stages):
+        # Cells 0 .. min(s, i_max); cell 0, the empty set, is 0.
+        head = [0] * lo + np.min(table, axis=0).tolist()
+        answers.append(head[1:] + head[: size[c] + 1 - len(head)][::-1])
+    return answers
 
 
-def _class_stages(algebra, keys, size, n: int, i_min: int, classes) -> list:
+@contextmanager
+def _small_ufunc_buffer():
+    """A scope whose ufuncs run with a buffer of _UFUNC_BUFSIZE elements;
+    the caller's size is restored on exit, however it exits.  It must not
+    span a yield of _stages, which would lend it to the driver's caller."""
+    old = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+def _class_stages(algebra, keys, size, n: int, i_min: int, i_max: int, classes) -> list:
     """The stage (lo, table) of each class in classes from one _stages run
-    of the (base, merge) algebra for sizes i_min .. n, taken as the driver
-    yields it, since the driver frees it once merged."""
+    of the (base, merge) algebra for sizes i_min .. i_max, taken as the
+    driver yields it, since the driver frees it once merged."""
     found = dict.fromkeys(classes)
-    for c, stage in enumerate(_stages(*algebra, keys, size, n, i_min, n)):
+    for c, stage in enumerate(_stages(*algebra, keys, size, n, i_min, i_max)):
         if c in found:
             found[c] = stage
     return [found[c] for c in classes]
@@ -373,7 +419,7 @@ def _clip_ks(mode: str, last, size, n: int):
 
 def _clipped_profile(rules: _Mode, keys, size, n: int, k: int, classes) -> list:
     """One clipped run at K = k: _read_levels of each class in classes."""
-    stages = _class_stages(_clipped(rules, k), keys, size, n, 0, classes)
+    stages = _class_stages(_clipped(rules, k), keys, size, n, 0, n, classes)
     return [_read_levels(_level_unions(table, k), size[c]) for c, (_, table) in zip(classes, stages)]
 
 
@@ -384,7 +430,7 @@ def _level_one_profile(keys, size, n: int, classes) -> list:
     when i is 0, w, a subset sum of one vertex's child subtree sizes
     (_level_one), or w - 1 less one."""
     answers = []
-    stages = _class_stages(_level_one(), keys, size, n, 0, classes)
+    stages = _class_stages(_level_one(), keys, size, n, 0, n, classes)
     for c, (_, (_, low)) in zip(classes, stages):
         w = size[c]
         ends = 1 | 1 << w
@@ -571,7 +617,8 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
             f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
         )
     _keep(tree, classes, cells * np.dtype(np.int32).itemsize, {})
-    stages = list(_stages(*_dense(rules), keys, size, n, sizes[0], sizes[-1]))
+    with _small_ufunc_buffer():
+        stages = list(_stages(*_dense(rules), keys, size, n, sizes[0], sizes[-1]))
     return (*classes, _Run(stages, (_dense_cell, _dense_split)))
 
 
@@ -728,8 +775,10 @@ def _first_split(a: int, ja: int, b: int, jb: int, j: int):
     return None
 
 
-def _merge(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: int) -> np.ndarray:
-    """cur with one more child merged in, by the transition table of rules.
+def _merge(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: int,
+           root: bool = False) -> np.ndarray:
+    """cur with one more child merged in, by the transition table of rules,
+    or of rules.root when root.
 
     Row s of the result is the minimum, over the transitions into s, of
     cur[s_prev] min-plus (child[sc] + cost), saturated at _INF, over only
@@ -745,6 +794,8 @@ def _merge(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: i
     too long for a block of _MIN_BLOCK_ROWS rows; there the row loop's two
     numpy calls per short cell are bound by cell work, not by calls.
     """
+    if root:
+        rules = rules.root
     out = _empty_table(len(rules.into), width)
     if child.shape[1] <= cur.shape[1]:
         short, long, terms = child, cur, rules.child_terms
@@ -838,9 +889,11 @@ def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -
     earlier, so its column c holds a[i + k] + b[c - k] or _INF, and one min
     over the rows is the block's share of convolution cells i .. i + lb + r
     - 2, of which the columns that land in out are kept; a block with none
-    is skipped.  A last, shorter block reads only its own rows.  The
-    scratch has r * (lb + r) <= 2 * _BLOCK_CELLS cells, since r * lb <=
-    _BLOCK_CELLS and r <= lb.
+    is skipped.  Only the cells of b that some row places in a kept column
+    are added; the scratch cells left out hold _INF or an earlier block's
+    sums, which the kept columns never read.  A last, shorter block reads
+    only its own rows.  The scratch has r * (lb + r) <= 2 * _BLOCK_CELLS
+    cells, since r * lb <= _BLOCK_CELLS and r <= lb.
     """
     lb = b.size
     r = min(a.size, _BLOCK_CELLS // lb)
@@ -852,7 +905,9 @@ def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -
         if c0 >= c1:
             continue
         rows = a[i : i + r]
-        np.add(rows[:, None], b, out=z[: rows.size, :lb])
+        # Row k places cell c of b in column c + k.
+        b0, b1 = max(0, c0 + 1 - rows.size), min(lb, c1)
+        np.add(rows[:, None], b[b0:b1], out=z[: rows.size, b0:b1])
         skew = flat[: rows.size * (lb + r - 1)].reshape(rows.size, lb + r - 1)
         seg = out[start + c0 : start + c1]
         np.minimum(seg, skew.min(axis=0)[c0:c1], out=seg)
@@ -937,10 +992,14 @@ def _stages(base, merge, keys, size, n: int, i_min: int, i_max: int):
         yield stage
 
 
-def _dense(rules: _Mode):
-    """The int32 table algebra of rules, (base, merge) for _stages."""
+def _dense(rules: _Mode, root: bool = False):
+    """The int32 table algebra of rules, (base, merge) for _stages.  root
+    marks a profile's run, for sizes 1 and up: its one merge with skip > 0
+    makes the root's last stage, the only one windowed to lo = 1, which the
+    profile reads only through its minimum over flags, so it takes
+    rules.root and makes that one row."""
     return (lambda lo, width: rules.base[:, lo : lo + width],
-            lambda cur, child, skip, width: _merge(cur, child, rules, skip, width))
+            lambda cur, child, skip, width: _merge(cur, child, rules, skip, width, root and skip > 0))
 
 
 def _clipped(rules: _Mode, k: int):

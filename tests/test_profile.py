@@ -606,35 +606,55 @@ def test_short_terms_hold_each_transition_once(mode, trans):
         assert sorted(read) == sorted(trans.items())
 
 
+def _block_trims(a, b, out, skip) -> bool:
+    """Whether some block of a _min_plus_blocks call has sums landing in out
+    but a cell of b whose sums with every row of the block land outside it."""
+    r = min(a.size, profile._BLOCK_CELLS // b.size)
+    for i in range(0, a.size, r):
+        rows = min(r, a.size - i)
+        # Cells first .. stop - 1 of b land, with some row of the block.
+        first, stop = max(0, skip - i - rows + 1), min(b.size, out.size + skip - i)
+        if first < stop and (first > 0 or stop < b.size):
+            return True
+    return False
+
+
 def test_row_and_block_kernels_agree(monkeypatch):
     """On every _merge call the DP makes, with the profiles' dense route
     forced, on the small-tree corpus, on complete trees large enough for
     blocks whose last one is shorter and in the witness DP's windowed
     calls, the route _merge takes equals _merge_pairs, and every call of
-    either min-plus kernel gives the row the other kernel gives."""
+    either min-plus kernel gives the row the other kernel gives.  Some
+    block calls leave cells of b out of a block's add (_block_trims), and
+    the profiles' root merges take the one-row rules."""
     merge, rows, blocks = profile._merge, profile._min_plus_rows, profile._min_plus_blocks
-    ragged = windowed = 0
+    ragged = windowed = trimmed = roots = 0
     short_routes = set()
 
     def cross_checked(kernel, other):
         def run(a, b, out, skip):
-            nonlocal ragged, windowed
+            nonlocal ragged, windowed, trimmed
             expected = out.copy()
             other(a, b, expected, skip)
             kernel(a, b, out, skip)
             assert np.array_equal(out, expected), (a.size, b.size, skip)
             ragged += a.size % (profile._BLOCK_CELLS // b.size) not in (0, a.size)
             windowed += out.size < a.size + b.size - 1 and a.size > profile._ROW_LOOP_MAX
+            trimmed += kernel is blocks and _block_trims(a, b, out, skip)
         return run
 
-    def checked(cur, child, rules, skip, width):
-        out = merge(cur, child, rules, skip, width)
+    def checked(cur, child, rules, skip, width, root=False):
+        nonlocal roots
+        out = merge(cur, child, rules, skip, width, root)
         mode = next(m for m, r in profile._MODES.items() if r is rules)
+        roots += root
+        terms = rules.root if root else rules
+        assert out.shape == (len(terms.into), width)
         side, w = ("child", child.shape[1]) if child.shape[1] <= cur.shape[1] else ("cur", cur.shape[1])
         if w <= profile._ROW_LOOP_MAX:
             short_routes.add((mode, side, skip > 0))
-            pairs = profile._empty_table(len(rules.into), width)
-            profile._merge_pairs(cur, child, rules.into, profile._min_plus_blocks, side == "cur",
+            pairs = profile._empty_table(len(terms.into), width)
+            profile._merge_pairs(cur, child, terms.into, profile._min_plus_blocks, side == "cur",
                                  skip, pairs)
             assert np.array_equal(out, pairs), (mode, cur.shape, child.shape, skip, width)
         return out
@@ -651,7 +671,7 @@ def test_row_and_block_kernels_agree(monkeypatch):
     for tree in trees[-2:] + [generate_tree("random_recursive", {"n": 400}, seed=2)]:
         for mode in ("edge", "vertex"):
             witness_subsets(tree, [tree.n // 3, tree.n // 2], mode)
-    assert ragged and windowed
+    assert ragged and windowed and trimmed and roots
     assert short_routes == {(m, side, sk) for m in ("edge", "vertex")
                             for side in ("child", "cur") for sk in (False, True)}
 
@@ -954,9 +974,13 @@ large_trees = st.one_of(
 @given(large_trees)
 @example(generate_tree("complete_tary", {"t": 2, "d": 8}))
 def test_edge_profile_is_complement_symmetric(tree):
-    """A set and its complement cut the same edges: b_e(i) = b_e(n - i)."""
-    values = edge_profile(tree)
-    assert all(values[i - 1] == values[tree.n - i - 1] for i in range(1, tree.n))
+    """A set and its complement cut the same edges: b_e(i) = b_e(n - i).
+    Read off the full-width dense root table, cells 0..n, since the edge
+    profile keeps cells up to n // 2 and mirrors the rest; the profile
+    equals that table's minimum over flags."""
+    values = np.min(_full_root_table(tree, "edge"), axis=0).tolist()
+    assert values == values[::-1]
+    assert edge_profile(tree) == values[1:]
 
 
 @settings(deadline=None, max_examples=40)
@@ -1074,6 +1098,96 @@ def _full_root_table(tree, mode):
     for _, table in profile._stages(*dense, keys, profile._stage_sizes(keys), tree.n, 0, tree.n):
         pass
     return table
+
+
+def test_one_row_root_merge_is_the_minimum_over_flags():
+    """The root's last stage of a profile's dense run is one row, the
+    minimum over flags of the full-width root table over its window, in
+    both modes and with the edge profile's half window; and _merge with the
+    one-row rules gives the minimum over flags of its full merge on every
+    route, windowed or not."""
+    for label, tree in structured_trees(12) + random_trees(40, 60, seed0=12):
+        keys = profile._subtree_classes(tree, tree.n, True)[1]
+        size = profile._stage_sizes(keys)
+        for mode in ("edge", "vertex"):
+            full = np.min(_full_root_table(tree, mode), axis=0)
+            for i_max in {tree.n, max(1, tree.n // 2)}:
+                dense = profile._dense(profile._MODES[mode], True)
+                *_, (lo, root) = profile._stages(*dense, keys, size, tree.n, 1, i_max)
+                assert root.shape[0] == (1 if tree.n > 1 else len(profile._MODES[mode].into))
+                assert np.min(root, axis=0).tolist() == full[lo : lo + root.shape[1]].tolist(), (label, mode)
+    rng = np.random.default_rng(5)
+    for mode, rules in profile._MODES.items():
+        for cur_width, child_width in KERNEL_WIDTHS:
+            nflags = len(rules.into)
+            cur, child = (np.where(rng.random((nflags, w)) < 0.3, profile._INF,
+                                   rng.integers(0, 9, (nflags, w))).astype(np.int32)
+                          for w in (cur_width, child_width))
+            whole = cur_width + child_width - 1
+            for skip, width in ((0, whole), (1, whole - 1), (whole // 3, whole // 2)):
+                if width < 1:
+                    continue
+                got = profile._merge(cur, child, rules, skip, width, True)
+                expected = np.min(profile._merge(cur, child, rules, skip, width), axis=0)
+                assert got.tolist() == [expected.tolist()], (mode, cur_width, child_width, skip)
+
+
+def test_dense_subtree_profiles_read_wide_classes_from_their_mirror(monkeypatch):
+    """With the dense route forced, subtree_profiles at every vertex of a
+    path with n = 300 and of 20 random trees equals each subtree's own
+    profile: the edge stages keep cells up to n // 2 only, so every class
+    wider than that is read in part from its mirror."""
+    log = _route_log(monkeypatch)
+    trees = [generate_tree("path", {"n": 300})] + [t for _, t in random_trees(20, 120, seed0=31)]
+    wide = []
+    for tree in trees:
+        log.clear()
+        with monkeypatch.context() as m:
+            _force_route(m, 0)
+            got = subtree_profiles(tree, range(tree.n))
+        assert log == [None, None], tree.n
+        wide.append(sum(w > tree.n // 2 for w in _subtree_sizes(tree)) - 1)
+        for v in range(tree.n):
+            assert got[v] == compute_profile(_subtree(tree, v)), (tree.n, v)
+    # Wide classes below the root: 149 on the path, some on the random trees.
+    assert wide[0] == 149 and sum(wide[1:]) > 0
+
+
+def test_dense_runs_take_the_small_ufunc_buffer(monkeypatch):
+    """Every dense merge, of a profile or a witness, runs with the ufunc
+    buffer at _UFUNC_BUFSIZE and every clipped or closed-form merge with the
+    caller's; the caller's size is back after compute_profile,
+    subtree_profiles, a dense witness_subset and a dense run that raises."""
+    seen = {"dense": set(), "other": set()}
+    merge = profile._merge
+    monkeypatch.setattr(profile, "_merge", lambda *args: seen["dense"].add(np.getbufsize()) or merge(*args))
+    for name in ("_clipped", "_level_one"):
+        def spied(*args, algebra=getattr(profile, name)):
+            base, step = algebra(*args)
+            return base, lambda *window: seen["other"].add(np.getbufsize()) or step(*window)
+        monkeypatch.setattr(profile, name, spied)
+    binary, star = generate_tree("complete_tary", {"t": 2, "d": 8}), generate_tree("star", {"n": 60})
+    outer = np.setbufsize(4096)
+    try:
+        for tree in (binary, star, generate_tree("path", {"n": 60})):
+            compute_profile(tree)
+            assert np.getbufsize() == 4096
+            subtree_profiles(tree, range(0, tree.n, 7))
+            assert np.getbufsize() == 4096
+        witness_subset(generate_tree("complete_tary", {"t": 2, "d": 8}), 100, "edge")
+        assert np.getbufsize() == 4096
+        assert seen == {"dense": {profile._UFUNC_BUFSIZE}, "other": {4096}}
+
+        def failing(*args):
+            raise RuntimeError("merge failed")
+
+        monkeypatch.setattr(profile, "_merge", failing)
+        for run in (compute_profile, lambda t: witness_subset(t, 100, "vertex")):
+            with pytest.raises(RuntimeError, match="merge failed"):
+                run(generate_tree("complete_tary", {"t": 2, "d": 8}))
+            assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(outer)
 
 
 def _subtree_sizes(tree):
@@ -1333,7 +1447,7 @@ def _route_log(monkeypatch):
     log = []
     clipped, dense, level_one = profile._clipped, profile._dense, profile._level_one
     monkeypatch.setattr(profile, "_clipped", lambda rules, k: log.append(k) or clipped(rules, k))
-    monkeypatch.setattr(profile, "_dense", lambda rules: log.append(None) or dense(rules))
+    monkeypatch.setattr(profile, "_dense", lambda rules, *root: log.append(None) or dense(rules, *root))
     monkeypatch.setattr(profile, "_level_one", lambda: log.append(1) or level_one())
     return log
 
@@ -1401,11 +1515,13 @@ def _k_rule(tree, mode, need, by_class):
     """The route log of a DP over the stage keys of by_class that needs K =
     need to cover its sizes: clipped runs at K0 .. min(max(K0, need),
     _CLIP_K_MAX), then a dense run if that is below need, when the tree has
-    n <= _CLIP_STAGE_RATIO * stages; else one dense run."""
+    n <= _CLIP_STAGE_RATIO * stages; else one dense run, after the
+    closed-form K = 1 step in a vertex profile."""
     k0 = 1 + (edge_peak_lower_bound(tree.n, subtree_weights(tree).eta) if mode == "edge" else 0)
     stages = len(profile._subtree_classes(tree, tree.n, by_class)[1])
     if tree.n > profile._CLIP_STAGE_RATIO * stages:
-        return [None]
+        level_one = [1] if by_class and mode == "vertex" else []
+        return level_one + ([] if level_one and need <= 1 else [None])
     last = max(k0, need)
     rule = list(range(k0, min(last, profile._CLIP_K_MAX) + 1))
     return rule + ([None] if last > profile._CLIP_K_MAX else [])
@@ -1414,8 +1530,9 @@ def _k_rule(tree, mode, need, by_class):
 def test_clipped_route_steps_k_from_its_start(monkeypatch):
     """A tree with n <= _CLIP_STAGE_RATIO * stages makes clipped runs at K =
     K0, K0 + 1, ... until one covers every size asked for, or up to
-    _CLIP_K_MAX and then one dense run; any other tree makes one dense run.
-    K0 is one above p = edge_peak_lower_bound(n, eta) in edge mode and 1 in
+    _CLIP_K_MAX and then one dense run; any other tree makes one dense run,
+    which a vertex profile makes only if its closed-form K = 1 step does not
+    cover.  K0 is one above p = edge_peak_lower_bound(n, eta) in edge mode and 1 in
     vertex mode.  Profiles ask for every size, over their class-order
     stages; a witness at i = ceil(n/2) asks for size i, over its vertex-id
     order stages.  Counted by driver runs: the edge mode of a star with n =
@@ -1423,7 +1540,8 @@ def test_clipped_route_steps_k_from_its_start(monkeypatch):
     b_e(30) are 30) and falls back to the dense DP; a path clips at K = p +
     1 = 2; a caterpillar with spine 5 and legs 6 steps from K = 3 to its
     edge peak, _CLIP_K_MAX; a complete binary tree with d = 8 has too few
-    stages to clip."""
+    stages to clip, and its vertex profile (peak 4) takes the closed-form
+    step before the dense run."""
     runs = _driver_runs(monkeypatch)
     log = _route_log(monkeypatch)
     star, path = generate_tree("star", {"n": 60}), generate_tree("path", {"n": 60})
@@ -1433,7 +1551,7 @@ def test_clipped_route_steps_k_from_its_start(monkeypatch):
     pinned = [(star, "edge", [4, None], [4, None]), (star, "vertex", [1], [1]),
               (path, "edge", [2], [2]), (path, "vertex", [1], [1]),
               (caterpillar, "edge", [3, 4], None),
-              (binary, "edge", [None], [None]), (binary, "vertex", [None], [None])]
+              (binary, "edge", [None], [None]), (binary, "vertex", [1, None], [None])]
     corpus = [tree for _, tree in structured_trees(12) + random_trees(30, 300, seed0=5)]
     corpus += [binary, caterpillar]
     for tree, mode, expected, witnessed in (

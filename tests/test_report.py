@@ -371,7 +371,7 @@ def test_sweep_rows_equal_rows_from_each_trees_own_profile(monkeypatch):
     assert len(rows) == 31
     dense_runs = []
     dense = profile._dense
-    monkeypatch.setattr(profile, "_dense", lambda rules: dense_runs.append(1) or dense(rules))
+    monkeypatch.setattr(profile, "_dense", lambda rules, *root: dense_runs.append(1) or dense(rules, *root))
     clipped_only = 0
     for row in rows:
         t, d = row["t"], row["d"]
@@ -401,14 +401,16 @@ def test_sweep_rows_equal_rows_from_each_trees_own_profile(monkeypatch):
 
 
 def test_sweep_rows_runs_one_dp_per_mode_and_branching_factor(monkeypatch):
-    """At cap 5000 the sweep makes 10 runs of the stage driver, one per mode
-    for each of its 5 branching factors, where a route per depth made 78,
-    and each of its 31 rows still comes from a tree of its own n."""
+    """At cap 5000 the sweep makes 10 dense runs of the stage driver, one
+    per mode for each of its 5 branching factors, where a route per depth
+    made 78, and each of its 31 rows still comes from a tree of its own n.
+    Each vertex run follows the closed-form K = 1 step, which no deepest
+    tree's vertex peak lets cover: 15 driver runs in all."""
     runs = []
     stages = profile._stages
     monkeypatch.setattr(profile, "_stages", lambda *args: runs.append(1) or stages(*args))
     rows = sweep_rows(max_vertices=5000)
-    assert (len(rows), len(runs)) == (31, 10)
+    assert (len(rows), len(runs)) == (31, 15)
     assert all(row["n"] == (row["t"] ** row["d"] - 1) // (row["t"] - 1) for row in rows)
 
 
