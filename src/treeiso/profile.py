@@ -750,29 +750,14 @@ def _clipped_split(into: list, prev, child, j: int, value: int):
 def _first_split(a: int, ja: int, b: int, jb: int, j: int):
     """The least x with bit x of b and bit j - x of a set, or None, for two
     levels (c, bits, j) of _clipped: read off the one bit of either when it
-    has one, else found by walking the set bits of the sparser one below
-    bit j + 1, as _sumset does."""
+    has one, else the lowest bit of b and a's bits 0..j reflected about
+    j / 2."""
     if jb >= 0:
         return jb if jb <= j and a >> (j - jb) & 1 else None
     if ja >= 0:
         return j - ja if ja <= j and b >> (j - ja) & 1 else None
-    mask = (2 << j) - 1
-    a &= mask
-    b &= mask
-    if b.bit_count() <= a.bit_count():
-        while b:
-            low = b & -b
-            x = low.bit_length() - 1
-            if a >> (j - x) & 1:
-                return x
-            b ^= low
-    else:
-        while a:
-            y = a.bit_length() - 1
-            if b >> (j - y) & 1:
-                return j - y
-            a ^= 1 << y
-    return None
+    both = b & _reflect(a & (2 << j) - 1, j + 1)
+    return (both & -both).bit_length() - 1 if both else None
 
 
 def _merge(cur: np.ndarray, child: np.ndarray, rules: _Mode, skip: int, width: int,

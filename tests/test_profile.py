@@ -1404,6 +1404,34 @@ def test_clipped_run_is_exact_up_to_k():
                 assert covered == (k == max(dense)), (label, mode, k)
 
 
+def test_first_split_is_the_least_split():
+    """_first_split of two levels at cell j is the least x <= j with bit x
+    of b and bit j - x of a set, or None, on random bitsets that are empty,
+    one-bit, sparse or dense, each with the one-bit index _clipped stores
+    (-1 unless the level holds exactly one bit), at every j up to twice
+    their width."""
+    rng = random.Random(30)
+    width = 48
+
+    def level():
+        kind = rng.randrange(4)
+        if kind == 0:
+            bits = 0
+        elif kind == 1:
+            bits = 1 << rng.randrange(width)
+        else:
+            bits = rng.getrandbits(width)
+            if kind == 2:
+                bits &= rng.getrandbits(width) & rng.getrandbits(width)
+        return bits, -1 if bits & (bits - 1) else bits.bit_length() - 1
+
+    for _ in range(400):
+        (a, ja), (b, jb) = level(), level()
+        for j in range(2 * width):
+            least = next((x for x in range(j + 1) if b >> x & 1 and a >> (j - x) & 1), None)
+            assert profile._first_split(a, ja, b, jb, j) == least, (a, b, j)
+
+
 def test_level_one_sets_match_the_dps(monkeypatch):
     """On every subtree, of w vertices, the sizes where a profile is at
     most 1 follow from subtree sizes alone.  Vertex mode: the closed-form K

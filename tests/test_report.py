@@ -82,9 +82,9 @@ def test_analyze_tree_binary_depth3():
     names = [v.name for v in report.verdicts]
     assert any("oracle" in n for n in names)
     assert any("flux" in n for n in names)
-    # t-ary upper bound findings are present for this descriptor
-    finding_names = [f.name for f in report.findings]
-    assert any("tary_edge_upper_td" in n for n in finding_names)
+    # The (t-1)*d edge ceiling is the one finding, present for this descriptor
+    assert [f.name for f in report.findings] == ["tary_edge_upper_(t-1)d: edge_peak <= (t-1)*d"]
+    assert report.findings[0].passed
 
 
 def test_report_self_consistency():
@@ -106,10 +106,11 @@ def test_report_self_consistency():
 
 def test_single_edge_report_passes_every_finding():
     """No finding compares prefix maxima with the (delta-1)*depth ceiling,
-    which is 0 on the single edge while its one-vertex prefix cuts 1."""
+    which is 0 on the single edge while its one-vertex prefix cuts 1; a
+    tree not described as complete t-ary has no finding at all."""
     report = analyze_tree(generate_tree("path", {"n": 2}))
-    assert report.passed and report.findings
-    assert all(f.passed for f in report.findings), report.findings
+    assert report.passed
+    assert report.findings == []
 
 
 def test_flux_verdict_names_vertex_where_weight_is_off_by_one(monkeypatch):
@@ -405,12 +406,20 @@ def test_sweep_rows_runs_one_dp_per_mode_and_branching_factor(monkeypatch):
     per mode for each of its 5 branching factors, where a route per depth
     made 78, and each of its 31 rows still comes from a tree of its own n.
     Each vertex run follows the closed-form K = 1 step, which no deepest
-    tree's vertex peak lets cover: 15 driver runs in all."""
+    tree's vertex peak lets cover: 15 driver runs in all.  Only the deepest
+    tree of each branching factor is generated: 5 trees, not one per row."""
+    import treeiso.report as report_mod
+
     runs = []
     stages = profile._stages
     monkeypatch.setattr(profile, "_stages", lambda *args: runs.append(1) or stages(*args))
+    generated = []
+    generate = report_mod.generate_tree
+    monkeypatch.setattr(
+        report_mod, "generate_tree", lambda *args, **kw: generated.append(1) or generate(*args, **kw)
+    )
     rows = sweep_rows(max_vertices=5000)
-    assert (len(rows), len(runs)) == (31, 15)
+    assert (len(rows), len(runs), len(generated)) == (31, 15, 5)
     assert all(row["n"] == (row["t"] ** row["d"] - 1) // (row["t"] - 1) for row in rows)
 
 
