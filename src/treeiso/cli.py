@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # Flags shared by the commands that check bounds.
     check_flags = argparse.ArgumentParser(add_help=False)
     check_flags.add_argument("--oracle-limit", type=_integer, default=DEFAULT_ORACLE_LIMIT)
-    check_flags.add_argument("--k-max", type=_integer, default=None)
 
     prof = sub.add_parser(
         "profile", parents=[report_flags], help="exact edge/vertex profiles of a tree file"
@@ -168,11 +167,7 @@ def _cmd_profile(args) -> int:
 def _cmd_bounds(args) -> int:
     tree = _load_tree_file(args.tree)
     report = analyze_tree(
-        tree,
-        {"path": args.tree},
-        oracle_limit=args.oracle_limit,
-        k_max=args.k_max,
-        dp_cap=args.dp_cap,
+        tree, {"path": args.tree}, oracle_limit=args.oracle_limit, dp_cap=args.dp_cap
     )
     emit(report, args.format, args.out)
     return 0 if report.passed else 1
@@ -196,12 +191,7 @@ def _cmd_verify(args) -> int:
             )
         except ValueError as exc:
             entries.append(TreeEntry(source={"spec": spec}, error=str(exc)))
-    result = verify_suite(
-        entries,
-        oracle_limit=args.oracle_limit,
-        k_max=args.k_max,
-        dp_cap=args.dp_cap,
-    )
+    result = verify_suite(entries, oracle_limit=args.oracle_limit, dp_cap=args.dp_cap)
     emit(result, args.format, args.out)
     return result.exit_status
 

@@ -7,14 +7,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 
 from .bounds import (
     analytic_peak_lower_bounds,
-    # check_flux_conservation, count_sizes_with_cut_at_most and
-    # cut_count_upper_bound are not called here, since
-    # flux_identity_failures checks every subset at once and
-    # _cut_count_table counts and bounds in one pass; they stay names of
+    # check_flux_conservation and count_sizes_with_cut_at_most are not
+    # called here, since flux_identity_failures checks every subset at once
+    # and _cut_count_table counts every row in one pass; they stay names of
     # this module because bench/spans.py wraps them for its timing spans.
     check_flux_conservation,
     count_sizes_with_cut_at_most,
@@ -36,12 +34,6 @@ from .profile import (
 from .tree import RootedTree, generate_tree, subtree_weights
 
 FORMATS = ("csv", "json")
-
-# Most digits a cut-count bound may have.  Fixed, not the interpreter's
-# int string-conversion limit, so that no environment variable changes
-# which tables print; past it the table is refused (see _cut_count_table).
-_BOUND_DIGITS = 4300
-_BOUND_CAP = 10**_BOUND_DIGITS
 
 SWEEP_BINARY_DEPTHS = tuple(range(2, 14))
 SWEEP_TARY_BRANCHING = (3, 4, 5, 9)
@@ -128,32 +120,20 @@ def derived_parameter_bounds(profile: IsoProfile, delta: int) -> dict:
 def _cut_count_table(edge_values, eta: int, k_cap: int):
     """Rows {k, ell, bound} for k = 0..k_cap, where ell(k) counts the
     cardinalities with minimum edge boundary <= k and bound is
-    2*C(2*eta + k, k); and whether ell <= bound in every row.  SizeCapError,
-    before any bound is printed, when a bound reaches _BOUND_CAP."""
+    cut_count_upper_bound(eta, k); and whether ell <= bound in every row."""
     # One pass: at[k] counts the cardinalities whose minimum is exactly k,
     # and ell is their running sum.
     at = [0] * (k_cap + 1)
     for value in edge_values:
         if value <= k_cap:
             at[value] += 1
-    # bound(k) = bound(k - 1) * (2*eta + k) / k, exact at every step; one
-    # math.comb per row is a multi-second bignum stall at large eta and k.
-    bounds = [2]
-    for k in range(1, k_cap + 1):
-        bounds.append(bounds[-1] * (2 * eta + k) // k)
-        if bounds[-1] >= _BOUND_CAP:
-            raise SizeCapError(
-                f"cut-count bound at k = {k} (eta = {eta}) has more than {_BOUND_DIGITS} "
-                f"digits; pass --k-max {k - 1} or lower"
-            )
     table = []
     ok = True
     ell = 0
-    for k, (count, bound) in enumerate(zip(at, bounds)):
+    for k, count in enumerate(at):
         ell += count
-        # Through Decimal, which the int string-conversion limit does not
-        # apply to, so PYTHONINTMAXSTRDIGITS changes no table.
-        table.append({"k": k, "ell": ell, "bound": str(Decimal(bound))})
+        bound = cut_count_upper_bound(eta, k)
+        table.append({"k": k, "ell": ell, "bound": str(bound)})
         ok = ok and ell <= bound
     return table, ok
 
@@ -163,7 +143,6 @@ def analyze_tree(
     source: dict = None,
     *,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    k_max: int = None,
     dp_cap: int = DEFAULT_DP_CAP,
 ) -> BoundsReport:
     """Run every check on one tree and assemble its report.
@@ -176,8 +155,6 @@ def analyze_tree(
     estimate (at most p) and the t*d and d ceilings (at least the prefix
     maxima).
     """
-    if k_max is not None and k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
     source = dict(source or {})
     profile = compute_profile(tree, dp_cap)
     weights = subtree_weights(tree)
@@ -208,17 +185,17 @@ def analyze_tree(
         )
     )
 
-    k_cap = profile.edge_peak if k_max is None else min(k_max, profile.edge_peak)
-    table, count_bound_ok = _cut_count_table(profile.edge_values, weights.eta, k_cap)
+    # p is the first k whose bound reaches n, and ell(k) <= n always, so
+    # every row past p holds on every tree; the table ends at p.
+    p = edge_peak_lower_bound(n, weights.eta)
+    table, count_bound_ok = _cut_count_table(profile.edge_values, weights.eta, p)
     verdicts.append(
         Verdict(
             "cut_count_bound: ell(k) <= 2*C(2*eta+k, k)",
             count_bound_ok,
-            f"k = 0..{k_cap}, eta = {weights.eta}",
+            f"k = 0..{p}, eta = {weights.eta}",
         )
     )
-
-    p = edge_peak_lower_bound(n, weights.eta)
     verdicts.append(
         Verdict(
             "edge_peak_lb: p <= edge_peak",
@@ -289,7 +266,6 @@ def verify_suite(
     items,
     *,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    k_max: int = None,
     dp_cap: int = DEFAULT_DP_CAP,
 ) -> SuiteResult:
     """Run every check on a list of trees; items are RootedTree or TreeEntry.
@@ -308,13 +284,7 @@ def verify_suite(
             continue
         try:
             reports.append(
-                analyze_tree(
-                    item.tree,
-                    item.source,
-                    oracle_limit=oracle_limit,
-                    k_max=k_max,
-                    dp_cap=dp_cap,
-                )
+                analyze_tree(item.tree, item.source, oracle_limit=oracle_limit, dp_cap=dp_cap)
             )
         except SizeCapError as exc:
             errors.append({"source": item.source, "error": str(exc)})
@@ -325,7 +295,7 @@ def verify_suite(
     else:
         status = 0
     return SuiteResult(
-        options={"oracle_limit": oracle_limit, "k_max": k_max, "dp_cap": dp_cap},
+        options={"oracle_limit": oracle_limit, "dp_cap": dp_cap},
         reports=reports,
         errors=errors,
         exit_status=status,
@@ -340,7 +310,7 @@ def sweep_rows(max_vertices: int = DEFAULT_DP_CAP) -> list:
     vertices, which also caps the DP.  Each row carries both peaks, the
     certified lower bound p, the trend ratios edge_peak/d and
     vertex_peak*sqrt(t)/d, the t*d / (t-1)*d / d upper-bound values, and
-    whether the cut-count bound held for every k up to the edge peak.
+    whether the cut-count bound held for every k up to p.
 
     Every child of the root of T_{d+1} roots a copy of T_d, so each t
     generates only its deepest tree, and the profiles of every depth come
@@ -366,7 +336,7 @@ def sweep_rows(max_vertices: int = DEFAULT_DP_CAP) -> list:
             profile = profiles[spine[d_max - d]]
             # Each of T_d's d levels holds one subtree weight, so eta = d.
             p = edge_peak_lower_bound(profile.n, d)
-            _, ok = _cut_count_table(profile.edge_values, d, profile.edge_peak)
+            _, ok = _cut_count_table(profile.edge_values, d, p)
             rows.append(
                 {
                     "t": t,

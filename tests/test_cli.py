@@ -162,16 +162,6 @@ def test_verify_without_inputs_is_usage_error(capsys):
     assert "at least one tree" in capsys.readouterr().err
 
 
-def test_negative_k_max_is_usage_error(tmp_path, capsys):
-    tree_path = tmp_path / "t.json"
-    main(["generate", "path", "-p", "n=4", "--out", str(tree_path)])
-    out_path = tmp_path / "out.json"
-    assert main(["bounds", str(tree_path), "--k-max", "-3", "--out", str(out_path)]) == 2
-    assert main(["verify", "--gen", "path:n=4", "--k-max", "-3", "--out", str(out_path)]) == 2
-    assert "k_max must be >= 0" in capsys.readouterr().err
-    assert not out_path.exists()
-
-
 def test_bad_generator_params_is_usage_error(capsys):
     assert main(["generate", "complete_tary", "-p", "t=1", "-p", "d=2"]) == 2
     assert main(["generate", "path", "-p", "n=x"]) == 2
@@ -204,7 +194,6 @@ INTEGER_FLAGS = [
     ("--max-vertices", ["generate", "path", "-p", "n=3"]),
     ("--seed", ["verify", "--gen", "path:n=5"]),
     ("--oracle-limit", ["verify", "--gen", "path:n=5"]),
-    ("--k-max", ["verify", "--gen", "path:n=5"]),
 ]
 
 

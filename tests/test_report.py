@@ -3,8 +3,7 @@ import dataclasses
 import functools
 import json
 import math
-import sys
-import time
+import random
 
 import pytest
 
@@ -288,47 +287,51 @@ def test_cut_count_table_bounds_are_exact():
         ], eta
 
 
-def test_cut_count_table_refuses_bounds_past_the_digit_cap():
-    """eta = 8,001 up to k = 4,002 (a broom: a path of 8,000 vertices with
-    16,000 leaves on its end) reaches 10**4300 at k = 3,937: SizeCapError
-    naming --k-max, before any bound is printed, well within a second."""
-    start = time.perf_counter()
-    with pytest.raises(SizeCapError, match="--k-max 3936"):
-        _cut_count_table([], 8001, 4002)
-    assert time.perf_counter() - start < 0.5
-    assert cut_count_upper_bound(8001, 3936) < 10**4300 <= cut_count_upper_bound(8001, 3937)
+def test_cut_count_table_ends_at_p():
+    """A report's table holds rows k = 0..p: the last bound reaches n and
+    every earlier one is below it."""
+    trees = structured_trees(12) + random_trees(30, 60, seed0=3)
+    trees.append(("star:n=2000", generate_tree("star", {"n": 2000})))
+    for label, tree in trees:
+        report = analyze_tree(tree, oracle_limit=0)
+        p = report.bounds["p"]
+        bounds = [int(row["bound"]) for row in report.bounds["theorem1"]]
+        assert [row["k"] for row in report.bounds["theorem1"]] == list(range(p + 1)), label
+        assert bounds[-1] >= tree.n, label
+        assert all(bound < tree.n for bound in bounds[:-1]), label
 
 
-def test_cut_count_table_ignores_the_int_digit_limit():
-    """Bounds of more digits than the interpreter's lowest string-conversion
-    limit print the same under that limit."""
-    expected = [str(cut_count_upper_bound(2000, k)) for k in range(501)]
-    assert len(expected[-1]) > 640
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        table, _ = _cut_count_table([], 2000, 500)
-    finally:
-        sys.set_int_max_str_digits(old)
-    assert [row["bound"] for row in table] == expected
+def test_rows_past_p_decide_no_cut_count_verdict():
+    """Over value lists of every kind, those that break the counting bound
+    included, ell <= bound over rows 0..p exactly when it holds over rows
+    0..max(values): ell never exceeds n, which every bound past p reaches."""
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randint(1, 120)
+        eta = rng.randint(1, 4)
+        low, high = sorted((rng.randint(0, 16), rng.randint(0, 16)))
+        values = [rng.randint(low, high) for _ in range(n)]
+        p = edge_peak_lower_bound(n, eta)
+        _, ok_to_p = _cut_count_table(values, eta, p)
+        _, ok_to_max = _cut_count_table(values, eta, max(values))
+        assert ok_to_p == ok_to_max, (values, eta)
+        outcomes.add(ok_to_p)
+    assert outcomes == {True, False}
 
 
-def test_verify_suite_keeps_reports_when_a_table_is_refused(monkeypatch):
-    """A tree whose cut-count table is refused is an error of its own; the
+def test_verify_suite_keeps_reports_when_a_table_is_refused():
+    """A tree whose DP tables are refused is an error of its own; the
     other trees keep their reports."""
-    import treeiso.report as report_mod
-
-    monkeypatch.setattr(report_mod, "_BOUND_DIGITS", 2)
-    monkeypatch.setattr(report_mod, "_BOUND_CAP", 10**2)
     entries = [
         TreeEntry(source={"path": "small"}, tree=generate_tree("path", {"n": 5})),
         TreeEntry(source={"path": "big"}, tree=generate_tree("complete_tary", {"t": 2, "d": 6})),
     ]
-    result = verify_suite(entries)
+    result = verify_suite(entries, dp_cap=50)
     assert result.exit_status == 2
     assert [r.tree["n"] for r in result.reports] == [5]
     assert result.errors[0]["source"] == {"path": "big"}
-    assert "--k-max" in result.errors[0]["error"]
+    assert "cap 50" in result.errors[0]["error"]
 
 
 def test_sweep_rows_small():
