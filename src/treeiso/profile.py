@@ -9,10 +9,10 @@ The dynamic program merges tables once per distinct stage, not once per
 vertex.  A stage is the vertex alone or (prefix stage, child's last
 stage), and stages are interned: a vertex's subtree class is the id of its
 last stage, so equal subtrees (Aho, Hopcroft & Ullman 1974) share their
-tables, and child lists that start alike share those prefixes.  Profiles
-take children in ascending class id, leaves (stage 0) first; witnesses in
-ascending vertex id, their tie order.  A complete t-ary tree costs one
-merge chain per level, a path what a per-vertex DP does.
+tables, and child lists that start alike share those prefixes.  One walk
+serves profiles and witnesses: children in ascending class id, leaves
+(stage 0) first.  A complete t-ary tree costs one merge chain per level, a
+path what a per-vertex DP does.
 
 Each mode states its flag rules once, in a transition table that the
 table algebras' merges, the one-vertex table and the witness backtracking
@@ -26,9 +26,9 @@ sizes at each vertex.  No merge cost is negative, so a clipped run gives
 the exact value of every size whose value is at most K and leaves the
 others out: a run whose root covers every size it is asked for certifies
 itself.  Profiles and witnesses take one route, the K runs of _clip_ks,
-then the dense DP; a profile's vertex-mode K = 1 run is a _level_one
-run, a witness's a clipped one, since it reads the sets back, and a
-profile takes it even where the stage rule sends the tree dense.  Below
+then the dense DP; only a profile cuts it by the stage rule, and takes its
+vertex-mode K = 1 run, a _level_one run, on every tree.  A witness prices
+each run in bytes, and its K = 1 run is clipped, to read sets back.  Below
 the root a profile DP keeps every cell of every stage (in edge mode every
 cell up to n // 2, the rest mirrored), so one run also gives the profile
 of each subtree, read off its class's stage (subtree_profiles); the root
@@ -96,13 +96,13 @@ _ROW_LOOP_MAX = 4
 # 0.39, 0.36 and 0.37 (2-vCPU Xeon VM).  Complete binary subtrees make
 # 2^k-cell rows.
 _UFUNC_BUFSIZE = 256
-# Clipped route thresholds (the policy is _clip_ks'), timed on a 2-vCPU Xeon VM
-# before the ufunc buffer was cut.  Random trees (n = 400, 5000; 0.30-0.39
-# stages per vertex): one run at K = 1, 2, 4, 5 took 0.16-0.23, 0.28-0.39,
-# 0.50-0.98, 0.55-1.13x the dense DP, so K = 5 cannot repay the runs below
-# it.  Complete trees (<= 0.21 stages per vertex) start far below their
-# peaks; without the stage rule paper-tables took 1.33-1.46x.  The vertex
-# mode's closed-form K = 1 step ignores both (see _profile).
+# Clipped route thresholds, timed on profiles on a 2-vCPU Xeon VM before the
+# ufunc buffer was cut: _CLIP_K_MAX for every DP (_clip_ks), the stage rule
+# for profiles only (_profile).  Random trees (n = 400, 5000; 0.30-0.39 stages
+# per vertex): one run at K = 1, 2, 4, 5 took 0.16-0.23, 0.28-0.39, 0.50-0.98,
+# 0.55-1.13x the dense DP, so K = 5 cannot repay the runs below it.  Complete
+# trees (<= 0.21 stages per vertex) start far below their peaks; without the
+# stage rule paper-tables took 1.33-1.46x.  Witnesses price runs in bytes.
 _CLIP_STAGE_RATIO = 4
 _CLIP_K_MAX = 4
 
@@ -317,7 +317,7 @@ def edge_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
     strictly inside the subtree.  Merging a child adds one cut when the
     selection flags of parent and child differ.
     """
-    return _profile(tree, "edge", _subtree_classes(tree, size_cap, True))[0]
+    return _profile(tree, "edge", _subtree_classes(tree, size_cap))[0]
 
 
 def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
@@ -328,7 +328,7 @@ def vertex_profile(tree: RootedTree, size_cap: int = DEFAULT_DP_CAP):
     A unit cost is paid exactly when a vertex outside the selection first
     gains a selected neighbor.
     """
-    return _profile(tree, "vertex", _subtree_classes(tree, size_cap, True))[0]
+    return _profile(tree, "vertex", _subtree_classes(tree, size_cap))[0]
 
 
 def _profile(tree: RootedTree, mode: str, walk, classes=None) -> list:
@@ -338,10 +338,10 @@ def _profile(tree: RootedTree, mode: str, walk, classes=None) -> list:
 
     One route answers them all: the first clipped run of _clip_ks that
     covers sizes 0..s of every asked class, else the dense DP, exact at
-    every stage.  The vertex mode's K = 1 run is _level_one_profile, which
-    reads the same values as a clipped run; at one shift-OR per stage it is
-    run even where the stage rule of _clip_ks makes no clipped run, unless
-    _CLIP_K_MAX is 0.
+    every stage; by the stage rule, none if n > _CLIP_STAGE_RATIO * stages.
+    The vertex mode's K = 1 run is _level_one_profile, which reads the same
+    values as a clipped run; at one shift-OR per stage it is run even where
+    the stage rule makes no clipped run, unless _CLIP_K_MAX is 0.
 
     The dense DP runs under _small_ufunc_buffer.  Below the root its stages
     start at lo = 0, so an inner class's stage is its subtree's own root
@@ -354,8 +354,8 @@ def _profile(tree: RootedTree, mode: str, walk, classes=None) -> list:
         classes = [last[tree.root]]
     rules, n, size = _MODES[mode], tree.n, _stage_sizes(keys)
     ks = _clip_ks(mode, last, size, n)
-    if mode == "vertex" and not ks and _CLIP_K_MAX:
-        ks = [1]
+    if n > _CLIP_STAGE_RATIO * len(size):
+        ks = ks[:1] if mode == "vertex" else range(0)
     for k in ks:
         if mode == "vertex" and k == 1:
             answers = _level_one_profile(keys, size, n, classes)
@@ -400,13 +400,10 @@ def _class_stages(algebra, keys, size, n: int, i_min: int, i_max: int, classes) 
 
 def _clip_ks(mode: str, last, size, n: int):
     """The K of each clipped run a profile or witness DP over stages of these
-    sizes may make, in order: K0, K0 + 1, ... <= _CLIP_K_MAX when n <=
-    _CLIP_STAGE_RATIO * stages, else none.  K0 is 1 in vertex mode and one
-    above edge_peak_lower_bound(n, eta) in edge mode, eta the number of
-    distinct sizes of the last stages, each over a vertex's subtree.  A
-    profile's vertex-mode K = 1 step is _level_one_profile."""
-    if n > _CLIP_STAGE_RATIO * len(size):
-        return range(0)
+    sizes may make, in order: K0, K0 + 1, ... <= _CLIP_K_MAX.  K0 is 1 in
+    vertex mode and one above edge_peak_lower_bound(n, eta) in edge mode,
+    eta the number of distinct sizes of the last stages, each over a
+    vertex's subtree.  A profile cuts them by its stage rule (_profile)."""
     if mode == "vertex":
         return range(1, _CLIP_K_MAX + 1)
     # A byte per subtree size, not a set of them: this runs before the
@@ -483,13 +480,13 @@ def subtree_profiles(tree: RootedTree, vertices, size_cap: int = DEFAULT_DP_CAP)
     for v in vertices:
         if not _is_int(v) or not 0 <= v < tree.n:
             raise ValueError(f"vertex {v!r} out of range [0, {tree.n - 1}]")
-    walk = _subtree_classes(tree, size_cap, True)
+    walk = _subtree_classes(tree, size_cap)
     classes = sorted({walk[0][v] for v in vertices})
     if not classes:
         return {}
     edge, vertex = (_profile(tree, mode, walk, classes) for mode in ("edge", "vertex"))
-    by_class = {c: IsoProfile.from_values(e, x) for c, e, x in zip(classes, edge, vertex)}
-    return {v: by_class[walk[0][v]] for v in vertices}
+    per_class = {c: IsoProfile.from_values(e, x) for c, e, x in zip(classes, edge, vertex)}
+    return {v: per_class[walk[0][v]] for v in vertices}
 
 
 def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_DP_CAP):
@@ -497,9 +494,10 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
 
     Deterministic: DP splits are re-read in a fixed scan order (previous
     flag, then child flag, then child allocation, each ascending), children
-    in ascending-id merge order, so ties always resolve the same way.  The
-    DP takes the profiles' route: clipped runs at growing K, used when the
-    root holds size i, else the dense tables cut to the cells a size-i
+    back along their class-order chain, equal ones in descending id, so
+    ties always resolve the same way.  The DP takes the profiles' route with
+    no stage rule: clipped runs at growing K that fit the budget, used when
+    the root holds size i, else the dense tables cut to the cells a size-i
     subset can reach.  It raises SizeCapError before building any table
     when those dense cells would exceed WITNESS_MAX_CELLS.  A later call on
     the same tree object reuses its clipped runs (see witness_subsets).
@@ -557,9 +555,9 @@ class _Run:
 
 class _Memo:
     """The clipped runs kept from the last witness tree: the tree itself,
-    held so that no other object can take its id, its vertex-id-order
-    _subtree_classes with their _stage_sizes, shared by both modes, and the
-    _Run of each mode.  Never changed once published, only replaced."""
+    held so that no other object can take its id, its _subtree_classes with
+    their _stage_sizes, shared by both modes, and the _Run of each mode.
+    Never changed once published, only replaced."""
 
     __slots__ = ("tree", "classes", "runs")
 
@@ -574,8 +572,8 @@ _witness_memo = None
 
 def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
     """(last stage id per vertex, stage keys, stage sizes, the _Run of one
-    DP) for the sorted sizes, children in vertex-id order: the memo's run
-    of the mode if its root holds every size, else the first clipped run of
+    DP) for the sorted sizes, on the profiles' walk: the memo's run of the
+    mode if its root holds every size, else the first clipped run of
     _clip_ks above the memo's K that does, else the dense DP windowed to
     sizes[0] .. sizes[-1], each priced and kept by the rule of
     witness_subsets.  A clipped run over budget ends the clipped route.
@@ -588,7 +586,7 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
     if memo is not None and memo.tree is tree:
         classes, held = memo.classes, memo.runs.get(mode)
     else:
-        cls, keys = _subtree_classes(tree, size_cap, False)
+        cls, keys = _subtree_classes(tree, size_cap)
         classes, held = (cls, keys, _stage_sizes(keys)), None
     if held is not None and all(held.held >> i & 1 for i in sizes):
         return (*classes, held)
@@ -671,7 +669,7 @@ def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, size, stages, read, i:
                     selected.append(u)
                     whole.extend(tree.children[u])
             continue
-        for child in reversed(tree.children[v]):
+        for child in reversed(sorted(tree.children[v], key=cls.__getitem__)):
             k, c = keys[k]
             found = split(rules.into[s_after], stages[k], stages[c], j, value)
             if found is None:
@@ -898,17 +896,17 @@ def _min_plus_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray, skip: int) -
         np.minimum(seg, skew.min(axis=0)[c0:c1], out=seg)
 
 
-def _subtree_classes(tree: RootedTree, size_cap: int, by_class: bool):
+def _subtree_classes(tree: RootedTree, size_cap: int):
     """Last stage id per vertex and the key of every DP stage.
 
     One post-order walk interns each vertex's chain of stages: key () is
     stage 0, the vertex alone, and (prefix, child) merges a child's last
-    stage into its prefix, the children in ascending last stage id when
-    by_class, else in ascending vertex id.  A vertex's last stage id is its
-    subtree class: equal subtrees get equal chains, leaves stage 0, and
-    vertices whose child lists start alike share those stages, each after
-    its prefix and child.  The interning map is freed on return, so it
-    does not add to the DP's peak memory.  Trees above size_cap raise
+    stage into its prefix, the children in ascending last stage id.  A
+    vertex's last stage id is its subtree class: equal subtrees get equal
+    chains, leaves stage 0, and vertices whose child lists start alike
+    share those stages, each after its prefix and child.  Profiles and
+    witnesses both run on this walk.  The interning map is freed on return,
+    so it does not add to the DP's peak memory.  Trees above size_cap raise
     SizeCapError before any work.
     """
     _check_size_cap(tree, size_cap)
@@ -916,9 +914,8 @@ def _subtree_classes(tree: RootedTree, size_cap: int, by_class: bool):
     last = [0] * tree.n
     for v in postorder(tree):
         if tree.children[v]:
-            kids = [last[c] for c in tree.children[v]]
             k = 0
-            for c in sorted(kids) if by_class else kids:
+            for c in sorted([last[u] for u in tree.children[v]]):
                 k = stages.setdefault((k, c), len(stages))
             last[v] = k
     return last, list(stages)

@@ -216,11 +216,21 @@ def test_witness_consistency():
             assert len(se) == i and len(sv) == i, label
             assert edge_boundary_size(tree, se) == ep[i - 1], label
             assert vertex_boundary_size(tree, sv) == vp[i - 1], label
+    # Larger random trees, every size from one witness_subsets call per mode.
+    for label, tree in random_trees(40, 60, seed0=6):
+        prof = compute_profile(tree)
+        for mode, boundary, values in (
+            ("edge", edge_boundary_size, prof.edge_values),
+            ("vertex", vertex_boundary_size, prof.vertex_values),
+        ):
+            for i, s in witness_subsets(tree, range(1, tree.n + 1), mode).items():
+                assert (len(s), boundary(tree, s)) == (i, values[i - 1]), (label, mode, i)
 
 
 # Exact witness sets.  They pin the tie order of the split scan (previous
-# flag, child flag, child allocation, each ascending; children in
-# ascending-id order), which self-consistency checks alone do not.
+# flag, child flag, child allocation, each ascending; children back along
+# their class-order chain, equal classes in descending id), which
+# self-consistency checks alone do not.
 WITNESS_TREES = {
     "bin3": ("complete_tary", {"t": 2, "d": 3}, 0),
     "star": ("star", {"n": 6}, 0),
@@ -233,10 +243,10 @@ WITNESS_SETS = {
     ("star", "edge"): {1: [1], 2: [1, 2], 4: [0, 1, 2, 3], 5: [0, 1, 2, 3, 4]},
     ("star", "vertex"): {1: [5], 2: [1, 2], 4: [1, 2, 3, 4], 5: [1, 2, 3, 4, 5]},
     ("caterpillar", "edge"): {
-        1: [10], 4: [3, 8, 10, 11], 5: [2, 3, 8, 10, 11], 7: [2, 3, 6, 8, 9, 10, 11]
+        1: [4], 4: [3, 4, 10, 11], 5: [2, 3, 8, 9, 10], 7: [2, 3, 4, 8, 9, 10, 11]
     },
     ("caterpillar", "vertex"): {
-        1: [11], 4: [3, 8, 10, 11], 5: [3, 8, 9, 10, 11], 7: [2, 3, 6, 8, 9, 10, 11]
+        1: [11], 4: [3, 9, 10, 11], 5: [3, 8, 9, 10, 11], 7: [2, 3, 7, 8, 9, 10, 11]
     },
     ("prufer", "edge"): {
         2: [3, 9], 3: [1, 5, 6], 5: [1, 3, 5, 6, 9], 10: [1, 3, 4, 5, 6, 7, 8, 9, 10, 12]
@@ -456,14 +466,18 @@ def _vertex_order_prefixes(tree):
     return len(prefixes), sum(len(kids) for kids in set(form))
 
 
-def test_witness_merges_once_per_vertex_order_prefix(monkeypatch):
-    """The witness DP takes children in ascending id and merges once per
-    distinct prefix of those child lists: 7 on PREFIX_TREE, where the lists
-    of u (leaf, leaf, X) and w (leaf, Y, leaf) part after the first leaf,
-    against 11 for one chain per class, and fewer than one chain per class
-    on random recursive trees, whose vertices often start with the same
-    leaves.  A spider's legs share nothing but their classes.  Counted per
-    run of the stage driver, in either algebra."""
+def test_witness_merges_once_per_class_order_prefix(monkeypatch):
+    """The witness DP walks the profiles' stages, children in ascending
+    class id, so each of its driver runs makes the merges a profile run
+    makes, one per distinct prefix of those child lists: 6 on PREFIX_TREE
+    (see test_profile_merges_once_per_class_order_prefix), against 7 for
+    its id-order prefixes, where the lists of u (leaf, leaf, X) and w
+    (leaf, Y, leaf) part after the first leaf, and 11 for one chain per
+    class.  A spider's legs share nothing but their class: 6 either way.
+    Random recursive trees, whose vertices often start with the same
+    leaves, have fewer id-order prefixes than chains, and fewer class-order
+    merges still.  Counted per run of the stage driver, in either
+    algebra."""
     runs = _driver_runs(monkeypatch)
     prefix_tree = RootedTree.from_parents(PREFIX_TREE, 0)
     assert _vertex_order_prefixes(prefix_tree) == (7, 11)
@@ -472,11 +486,15 @@ def test_witness_merges_once_per_vertex_order_prefix(monkeypatch):
     for tree in recursive:
         merges, chains = _vertex_order_prefixes(tree)
         assert merges < chains
-    for tree in [prefix_tree, _spider(4, 3)] + recursive:
+    for tree, pinned in [(prefix_tree, 6), (_spider(4, 3), 6)] + [(t, None) for t in recursive]:
+        runs.clear()
+        compute_profile(tree)
+        [merges] = set(runs)
+        assert merges == pinned if pinned else merges < _vertex_order_prefixes(tree)[0]
         for mode in ("edge", "vertex"):
             runs.clear()
             witness_subsets(tree, range(1, tree.n + 1), mode)
-            assert runs and set(runs) == {_vertex_order_prefixes(tree)[0]}, mode
+            assert runs and set(runs) == {merges}, mode
 
 
 # (cur, child) table widths that reach every _merge route by name:
@@ -732,7 +750,7 @@ def _clipped_live_peak(tree, mode, k):
         made.append(_level_bytes(stage))
         return live.track(stage, made[-1])
 
-    keys = profile._subtree_classes(tree, tree.n, True)[1]
+    keys = profile._subtree_classes(tree, tree.n)[1]
     for _ in profile._stages(base, tracked, keys, profile._stage_sizes(keys), tree.n, 0, tree.n):
         pass
     assert len(made) == len(keys)
@@ -1016,21 +1034,21 @@ def test_witnesses_attain_profile_above_the_oracle(tree, k):
 def test_compute_profile_builds_subtree_classes_once(monkeypatch):
     """compute_profile runs the edge and the vertex DP on one set of
     subtree classes; edge_profile and witness_subset still build their own,
-    the profiles in class order and the witness in vertex-id order."""
+    by the same class-order walk."""
     calls = []
     classes = profile._subtree_classes
     monkeypatch.setattr(
         profile,
         "_subtree_classes",
-        lambda tree, cap, by_class: calls.append((tree.n, by_class)) or classes(tree, cap, by_class),
+        lambda tree, cap: calls.append(tree.n) or classes(tree, cap),
     )
     tree = generate_tree("random_prufer", {"n": 30}, seed=5)
     assert compute_profile(tree) == IsoProfile.from_values(edge_profile(tree), vertex_profile(tree))
     witness_subset(tree, 7, "vertex")
-    assert calls == [(30, True)] * 3 + [(30, False)]
+    assert calls == [30] * 4
     with pytest.raises(SizeCapError):
         compute_profile(tree, size_cap=29)
-    assert calls == [(30, True)] * 3 + [(30, False), (30, True)]
+    assert calls == [30] * 5
 
 
 def test_sentinel_headroom_and_base_table():
@@ -1093,7 +1111,7 @@ def _dense_witness_stages(tree, mode, i_min, i_max):
 
 def _full_root_table(tree, mode):
     """The root table over every cell 0..n: the last stage of _stages(..., 0, n)."""
-    keys = profile._subtree_classes(tree, profile.DEFAULT_DP_CAP, True)[1]
+    keys = profile._subtree_classes(tree, profile.DEFAULT_DP_CAP)[1]
     dense = profile._dense(profile._MODES[mode])
     for _, table in profile._stages(*dense, keys, profile._stage_sizes(keys), tree.n, 0, tree.n):
         pass
@@ -1107,7 +1125,7 @@ def test_one_row_root_merge_is_the_minimum_over_flags():
     one-row rules gives the minimum over flags of its full merge on every
     route, windowed or not."""
     for label, tree in structured_trees(12) + random_trees(40, 60, seed0=12):
-        keys = profile._subtree_classes(tree, tree.n, True)[1]
+        keys = profile._subtree_classes(tree, tree.n)[1]
         size = profile._stage_sizes(keys)
         for mode in ("edge", "vertex"):
             full = np.min(_full_root_table(tree, mode), axis=0)
@@ -1157,7 +1175,9 @@ def test_dense_runs_take_the_small_ufunc_buffer(monkeypatch):
     """Every dense merge, of a profile or a witness, runs with the ufunc
     buffer at _UFUNC_BUFSIZE and every clipped or closed-form merge with the
     caller's; the caller's size is back after compute_profile,
-    subtree_profiles, a dense witness_subset and a dense run that raises."""
+    subtree_profiles, a dense witness_subset and a dense run that raises.
+    The dense witnesses are a star's edge mode at i = n/2 (b_e = n/2), after
+    one clipped run that misses."""
     seen = {"dense": set(), "other": set()}
     merge = profile._merge
     monkeypatch.setattr(profile, "_merge", lambda *args: seen["dense"].add(np.getbufsize()) or merge(*args))
@@ -1174,7 +1194,7 @@ def test_dense_runs_take_the_small_ufunc_buffer(monkeypatch):
             assert np.getbufsize() == 4096
             subtree_profiles(tree, range(0, tree.n, 7))
             assert np.getbufsize() == 4096
-        witness_subset(generate_tree("complete_tary", {"t": 2, "d": 8}), 100, "edge")
+        witness_subset(generate_tree("star", {"n": 60}), 30, "edge")
         assert np.getbufsize() == 4096
         assert seen == {"dense": {profile._UFUNC_BUFSIZE}, "other": {4096}}
 
@@ -1182,9 +1202,10 @@ def test_dense_runs_take_the_small_ufunc_buffer(monkeypatch):
             raise RuntimeError("merge failed")
 
         monkeypatch.setattr(profile, "_merge", failing)
-        for run in (compute_profile, lambda t: witness_subset(t, 100, "vertex")):
+        for run, tree in ((compute_profile, generate_tree("complete_tary", {"t": 2, "d": 8})),
+                          (lambda t: witness_subset(t, 30, "edge"), generate_tree("star", {"n": 60}))):
             with pytest.raises(RuntimeError, match="merge failed"):
-                run(generate_tree("complete_tary", {"t": 2, "d": 8}))
+                run(tree)
             assert np.getbufsize() == 4096
     finally:
         np.setbufsize(outer)
@@ -1244,7 +1265,7 @@ def test_witness_subsets_are_pinned():
         for mode in ("edge", "vertex"):
             sets = witness_subsets(tree, range(1, tree.n + 1), mode)
             digest.update(repr([sorted(sets[i]) for i in range(1, tree.n + 1)]).encode())
-    assert digest.hexdigest() == "0af9154c90eb54fbd1cee63786245e5728ae7195b22503cc905014b3208e0852"
+    assert digest.hexdigest() == "722c2180440971a48cab8254af83cf892466da0f70b270e51e24d4bd849c1285"
 
 
 def _full_walk(tree, mode, i):
@@ -1260,7 +1281,7 @@ def _full_walk(tree, mode, i):
     while work:
         v, j, s_after, value = work.pop()
         k = cls[v]
-        for child in reversed(tree.children[v]):
+        for child in reversed(sorted(tree.children[v], key=cls.__getitem__)):
             k, c = keys[k]
             found = split(rules.into[s_after], run.stages[k], run.stages[c], j, value)
             s_after, sc, x, value, child_value = found
@@ -1310,7 +1331,7 @@ def test_forced_subtree_keeps_the_base_cell_check():
     """A subtree taken whole must read 0, as a vertex alone does: a root
     cell of 1 at i = n, where the whole tree is forced in, raises."""
     tree = generate_tree("path", {"n": 5})
-    cls, keys = profile._subtree_classes(tree, tree.n, False)
+    cls, keys = profile._subtree_classes(tree, tree.n)
     size, stages = profile._stage_sizes(keys), [None] * len(keys)
     read = (lambda stage, s, j: 1), None
     with pytest.raises(AssertionError, match="infeasible base cell"):
@@ -1319,19 +1340,16 @@ def test_forced_subtree_keeps_the_base_cell_check():
 
 def test_last_stage_is_the_subtree_class():
     """Two vertices share a last stage id exactly when their subtrees have
-    equal canonical forms: nested tuples of the children's forms, sorted
-    when by_class, else in vertex-id order."""
+    equal canonical forms: sorted nested tuples of the children's forms."""
     for label, tree in structured_trees(12) + random_trees(300, 60, seed0=9):
-        for by_class in (True, False):
-            form = [None] * tree.n
-            for v in postorder(tree):
-                kids = [form[c] for c in tree.children[v]]
-                form[v] = tuple(sorted(kids) if by_class else kids)
-            last = profile._subtree_classes(tree, tree.n, by_class)[0]
-            ids = {}
-            for v in range(tree.n):
-                assert ids.setdefault(form[v], last[v]) == last[v], (label, by_class)
-            assert len(set(ids.values())) == len(ids), (label, by_class)
+        form = [None] * tree.n
+        for v in postorder(tree):
+            form[v] = tuple(sorted(form[c] for c in tree.children[v]))
+        last = profile._subtree_classes(tree, tree.n)[0]
+        ids = {}
+        for v in range(tree.n):
+            assert ids.setdefault(form[v], last[v]) == last[v], label
+        assert len(set(ids.values())) == len(ids), label
 
 
 def test_witness_cells_predicts_the_kept_stages():
@@ -1342,7 +1360,7 @@ def test_witness_cells_predicts_the_kept_stages():
     cap = profile.DEFAULT_DP_CAP
     for label, tree in structured_trees(10) + random_trees(20, 40, seed0=3):
         n = tree.n
-        keys = profile._subtree_classes(tree, cap, False)[1]
+        keys = profile._subtree_classes(tree, cap)[1]
         size = profile._stage_sizes(keys)
         for mode in ("edge", "vertex"):
             rules = profile._MODES[mode]
@@ -1372,7 +1390,7 @@ def test_witness_refuses_over_budget_before_building_tables():
             tracemalloc.stop()
         assert peak < 10 << 20, mode
     small = generate_tree("path", {"n": 2000})
-    keys = profile._subtree_classes(small, small.n, False)[1]
+    keys = profile._subtree_classes(small, small.n)[1]
     cells = profile._witness_cells(profile._stage_sizes(keys), 2000, 1000, 1000, 3)
     assert cells <= profile.WITNESS_MAX_CELLS
 
@@ -1388,7 +1406,7 @@ def test_clipped_run_is_exact_up_to_k():
     seen = set()
     for label, tree in trees:
         n = tree.n
-        keys = profile._subtree_classes(tree, n, True)[1]
+        keys = profile._subtree_classes(tree, n)[1]
         if tuple(keys) in seen:
             continue
         seen.add(tuple(keys))
@@ -1446,7 +1464,7 @@ def test_level_one_sets_match_the_dps(monkeypatch):
              for n in range(100, 601, 100)]
     small = [tree for _, tree in structured_trees(14) + random_trees(60, 14, seed0=28)]
     for tree, oracle in [(t, False) for t in large] + [(t, True) for t in small]:
-        last, keys = profile._subtree_classes(tree, tree.n, True)
+        last, keys = profile._subtree_classes(tree, tree.n)
         classes = sorted(set(last))
         level_one = dict(zip(classes, profile._level_one_profile(
             keys, profile._stage_sizes(keys), tree.n, classes)))
@@ -1539,16 +1557,16 @@ def test_path_and_star_witnesses_meet_their_closed_forms():
                 assert (len(members), boundary(tree, members)) == (i, values[i - 1]), (kind, i, mode)
 
 
-def _k_rule(tree, mode, need, by_class):
-    """The route log of a DP over the stage keys of by_class that needs K =
-    need to cover its sizes: clipped runs at K0 .. min(max(K0, need),
-    _CLIP_K_MAX), then a dense run if that is below need, when the tree has
-    n <= _CLIP_STAGE_RATIO * stages; else one dense run, after the
-    closed-form K = 1 step in a vertex profile."""
+def _k_rule(tree, mode, need, stage_rule):
+    """The route log of a DP that needs K = need to cover its sizes:
+    clipped runs at K0 .. min(max(K0, need), _CLIP_K_MAX), then a dense run
+    if that is below need.  Under the profiles' stage_rule, a tree with n >
+    _CLIP_STAGE_RATIO * stages makes one dense run instead, after the
+    closed-form K = 1 step in vertex mode."""
     k0 = 1 + (edge_peak_lower_bound(tree.n, subtree_weights(tree).eta) if mode == "edge" else 0)
-    stages = len(profile._subtree_classes(tree, tree.n, by_class)[1])
-    if tree.n > profile._CLIP_STAGE_RATIO * stages:
-        level_one = [1] if by_class and mode == "vertex" else []
+    stages = len(profile._subtree_classes(tree, tree.n)[1])
+    if stage_rule and tree.n > profile._CLIP_STAGE_RATIO * stages:
+        level_one = [1] if mode == "vertex" else []
         return level_one + ([] if level_one and need <= 1 else [None])
     last = max(k0, need)
     rule = list(range(k0, min(last, profile._CLIP_K_MAX) + 1))
@@ -1556,20 +1574,22 @@ def _k_rule(tree, mode, need, by_class):
 
 
 def test_clipped_route_steps_k_from_its_start(monkeypatch):
-    """A tree with n <= _CLIP_STAGE_RATIO * stages makes clipped runs at K =
-    K0, K0 + 1, ... until one covers every size asked for, or up to
-    _CLIP_K_MAX and then one dense run; any other tree makes one dense run,
-    which a vertex profile makes only if its closed-form K = 1 step does not
-    cover.  K0 is one above p = edge_peak_lower_bound(n, eta) in edge mode and 1 in
-    vertex mode.  Profiles ask for every size, over their class-order
-    stages; a witness at i = ceil(n/2) asks for size i, over its vertex-id
-    order stages.  Counted by driver runs: the edge mode of a star with n =
-    60 starts at K = p + 1 = 4, misses the sizes above it (its peak and
-    b_e(30) are 30) and falls back to the dense DP; a path clips at K = p +
-    1 = 2; a caterpillar with spine 5 and legs 6 steps from K = 3 to its
-    edge peak, _CLIP_K_MAX; a complete binary tree with d = 8 has too few
-    stages to clip, and its vertex profile (peak 4) takes the closed-form
-    step before the dense run."""
+    """A DP makes clipped runs at K = K0, K0 + 1, ... until one covers every
+    size asked for, or up to _CLIP_K_MAX and then one dense run.  K0 is one
+    above p = edge_peak_lower_bound(n, eta) in edge mode and 1 in vertex
+    mode.  A profile asks for every size, and under its stage rule a tree
+    with n > _CLIP_STAGE_RATIO * stages makes one dense run instead, which
+    a vertex profile makes only if its closed-form K = 1 step does not
+    cover.  A witness at i = ceil(n/2) asks for size i, over the same
+    class-order stages, with no stage rule.  Counted by driver runs: the
+    edge mode of a star with n = 60 starts at K = p + 1 = 4, misses the
+    sizes above it (its peak and b_e(30) are 30) and falls back to the
+    dense DP; a path clips at K = p + 1 = 2; a caterpillar with spine 5 and
+    legs 6 steps from K = 3 to its edge peak, _CLIP_K_MAX; a complete
+    binary tree with d = 8 has too few stages for its profiles to clip, and
+    its vertex profile (peak 3) takes the closed-form step before the dense
+    run, while its witnesses (b_e = b_v = 1 at i = 128) clip at K0: 3 in
+    edge mode, 1 in vertex mode."""
     runs = _driver_runs(monkeypatch)
     log = _route_log(monkeypatch)
     star, path = generate_tree("star", {"n": 60}), generate_tree("path", {"n": 60})
@@ -1579,7 +1599,7 @@ def test_clipped_route_steps_k_from_its_start(monkeypatch):
     pinned = [(star, "edge", [4, None], [4, None]), (star, "vertex", [1], [1]),
               (path, "edge", [2], [2]), (path, "vertex", [1], [1]),
               (caterpillar, "edge", [3, 4], None),
-              (binary, "edge", [None], [None]), (binary, "vertex", [1, None], [None])]
+              (binary, "edge", [None], [3]), (binary, "vertex", [1, None], [1])]
     corpus = [tree for _, tree in structured_trees(12) + random_trees(30, 300, seed0=5)]
     corpus += [binary, caterpillar]
     for tree, mode, expected, witnessed in (
@@ -1661,7 +1681,7 @@ def test_witness_memo_serves_interleaved_modes(monkeypatch):
         assert sorted(profile._witness_memo.runs) == ["edge", "vertex"]
         # A budget that holds the two runs, and the dense run alone, but not
         # all three.
-        keys = profile._subtree_classes(tree, tree.n, False)[1]
+        keys = profile._subtree_classes(tree, tree.n)[1]
         cells = profile._witness_cells(profile._stage_sizes(keys), tree.n, 4, 4, 2)
         held = sum(run.price for run in profile._witness_memo.runs.values())
         assert 0 < cells <= (held + 3) // 4
@@ -1754,7 +1774,7 @@ def test_witness_memo_shares_the_budget(monkeypatch):
     so the next edge call builds again; the sets are those of equal trees
     built anew."""
     tree = _caterpillar()
-    cls, keys = profile._subtree_classes(tree, tree.n, False)
+    cls, keys = profile._subtree_classes(tree, tree.n)
     size = profile._stage_sizes(keys)
     edge, vertex = profile._clipped_bytes(size, 3, 2), profile._clipped_bytes(size, 1, 3)
     cells = max(edge, vertex) // 4 + 1
@@ -1811,11 +1831,28 @@ def test_clipped_witness_budget_admits_what_the_dense_one_refuses():
     at i = n/2 needs more dense cells than WITNESS_MAX_CELLS, while its first
     clipped run, at K = 1, fits in the same 256 MiB."""
     tree = generate_tree("path", {"n": 9600})
-    cls, keys = profile._subtree_classes(tree, tree.n, False)
+    cls, keys = profile._subtree_classes(tree, tree.n)
     size = profile._stage_sizes(keys)
     assert profile._clip_ks("vertex", cls, size, tree.n)[0] == 1
     assert profile._witness_cells(size, tree.n, 4800, 4800, 3) > profile.WITNESS_MAX_CELLS
     assert profile._clipped_bytes(size, 1, 3) <= profile.WITNESS_MAX_CELLS * 4
+
+
+def test_clipped_witness_answers_where_the_dense_run_is_refused(monkeypatch):
+    """A caterpillar with spine 1,000 and legs 4 (n = 5,000) queried at
+    i = n/2 in vertex mode under a budget of 2,000,000 cells (8 MB): its
+    dense stages need more, but its clipped run at K = 1 over the 1,004
+    class-order stages fits, and gives a set with boundary 1."""
+    tree = generate_tree("caterpillar", {"spine": 1000, "legs": 4})
+    monkeypatch.setattr(profile, "WITNESS_MAX_CELLS", 2_000_000)
+    monkeypatch.setattr(profile, "_witness_memo", None)
+    log = _route_log(monkeypatch)
+    size = profile._stage_sizes(profile._subtree_classes(tree, tree.n)[1])
+    assert len(size) == 1004
+    assert profile._witness_cells(size, tree.n, 2500, 2500, 3) > profile.WITNESS_MAX_CELLS
+    members = witness_subset(tree, 2500, "vertex")
+    assert (len(members), vertex_boundary_size(tree, members)) == (2500, 1)
+    assert log == [1]
 
 
 @pytest.mark.parametrize(
@@ -1841,5 +1878,5 @@ def test_clipped_witness_peak_within_its_bound(monkeypatch, kind, params, mode):
     finally:
         tracemalloc.stop()
     assert log and log[-1] is not None, log
-    size = profile._stage_sizes(profile._subtree_classes(tree, tree.n, False)[1])
+    size = profile._stage_sizes(profile._subtree_classes(tree, tree.n)[1])
     assert 0 < peak <= profile._clipped_bytes(size, log[-1], len(profile._MODES[mode].into))
