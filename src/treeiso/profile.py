@@ -62,14 +62,13 @@ ORACLE_MAX_VERTICES = 24
 # Subsets the oracle evaluates per chunk, so that its working arrays stay
 # at a few MiB whatever n is.
 _ORACLE_CHUNK = 1 << 16
-# The witness budget: 2**26 int32 cells, 256 MiB, for the run being built
-# and the runs kept beside it.  Every run is priced from the stage sizes
-# before any table exists: a dense one at 4 bytes per cell of its stages'
-# flag rows (_witness_cells), a clipped one by _clipped_bytes.  A path
-# with n = 2000 queried at i = n/2 keeps about 3 million vertex-mode cells;
-# one with n = 50,000 would keep about 1.9 billion, and its clipped runs
-# about 1 GB, so it is refused.
-WITNESS_MAX_CELLS = 2**26
+# The witness budget, 256 MiB, for the run being built and the runs kept
+# beside it; _keep alone checks it.  Every run is priced in bytes from the
+# stage sizes before any table exists: a dense one by _dense_bytes, a
+# clipped one by _clipped_bytes.  A path with n = 2000 queried at i = n/2
+# keeps about 12 MB of vertex-mode cells; one with n = 50,000 would keep
+# about 7.5 GB, and its clipped runs about 1 GB, so it is refused.
+WITNESS_MAX_BYTES = 2**28
 
 # Infeasible-cell sentinel of the int32 DP tables.  Feasible cells are cut
 # counts of at most n, far below it.  Every sum a merge or the witness scan
@@ -337,11 +336,12 @@ def _profile(tree: RootedTree, mode: str, walk, classes=None) -> list:
     vertices, the least value over flags of its stage at cells 1..s.
 
     One route answers them all: the first clipped run of _clip_ks that
-    covers sizes 0..s of every asked class, else the dense DP, exact at
-    every stage; by the stage rule, none if n > _CLIP_STAGE_RATIO * stages.
-    The vertex mode's K = 1 run is _level_one_profile, which reads the same
-    values as a clipped run; at one shift-OR per stage it is run even where
-    the stage rule makes no clipped run, unless _CLIP_K_MAX is 0.
+    covers every asked class, its last level union holding sizes 0..s,
+    else the dense DP, exact at every stage; by the stage rule, none if
+    n > _CLIP_STAGE_RATIO * stages.  Values are read only from the run that
+    covers.  The vertex mode's K = 1 run is _level_one_profile, whose
+    level unions are a clipped run's; at one shift-OR per stage it is run
+    even where the stage rule makes no clipped run, unless _CLIP_K_MAX is 0.
 
     The dense DP runs under _small_ufunc_buffer.  Below the root its stages
     start at lo = 0, so an inner class's stage is its subtree's own root
@@ -361,9 +361,9 @@ def _profile(tree: RootedTree, mode: str, walk, classes=None) -> list:
             answers = _level_one_profile(keys, size, n, classes)
         else:
             answers = _clipped_profile(rules, keys, size, n, k, classes)
-        if all(covered for covered, _ in answers):
-            return [values for _, values in answers]
-    # Drop the values of the last run, which missed, before the dense run.
+        if all(levels[-1] == (2 << size[c]) - 1 for c, levels in zip(classes, answers)):
+            return [_read_levels(levels, size[c]) for c, levels in zip(classes, answers)]
+    # Drop the level unions of the last run, which missed, before the dense run.
     answers = []
     i_max = max(1, n // 2) if mode == "edge" else n
     with _small_ufunc_buffer():
@@ -415,34 +415,34 @@ def _clip_ks(mode: str, last, size, n: int):
 
 
 def _clipped_profile(rules: _Mode, keys, size, n: int, k: int, classes) -> list:
-    """One clipped run at K = k: _read_levels of each class in classes."""
+    """One clipped run at K = k: the _level_unions of each class in classes."""
     stages = _class_stages(_clipped(rules, k), keys, size, n, 0, n, classes)
-    return [_read_levels(_level_unions(table, k), size[c]) for c, (_, table) in zip(classes, stages)]
+    return [_level_unions(table, k) for _, table in stages]
 
 
 def _level_one_profile(keys, size, n: int, classes) -> list:
-    """The vertex mode's _clipped_profile at K = 1, in closed form.  A set
-    has vertex boundary {u} exactly when it is a nonempty union of
-    components of T - u, so over a class of w vertices b_v(i) <= 1 exactly
-    when i is 0, w, a subset sum of one vertex's child subtree sizes
-    (_level_one), or w - 1 less one."""
-    answers = []
+    """The vertex mode's _clipped_profile at K = 1, in closed form: the two
+    level unions of each class in classes.  A set has vertex boundary {u}
+    exactly when it is a nonempty union of components of T - u, so over a
+    class of w vertices b_v(i) <= 1 exactly when i is 0, w, a subset sum of
+    one vertex's child subtree sizes (_level_one), or w - 1 less one."""
+    unions = []
     stages = _class_stages(_level_one(), keys, size, n, 0, n, classes)
     for c, (_, (_, low)) in zip(classes, stages):
         w = size[c]
         ends = 1 | 1 << w
-        answers.append(_read_levels([ends, ends | low | _reflect(low, w)], w))
-    return answers
+        unions.append([ends, ends | low | _reflect(low, w)])
+    return unions
 
 
-def _read_levels(levels: list, s: int) -> tuple:
-    """(whether the last of levels, the K + 1 level unions of a class over s
-    vertices, covers sizes 0..s, the value of each size 1..s: the number of
-    level unions that miss it)."""
+def _read_levels(levels: list, s: int) -> list:
+    """The value of each size 1..s of a class over s vertices from its K + 1
+    level unions, levels: the number of them that miss it, K + 1 where none
+    holds it."""
     raw = b"".join(u.to_bytes(s // 8 + 1, "little") for u in levels)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    covered = bits.reshape(len(levels), -1).sum(axis=0)
-    return levels[-1] == (2 << s) - 1, (len(levels) - covered[1 : s + 1]).tolist()
+    held = bits.reshape(len(levels), -1).sum(axis=0)
+    return (len(levels) - held[1 : s + 1]).tolist()
 
 
 def _reflect(bits: int, w: int) -> int:
@@ -499,8 +499,8 @@ def witness_subset(tree: RootedTree, i: int, mode: str, size_cap: int = DEFAULT_
     no stage rule: clipped runs at growing K that fit the budget, used when
     the root holds size i, else the dense tables cut to the cells a size-i
     subset can reach.  It raises SizeCapError before building any table
-    when those dense cells would exceed WITNESS_MAX_CELLS.  A later call on
-    the same tree object reuses its clipped runs (see witness_subsets).
+    when those dense tables would exceed WITNESS_MAX_BYTES.  A later call
+    on the same tree object reuses its clipped runs (see witness_subsets).
     """
     return witness_subsets(tree, [i], mode, size_cap)[i]
 
@@ -513,14 +513,14 @@ def witness_subsets(tree: RootedTree, sizes, mode: str, size_cap: int = DEFAULT_
 
     The last tree queried keeps its last clipped run of each mode, so a
     call on the same tree object whose sizes that run's root holds builds
-    nothing, and one whose sizes it misses resumes at the next K.  One rule
-    prices and keeps every run: before it is built it is priced by its
-    bytes against the budget of WITNESS_MAX_CELLS int32 cells; a clipped
-    run first drops the mode's kept run, whose sizes it holds too, and is
-    kept once built, whatever its root holds; a dense run is never kept;
-    either drops the kept runs only when it would not fit beside them.  A
-    tree over the size cap raises SizeCapError after the argument checks
-    and before the kept runs are read, whatever the sizes.
+    nothing, and one whose sizes it misses resumes at the next K.  One rule,
+    _keep, prices and keeps every run: before it is built its bytes are
+    checked against WITNESS_MAX_BYTES; a clipped run first drops the mode's
+    kept run, whose sizes it holds too, and is kept once built, whatever its
+    root holds; a dense run is never kept; either drops the kept runs only
+    when it would not fit beside them.  A tree over the size cap raises
+    SizeCapError after the argument checks and before the kept runs are
+    read, whatever the sizes.
     """
     rules = _MODES.get(mode)
     if rules is None:
@@ -575,11 +575,11 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
     DP) for the sorted sizes, on the profiles' walk: the memo's run of the
     mode if its root holds every size, else the first clipped run of
     _clip_ks above the memo's K that does, else the dense DP windowed to
-    sizes[0] .. sizes[-1], each priced and kept by the rule of
-    witness_subsets.  A clipped run over budget ends the clipped route.
-    SizeCapError, before any table is built and with the memo as it was,
-    when the dense run is over budget; witness_subsets has checked
-    size_cap, which only a walk on a memo miss reads."""
+    sizes[0] .. sizes[-1], each priced (_clipped_bytes, _dense_bytes) and
+    kept by _keep.  A clipped run _keep refuses ends the clipped route; a
+    dense one it refuses raises SizeCapError, before any table is built and
+    with the memo as it was.  witness_subsets has checked size_cap, which
+    only a walk on a memo miss reads."""
     rules, n = _MODES[mode], tree.n
     nflags = len(rules.into)
     memo = _witness_memo
@@ -597,11 +597,10 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
     for k in _clip_ks(mode, cls, size, n):
         if k < start:
             continue
-        price = _clipped_bytes(size, k, nflags)
-        if price > _witness_budget():
-            break
         run = stages = None
-        _keep(tree, classes, price, {mode: None})
+        price = _clipped_bytes(size, k, nflags)
+        if not _keep(tree, classes, price, {mode: None}):
+            break
         stages = list(_stages(*_clipped(rules, k), keys, size, n, 0, n))
         held = _level_unions(stages[cls[tree.root]][1], k)[-1]
         run = _Run(stages, (_clipped_cell, _clipped_split), k, held, price)
@@ -609,31 +608,34 @@ def _witness_run(tree: RootedTree, mode: str, size_cap: int, sizes: list):
         if all(held >> i & 1 for i in sizes):
             return (*classes, run)
     run = stages = None
-    cells = _witness_cells(size, n, sizes[0], sizes[-1], nflags)
-    if cells > WITNESS_MAX_CELLS:
-        raise SizeCapError(
-            f"witness tables need {cells} cells, above the budget {WITNESS_MAX_CELLS}"
-        )
-    _keep(tree, classes, cells * np.dtype(np.int32).itemsize, {})
+    price = _dense_bytes(size, n, sizes[0], sizes[-1], nflags)
+    if not _keep(tree, classes, price, {}):
+        raise SizeCapError(f"witness tables need {price} bytes, above the budget {WITNESS_MAX_BYTES}")
     with _small_ufunc_buffer():
         stages = list(_stages(*_dense(rules), keys, size, n, sizes[0], sizes[-1]))
     return (*classes, _Run(stages, (_dense_cell, _dense_split)))
 
 
-def _keep(tree: RootedTree, classes: tuple, price: int, runs: dict) -> None:
-    """Publish the memo of tree: the runs it holds of tree, none if it holds
-    another's, updated by runs, where a None drops that mode's run; all of
-    them dropped when a run of price bytes would not fit beside them in the
-    budget.  The memo is read afresh here, so runs another caller published
-    meanwhile are merged only when they are of this tree."""
+def _keep(tree: RootedTree, classes: tuple, price: int, runs: dict) -> bool:
+    """Whether a run of price bytes fits WITNESS_MAX_BYTES, the only place a
+    price meets the budget.  False, with the memo untouched, when the run
+    alone is over it.  Else True, once the memo of tree is published: the
+    runs it holds of tree, none if it holds another's, updated by runs,
+    where a None drops that mode's run; all of them dropped when the run
+    would not fit beside them.  The memo is read afresh here, so runs
+    another caller published meanwhile are merged only when they are of
+    this tree."""
     global _witness_memo
+    if price > WITNESS_MAX_BYTES:
+        return False
     memo = _witness_memo
     if memo is not None and memo.tree is tree:
         runs = {**memo.runs, **runs}
     runs = {m: run for m, run in runs.items() if run is not None}
-    if price + sum(run.price for run in runs.values()) > _witness_budget():
+    if price + sum(run.price for run in runs.values()) > WITNESS_MAX_BYTES:
         runs = {}
     _witness_memo = _Memo(tree, classes, runs) if runs else None
+    return True
 
 
 def _backtrack(tree: RootedTree, rules: _Mode, cls, keys, size, stages, read, i: int) -> frozenset:
@@ -1047,10 +1049,10 @@ def _sumset(a: int, b: int) -> int:
     return out
 
 
-def _witness_cells(size, n: int, i_min: int, i_max: int, nflags: int) -> int:
-    """Cells the dense stages of _witness_run hold, over all flag rows,
-    from the stage sizes alone: the widths of their _windows."""
-    return nflags * sum(_window(s, n, i_min, i_max)[1] for s in size)
+def _dense_bytes(size, n: int, i_min: int, i_max: int, nflags: int) -> int:
+    """Bytes the dense stages of _witness_run hold, from the stage sizes
+    alone: 4 per int32 cell of every flag row of their _windows."""
+    return 4 * nflags * sum(_window(s, n, i_min, i_max)[1] for s in size)
 
 
 def _clipped_bytes(size, k: int, nflags: int) -> int:
@@ -1063,8 +1065,3 @@ def _clipped_bytes(size, k: int, nflags: int) -> int:
     level = sys.getsizeof([None]) + sys.getsizeof((0, 0, 0)) + 2 * sys.getsizeof(1 << digit)
     cells = sum(size) + len(size)
     return nflags * (k + 1) * (cells * sys.int_info.sizeof_digit // digit + len(size) * level)
-
-
-def _witness_budget() -> int:
-    """The bytes of WITNESS_MAX_CELLS int32 cells."""
-    return WITNESS_MAX_CELLS * np.dtype(np.int32).itemsize

@@ -45,6 +45,28 @@ def random_trees(count: int, max_n: int, seed0: int = 0):
     return trees
 
 
+def rooted_trees(n: int):
+    """Every rooted tree on n >= 1 vertices exactly once, root 0 and the
+    vertices in preorder: the canonical level sequences, from the path down
+    to the star (Beyer & Hedetniemi, SIAM J. Comput. 1980).  The next
+    sequence after L takes p, the last vertex deeper than level 1, and q,
+    the last one before p at level L[p] - 1, and repeats L[q:p] from p on."""
+    levels = list(range(n))
+    while True:
+        parents, last = [None] * n, {}
+        for v, d in enumerate(levels):
+            if d:
+                parents[v] = last[d - 1]
+            last[d] = v
+        yield RootedTree.from_parents(parents, 0)
+        p = next((v for v in range(n - 1, 0, -1) if levels[v] > 1), None)
+        if p is None:
+            return
+        q = max(v for v in range(p) if levels[v] == levels[p] - 1)
+        for v in range(p, n):
+            levels[v] = levels[v - (p - q)]
+
+
 def reroot(tree: RootedTree, root: int) -> RootedTree:
     """The same unrooted tree rooted at root, parents set by breadth-first
     search from it."""

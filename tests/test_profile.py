@@ -1,6 +1,7 @@
 """Profile DP against the exhaustive oracle, peaks, and witness subsets."""
 import hashlib
 import itertools
+import math
 import random
 import sys
 import threading
@@ -33,7 +34,7 @@ from treeiso import (
 )
 from treeiso import profile
 from treeiso.tree import postorder
-from helpers import labelled_trees, random_trees, relabel, reroot, structured_trees
+from helpers import labelled_trees, random_trees, relabel, reroot, rooted_trees, structured_trees
 
 # Frozen from brute_force_profiles; the oracle tests below recompute them.
 STAR5_EDGE = [1, 2, 2, 1, 0]
@@ -153,6 +154,43 @@ def test_oracle_high_bits_match_reference():
 def test_dp_matches_oracle_small():
     for label, tree in structured_trees(12) + random_trees(120, 14, seed0=2):
         assert (edge_profile(tree), vertex_profile(tree)) == brute_force_profiles(tree), label
+
+
+def test_every_rooted_tree_up_to_ten_vertices(monkeypatch):
+    """Every rooted tree with n <= 10, as many as OEIS A000081 counts (1,
+    1, 2, 4, 9, 20, 48, 115, 286, 719 for n = 1..10).  On each one
+    compute_profile equals the oracle, l(k) <= 2 C(2 eta + k, k) for
+    k <= p, and p <= edge_peak.  On those with n <= 9 the profile equals the
+    oracle with the dense route forced too, and the witnesses at every size
+    in both modes have that size and the oracle's boundary."""
+    monkeypatch.setattr(profile, "_witness_memo", None)
+    trees = [list(rooted_trees(n)) for n in range(1, 11)]
+    assert [len(of_n) for of_n in trees] == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+    small = []
+    for tree in itertools.chain(*trees):
+        oracle = brute_force_profiles(tree)
+        got = compute_profile(tree)
+        assert (list(got.edge_values), list(got.vertex_values)) == oracle, tree.parent
+        eta = subtree_weights(tree).eta
+        p = edge_peak_lower_bound(tree.n, eta)
+        assert p <= got.edge_peak, tree.parent
+        for k in range(p + 1):
+            ell = sum(value <= k for value in got.edge_values)
+            assert ell <= 2 * math.comb(2 * eta + k, k), (tree.parent, k)
+        if tree.n <= 9:
+            small.append((tree, oracle))
+    assert len(small) == 486
+    for tree, (edge, vertex) in small:
+        for mode, values, boundary in (("edge", edge, edge_boundary_size),
+                                       ("vertex", vertex, vertex_boundary_size)):
+            sets = witness_subsets(tree, range(1, tree.n + 1), mode)
+            assert [(len(sets[i]), boundary(tree, sets[i])) for i in sets] == [
+                (i, values[i - 1]) for i in sets], (tree.parent, mode)
+    with monkeypatch.context() as m:
+        _force_route(m, 0)
+        for tree, oracle in small:
+            got = compute_profile(tree)
+            assert (list(got.edge_values), list(got.vertex_values)) == oracle, tree.parent
 
 
 def test_profile_invariants():
@@ -1355,8 +1393,8 @@ def test_last_stage_is_the_subtree_class():
 def test_witness_cells_predicts_the_kept_stages():
     """The _window of each stage size, from the stage keys alone, gives the
     (lo, width) of every stage the dense witness DP keeps, stage by stage
-    and in order, and _witness_cells their total cells, for single sizes
-    and size ranges."""
+    and in order, and _dense_bytes their total bytes, for single sizes and
+    size ranges."""
     cap = profile.DEFAULT_DP_CAP
     for label, tree in structured_trees(10) + random_trees(20, 40, seed0=3):
         n = tree.n
@@ -1370,8 +1408,8 @@ def test_witness_cells_predicts_the_kept_stages():
                 stages = _dense_witness_stages(tree, mode, i_min, i_max)[1]
                 planned = [profile._window(s, n, i_min, i_max) for s in size]
                 assert planned == [(lo, tab.shape[1]) for lo, tab in stages], label
-                kept = sum(tab.size for _, tab in stages)
-                assert profile._witness_cells(size, n, i_min, i_max, nflags) == kept, label
+                kept = sum(tab.nbytes for _, tab in stages)
+                assert profile._dense_bytes(size, n, i_min, i_max, nflags) == kept, label
 
 
 def test_witness_refuses_over_budget_before_building_tables():
@@ -1391,8 +1429,8 @@ def test_witness_refuses_over_budget_before_building_tables():
         assert peak < 10 << 20, mode
     small = generate_tree("path", {"n": 2000})
     keys = profile._subtree_classes(small, small.n)[1]
-    cells = profile._witness_cells(profile._stage_sizes(keys), 2000, 1000, 1000, 3)
-    assert cells <= profile.WITNESS_MAX_CELLS
+    price = profile._dense_bytes(profile._stage_sizes(keys), 2000, 1000, 1000, 3)
+    assert price <= profile.WITNESS_MAX_BYTES
 
 
 def test_clipped_run_is_exact_up_to_k():
@@ -1415,11 +1453,12 @@ def test_clipped_run_is_exact_up_to_k():
             dense = np.min(_full_root_table(tree, mode), axis=0)[1:].tolist()
             for k in range(max(dense) + 1):
                 # The root's class is the last stage.
-                [(covered, clipped)] = profile._clipped_profile(
+                [levels] = profile._clipped_profile(
                     profile._MODES[mode], keys, size, n, k, [len(keys) - 1]
                 )
+                clipped = profile._read_levels(levels, n)
                 assert clipped == [v if v <= k else k + 1 for v in dense], (label, mode, k)
-                assert covered == (k == max(dense)), (label, mode, k)
+                assert (levels[-1] == (2 << n) - 1) == (k == max(dense)), (label, mode, k)
 
 
 def test_first_split_is_the_least_split():
@@ -1466,8 +1505,10 @@ def test_level_one_sets_match_the_dps(monkeypatch):
     for tree, oracle in [(t, False) for t in large] + [(t, True) for t in small]:
         last, keys = profile._subtree_classes(tree, tree.n)
         classes = sorted(set(last))
-        level_one = dict(zip(classes, profile._level_one_profile(
-            keys, profile._stage_sizes(keys), tree.n, classes)))
+        size = profile._stage_sizes(keys)
+        unions = profile._level_one_profile(keys, size, tree.n, classes)
+        level_one = {c: (levels[-1] == (2 << size[c]) - 1, profile._read_levels(levels, size[c]))
+                     for c, levels in zip(classes, unions)}
         if oracle:
             dps = {v: brute_force_profiles(_subtree(tree, v)) for v in range(tree.n)}
         else:
@@ -1682,10 +1723,10 @@ def test_witness_memo_serves_interleaved_modes(monkeypatch):
         # A budget that holds the two runs, and the dense run alone, but not
         # all three.
         keys = profile._subtree_classes(tree, tree.n)[1]
-        cells = profile._witness_cells(profile._stage_sizes(keys), tree.n, 4, 4, 2)
+        price = profile._dense_bytes(profile._stage_sizes(keys), tree.n, 4, 4, 2)
         held = sum(run.price for run in profile._witness_memo.runs.values())
-        assert 0 < cells <= (held + 3) // 4
-        m.setattr(profile, "WITNESS_MAX_CELLS", (held + 3) // 4)
+        assert 0 < price <= held
+        m.setattr(profile, "WITNESS_MAX_BYTES", held)
         assert witness_subset(tree, 4, "edge") == got["edge"][4]
     assert log == [None, ["edge"], ["edge", "vertex"], None] and profile._witness_memo is None
     for mode, sizes in (("edge", (1, 2, 3, 4)), ("vertex", (1, 2, 3))):
@@ -1747,7 +1788,7 @@ def test_witness_memo_survives_refused_calls(monkeypatch):
     with pytest.raises(SizeCapError, match="size cap"):
         witness_subset(tree, 3, "edge", size_cap=tree.n - 1)
     with monkeypatch.context() as m:
-        m.setattr(profile, "WITNESS_MAX_CELLS", 1)
+        m.setattr(profile, "WITNESS_MAX_BYTES", 4)
         with pytest.raises(SizeCapError, match="budget"):
             witness_subset(tree, 4, "edge")
     assert witness_subset(tree, 5, "edge") == expected
@@ -1777,10 +1818,10 @@ def test_witness_memo_shares_the_budget(monkeypatch):
     cls, keys = profile._subtree_classes(tree, tree.n)
     size = profile._stage_sizes(keys)
     edge, vertex = profile._clipped_bytes(size, 3, 2), profile._clipped_bytes(size, 1, 3)
-    cells = max(edge, vertex) // 4 + 1
-    assert edge + vertex > 4 * cells
+    budget = max(edge, vertex)
+    assert edge + vertex > budget
     log = _memo_log(monkeypatch)
-    monkeypatch.setattr(profile, "WITNESS_MAX_CELLS", cells)
+    monkeypatch.setattr(profile, "WITNESS_MAX_BYTES", budget)
     got = [witness_subset(tree, i, mode) for mode in ("edge", "vertex", "edge") for i in (1, 2)]
     assert log == [None, None, None]
     assert sorted(profile._witness_memo.runs) == ["edge"]
@@ -1828,31 +1869,71 @@ def test_witness_memo_under_concurrent_callers(monkeypatch):
 
 def test_clipped_witness_budget_admits_what_the_dense_one_refuses():
     """From the stage keys alone: a vertex-mode path with n = 9,600 queried
-    at i = n/2 needs more dense cells than WITNESS_MAX_CELLS, while its first
-    clipped run, at K = 1, fits in the same 256 MiB."""
+    at i = n/2 needs more dense bytes than WITNESS_MAX_BYTES, while its
+    first clipped run, at K = 1, fits in the same 256 MiB."""
     tree = generate_tree("path", {"n": 9600})
     cls, keys = profile._subtree_classes(tree, tree.n)
     size = profile._stage_sizes(keys)
     assert profile._clip_ks("vertex", cls, size, tree.n)[0] == 1
-    assert profile._witness_cells(size, tree.n, 4800, 4800, 3) > profile.WITNESS_MAX_CELLS
-    assert profile._clipped_bytes(size, 1, 3) <= profile.WITNESS_MAX_CELLS * 4
+    assert profile._dense_bytes(size, tree.n, 4800, 4800, 3) > profile.WITNESS_MAX_BYTES
+    assert profile._clipped_bytes(size, 1, 3) <= profile.WITNESS_MAX_BYTES
 
 
 def test_clipped_witness_answers_where_the_dense_run_is_refused(monkeypatch):
     """A caterpillar with spine 1,000 and legs 4 (n = 5,000) queried at
-    i = n/2 in vertex mode under a budget of 2,000,000 cells (8 MB): its
+    i = n/2 in vertex mode under a budget of 8,000,000 bytes: its
     dense stages need more, but its clipped run at K = 1 over the 1,004
     class-order stages fits, and gives a set with boundary 1."""
     tree = generate_tree("caterpillar", {"spine": 1000, "legs": 4})
-    monkeypatch.setattr(profile, "WITNESS_MAX_CELLS", 2_000_000)
+    monkeypatch.setattr(profile, "WITNESS_MAX_BYTES", 8_000_000)
     monkeypatch.setattr(profile, "_witness_memo", None)
     log = _route_log(monkeypatch)
     size = profile._stage_sizes(profile._subtree_classes(tree, tree.n)[1])
     assert len(size) == 1004
-    assert profile._witness_cells(size, tree.n, 2500, 2500, 3) > profile.WITNESS_MAX_CELLS
+    assert profile._dense_bytes(size, tree.n, 2500, 2500, 3) > profile.WITNESS_MAX_BYTES
     members = witness_subset(tree, 2500, "vertex")
     assert (len(members), vertex_boundary_size(tree, members)) == (2500, 1)
     assert log == [1]
+
+
+def test_one_budget_check_at_its_boundary(monkeypatch):
+    """_keep's one check, at the budget's edge.  A star with n = 60 holding
+    its vertex run: its dense edge witness at i = 30, priced at exactly
+    WITNESS_MAX_BYTES, is built (and drops the held run, which no longer
+    fits beside it); one byte lower it raises SizeCapError naming bytes,
+    with the memo untouched and no table built.  A path with n = 60: its
+    vertex witness at i = 30 skips a clipped K = 1 run priced one byte over
+    the budget and goes straight to the dense run, and builds it at exactly
+    its price."""
+    log = _route_log(monkeypatch)
+    monkeypatch.setattr(profile, "_witness_memo", None)
+    star = generate_tree("star", {"n": 60})
+    witness_subset(star, 30, "vertex")
+    held = profile._witness_memo
+    size = profile._stage_sizes(profile._subtree_classes(star, 60)[1])
+    price = profile._dense_bytes(size, 60, 30, 30, 2)
+    log.clear()
+    with monkeypatch.context() as m:
+        _force_route(m, 0)
+        m.setattr(profile, "WITNESS_MAX_BYTES", price - 1)
+        with pytest.raises(SizeCapError, match=f"need {price} bytes, above the budget {price - 1}"):
+            witness_subset(star, 30, "edge")
+        assert profile._witness_memo is held and held is not None and log == []
+        m.setattr(profile, "WITNESS_MAX_BYTES", price)
+        members = witness_subset(star, 30, "edge")
+    assert log == [None] and profile._witness_memo is None
+    assert (len(members), edge_boundary_size(star, members)) == (30, 30)
+    path = generate_tree("path", {"n": 60})
+    size = profile._stage_sizes(profile._subtree_classes(path, 60)[1])
+    clipped = profile._clipped_bytes(size, 1, 3)
+    assert profile._dense_bytes(size, 60, 30, 30, 3) < clipped
+    for budget, route in ((clipped - 1, [None]), (clipped, [1])):
+        log.clear()
+        monkeypatch.setattr(profile, "WITNESS_MAX_BYTES", budget)
+        monkeypatch.setattr(profile, "_witness_memo", None)
+        members = witness_subset(path, 30, "vertex")
+        assert log == route, budget
+        assert (len(members), vertex_boundary_size(path, members)) == (30, 1)
 
 
 @pytest.mark.parametrize(
