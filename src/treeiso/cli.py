@@ -5,7 +5,7 @@ import argparse
 import sys
 
 from .profile import DEFAULT_DP_CAP, DEFAULT_ORACLE_LIMIT, compute_profile
-from .report import FORMATS, TreeEntry, analyze_tree, emit, sweep_rows, verify_suite
+from .report import FORMATS, analyze_tree, emit, sweep_rows, verify_suite
 from .tree import (
     DEFAULT_MAX_VERTICES,
     TREE_FORMATS,
@@ -170,7 +170,7 @@ def _cmd_bounds(args) -> int:
         tree, {"path": args.tree}, oracle_limit=args.oracle_limit, dp_cap=args.dp_cap
     )
     emit(report, args.format, args.out)
-    return 0 if report.passed else 1
+    return 0 if report["pass"] else 1
 
 
 def _cmd_verify(args) -> int:
@@ -179,21 +179,19 @@ def _cmd_verify(args) -> int:
     entries = []
     for path in args.trees:
         try:
-            entries.append(TreeEntry(source={"path": path}, tree=_load_tree_file(path)))
+            entries.append({"source": {"path": path}, "tree": _load_tree_file(path)})
         except (TreeFormatError, OSError) as exc:
-            entries.append(TreeEntry(source={"path": path}, error=str(exc)))
+            entries.append({"source": {"path": path}, "error": str(exc)})
     for spec in args.gen:
         try:
             kind, params, seed = _parse_gen_spec(spec)
             tree = generate_tree(kind, params, seed=seed, max_vertices=args.dp_cap)
-            entries.append(
-                TreeEntry(source={"kind": kind, "params": params, "seed": seed}, tree=tree)
-            )
+            entries.append({"source": {"kind": kind, "params": params, "seed": seed}, "tree": tree})
         except ValueError as exc:
-            entries.append(TreeEntry(source={"spec": spec}, error=str(exc)))
+            entries.append({"source": {"spec": spec}, "error": str(exc)})
     result = verify_suite(entries, oracle_limit=args.oracle_limit, dp_cap=args.dp_cap)
     emit(result, args.format, args.out)
-    return result.exit_status
+    return result["exit_status"]
 
 
 def _cmd_tables(args) -> int:

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .bounds import (
     analytic_peak_lower_bounds,
@@ -39,66 +38,9 @@ SWEEP_BINARY_DEPTHS = tuple(range(2, 14))
 SWEEP_TARY_BRANCHING = (3, 4, 5, 9)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    name: str
-    passed: bool
-    details: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "details": self.details}
-
-
-@dataclass
-class BoundsReport:
-    """All bound values for one tree plus the pass/fail verdicts they imply."""
-
-    tree: dict
-    profile: dict
-    bounds: dict
-    derived: dict
-    verdicts: list
-    findings: list
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    def to_dict(self) -> dict:
-        return {
-            "tree": self.tree,
-            "profile": self.profile,
-            "bounds": self.bounds,
-            "derived": self.derived,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "findings": [v.to_dict() for v in self.findings],
-            "pass": self.passed,
-        }
-
-
-@dataclass
-class TreeEntry:
-    """One suite input: a tree plus its descriptor, or a load error."""
-
-    source: dict
-    tree: RootedTree = None
-    error: str = None
-
-
-@dataclass
-class SuiteResult:
-    options: dict
-    reports: list
-    errors: list
-    exit_status: int
-
-    def to_dict(self) -> dict:
-        return {
-            "options": self.options,
-            "reports": [r.to_dict() for r in self.reports],
-            "errors": self.errors,
-            "exit_status": self.exit_status,
-        }
+def _verdict(name: str, ok: bool, details: str) -> dict:
+    """One verdict or finding of a report, as it is printed."""
+    return {"name": name, "pass": ok, "details": details}
 
 
 def derived_parameter_bounds(profile: IsoProfile, delta: int) -> dict:
@@ -144,8 +86,9 @@ def analyze_tree(
     *,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     dp_cap: int = DEFAULT_DP_CAP,
-) -> BoundsReport:
-    """Run every check on one tree and assemble its report.
+) -> dict:
+    """Run every check on one tree and return its report, the dict that
+    emit prints: tree, profile, bounds, derived, verdicts, findings, pass.
 
     Mandatory verdicts: oracle equivalence (when n is small enough), flux
     conservation, the binomial cut-count bound, the certified edge-peak
@@ -173,11 +116,11 @@ def analyze_tree(
             f"dp edge={list(profile.edge_values)} vertex={list(profile.vertex_values)} "
             f"oracle edge={oracle_edge} vertex={oracle_vertex}"
         )
-        verdicts.append(Verdict("oracle: dp profiles equal exhaustive enumeration", ok, detail))
+        verdicts.append(_verdict("oracle: dp profiles equal exhaustive enumeration", ok, detail))
 
     flux_failures = flux_identity_failures(tree, weights)
     verdicts.append(
-        Verdict(
+        _verdict(
             "flux_conservation: f(root) + sum_e f(e) == |S|",
             not flux_failures,
             f"w(v) != 1 + sum_c w(c) at vertices {flux_failures[:3]}" if flux_failures
@@ -190,14 +133,14 @@ def analyze_tree(
     p = edge_peak_lower_bound(n, weights.eta)
     table, count_bound_ok = _cut_count_table(profile.edge_values, weights.eta, p)
     verdicts.append(
-        Verdict(
+        _verdict(
             "cut_count_bound: ell(k) <= 2*C(2*eta+k, k)",
             count_bound_ok,
             f"k = 0..{p}, eta = {weights.eta}",
         )
     )
     verdicts.append(
-        Verdict(
+        _verdict(
             "edge_peak_lb: p <= edge_peak",
             p <= profile.edge_peak,
             f"p = {p}, edge_peak = {profile.edge_peak}",
@@ -211,7 +154,7 @@ def analyze_tree(
         if edge_ub[i] < profile.edge_values[i] or vertex_ub[i] < profile.vertex_values[i]
     ]
     verdicts.append(
-        Verdict(
+        _verdict(
             "prefix_dominance: |delta(S_i)| >= b_e(i) and |phi(S_i)| >= b_v(i)",
             not dominance_violations,
             f"{2 * n} comparisons"
@@ -220,7 +163,7 @@ def analyze_tree(
     )
 
     verdicts.append(
-        Verdict(
+        _verdict(
             "sandwich: edge_peak >= vertex_peak >= edge_peak/delta",
             sandwich_check(profile, delta),
             f"edge_peak = {profile.edge_peak}, vertex_peak = {profile.vertex_peak}, "
@@ -234,32 +177,33 @@ def analyze_tree(
         t = source["params"]["t"]
         ceiling = (t - 1) * weights.depth
         findings.append(
-            Verdict(
+            _verdict(
                 "tary_edge_upper_(t-1)d: edge_peak <= (t-1)*d",
                 profile.edge_peak <= ceiling,
                 f"edge_peak = {profile.edge_peak}, (t-1)*d = {ceiling}",
             )
         )
 
-    return BoundsReport(
-        tree={**source, "n": n, "depth": weights.depth, "delta": delta, "eta": weights.eta},
-        profile={
+    return {
+        "tree": {**source, "n": n, "depth": weights.depth, "delta": delta, "eta": weights.eta},
+        "profile": {
             "edge_peak": profile.edge_peak,
             "vertex_peak": profile.vertex_peak,
             "edge_argpeak": profile.edge_argpeak,
             "vertex_argpeak": profile.vertex_argpeak,
         },
-        bounds={
+        "bounds": {
             "p": p,
             "theorem1": table,
             "prefix_edge_max": max(edge_ub),
             "prefix_vertex_max": max(vertex_ub),
             "corollary3_be_lb": be_lb,
         },
-        derived=derived_parameter_bounds(profile, delta),
-        verdicts=verdicts,
-        findings=findings,
-    )
+        "derived": derived_parameter_bounds(profile, delta),
+        "verdicts": verdicts,
+        "findings": findings,
+        "pass": all(v["pass"] for v in verdicts),
+    }
 
 
 def verify_suite(
@@ -267,39 +211,42 @@ def verify_suite(
     *,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     dp_cap: int = DEFAULT_DP_CAP,
-) -> SuiteResult:
-    """Run every check on a list of trees; items are RootedTree or TreeEntry.
+) -> dict:
+    """Run every check on a list of trees and return the suite result that
+    emit prints: options, reports, errors, exit_status.
 
-    Exit status 2 when any input failed to load or exceeded a cap, else 1
-    when any mandatory verdict failed, else 0.  Identical inputs give
+    Items are RootedTrees or entries {"source", "tree"}; an entry
+    {"source", "error"}, a tree that failed to load, goes into errors as it
+    is.  Exit status 2 when any input failed to load or exceeded a cap, else
+    1 when any mandatory verdict failed, else 0.  Identical inputs give
     byte-identical serialized results.
     """
     reports = []
     errors = []
     for index, item in enumerate(items):
         if isinstance(item, RootedTree):
-            item = TreeEntry(source={"index": index}, tree=item)
-        if item.error is not None:
-            errors.append({"source": item.source, "error": item.error})
+            item = {"source": {"index": index}, "tree": item}
+        if "error" in item:
+            errors.append(item)
             continue
         try:
             reports.append(
-                analyze_tree(item.tree, item.source, oracle_limit=oracle_limit, dp_cap=dp_cap)
+                analyze_tree(item["tree"], item["source"], oracle_limit=oracle_limit, dp_cap=dp_cap)
             )
         except SizeCapError as exc:
-            errors.append({"source": item.source, "error": str(exc)})
+            errors.append({"source": item["source"], "error": str(exc)})
     if errors:
         status = 2
-    elif any(not r.passed for r in reports):
+    elif any(not r["pass"] for r in reports):
         status = 1
     else:
         status = 0
-    return SuiteResult(
-        options={"oracle_limit": oracle_limit, "dp_cap": dp_cap},
-        reports=reports,
-        errors=errors,
-        exit_status=status,
-    )
+    return {
+        "options": {"oracle_limit": oracle_limit, "dp_cap": dp_cap},
+        "reports": reports,
+        "errors": errors,
+        "exit_status": status,
+    }
 
 
 def sweep_rows(max_vertices: int = DEFAULT_DP_CAP) -> list:
@@ -375,26 +322,28 @@ def emit(obj, fmt: str = "json", destination=None) -> None:
 
 
 def _render(obj, fmt: str) -> str:
-    """The JSON payload, or the CSV header and rows, of one emittable object."""
+    """The JSON payload, or the CSV header and rows, of one emittable object:
+    a profile, a report (a dict with verdicts), a suite result (a dict with
+    reports) or a row list."""
+    payload = obj
     if isinstance(obj, IsoProfile):
         payload = obj.to_dict()
         header = ["i", "b_e", "b_v"]
         rows = [[i + 1, e, v] for i, (e, v) in enumerate(zip(obj.edge_values, obj.vertex_values))]
-    elif isinstance(obj, BoundsReport):
-        payload = obj.to_dict()
-        header, rows = ["field", "value"], _flatten_dict(payload)
-    elif isinstance(obj, SuiteResult):
-        payload = obj.to_dict()
+    elif isinstance(obj, dict) and "verdicts" in obj:
+        header, rows = ["field", "value"], _flatten_dict(obj)
+    elif isinstance(obj, dict) and "reports" in obj:
         header = ["source", "n", "depth", "delta", "eta", "edge_peak", "vertex_peak", "p", "status"]
         rows = [
-            [_source_label(r.tree), *(r.tree[key] for key in header[1:5])]
-            + [r.profile["edge_peak"], r.profile["vertex_peak"], r.bounds["p"]]
-            + ["pass" if r.passed else "fail"]
-            for r in obj.reports
+            [_source_label(r["tree"]), *(r["tree"][key] for key in header[1:5])]
+            + [r["profile"]["edge_peak"], r["profile"]["vertex_peak"], r["bounds"]["p"]]
+            + ["pass" if r["pass"] else "fail"]
+            for r in obj["reports"]
         ]
-        rows += [[_source_label(e["source"]), *[""] * 7, f"error: {e['error']}"] for e in obj.errors]
+        rows += [
+            [_source_label(e["source"]), *[""] * 7, f"error: {e['error']}"] for e in obj["errors"]
+        ]
     elif isinstance(obj, list):
-        payload = obj
         header = list(obj[0]) if obj else []
         rows = [[row.get(k) for k in header] for row in obj]
     else:

@@ -22,7 +22,7 @@ from treeiso import (
     subtree_weights,
     verify_suite,
 )
-from treeiso.report import TreeEntry, sweep_rows
+from treeiso.report import sweep_rows
 from helpers import random_trees, structured_trees
 
 
@@ -238,20 +238,20 @@ def test_criterion_8_known_value_regression():
 def test_criterion_9_determinism(tmp_path):
     def run(path):
         entries = [
-            TreeEntry(
-                source={"kind": kind, "params": {"n": n}, "seed": seed},
-                tree=generate_tree(kind, {"n": n}, seed=seed),
-            )
+            {
+                "source": {"kind": kind, "params": {"n": n}, "seed": seed},
+                "tree": generate_tree(kind, {"n": n}, seed=seed),
+            }
             for kind, n, seed in [
                 ("random_recursive", 14, 1),
                 ("random_prufer", 9, 2),
                 ("random_prufer", 16, 3),
             ]
         ] + [
-            TreeEntry(
-                source={"kind": "complete_tary", "params": {"t": 2, "d": 4}},
-                tree=generate_tree("complete_tary", {"t": 2, "d": 4}),
-            )
+            {
+                "source": {"kind": "complete_tary", "params": {"t": 2, "d": 4}},
+                "tree": generate_tree("complete_tary", {"t": 2, "d": 4}),
+            }
         ]
         result = verify_suite(entries)
         emit(result, "json", str(path))
@@ -260,10 +260,10 @@ def test_criterion_9_determinism(tmp_path):
     first = run(tmp_path / "a.json")
     second = run(tmp_path / "b.json")
     identical = (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-    ok = identical and first.exit_status == 0 and second.exit_status == 0
+    ok = identical and first["exit_status"] == 0 and second["exit_status"] == 0
     _report(
         9,
         "verify runs on identical inputs produce byte-identical reports",
         ok,
-        f"{len(first.reports)} reports compared",
+        f"{len(first['reports'])} reports compared",
     )

@@ -79,6 +79,31 @@ def test_verify_malformed_file_exits_nonzero(tmp_path):
     assert len(suite["reports"]) == 1
 
 
+def test_failing_verdict_exits_1(tmp_path, monkeypatch):
+    """bounds and verify exit 1 when a mandatory verdict fails, and the
+    printed report names the verdict that failed."""
+    import treeiso.report as report_mod
+
+    monkeypatch.setattr(report_mod, "sandwich_check", lambda profile, delta: False)
+    tree_path = tmp_path / "t.json"
+    assert main(["generate", "path", "-p", "n=4", "--out", str(tree_path)]) == 0
+    out_path = tmp_path / "out.json"
+    assert main(["bounds", str(tree_path), "--out", str(out_path)]) == 1
+    report = json.loads(out_path.read_text())
+    assert main(["verify", str(tree_path), "--out", str(out_path)]) == 1
+    suite = json.loads(out_path.read_text())
+    assert suite["exit_status"] == 1
+    assert suite["reports"] == [report]
+    assert report["pass"] is False
+    assert [v for v in report["verdicts"] if not v["pass"]] == [
+        {
+            "name": "sandwich: edge_peak >= vertex_peak >= edge_peak/delta",
+            "pass": False,
+            "details": "edge_peak = 1, vertex_peak = 1, delta = 2",
+        }
+    ]
+
+
 def test_concatenated_parent_list_files_exit_2(tmp_path, capsys):
     """Two parent-list trees in one file are an input error, not the first
     tree's profile."""

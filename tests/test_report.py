@@ -20,7 +20,7 @@ from treeiso import (
     verify_suite,
 )
 from treeiso import profile
-from treeiso.report import TreeEntry, _cut_count_table, analyze_tree, _render, sweep_rows
+from treeiso.report import _cut_count_table, analyze_tree, _render, sweep_rows
 from helpers import random_trees, structured_trees
 
 
@@ -65,42 +65,42 @@ def test_derived_bounds_formulas_on_random_trees():
 
 def test_analyze_tree_binary_depth3():
     report = analyze_tree(bin3(), {"kind": "complete_tary", "params": {"t": 2, "d": 3}})
-    assert report.passed
-    assert report.tree["n"] == 7
-    assert report.tree["eta"] == 3
-    assert report.tree["depth"] == 3
-    assert report.tree["delta"] == 3
-    assert report.bounds["p"] == 1
-    sandwich = next(v for v in report.verdicts if v.name.startswith("sandwich"))
-    assert sandwich.passed is True
-    assert report.profile["edge_peak"] == 2
-    assert report.derived["wirelength_lb"] == 8
-    for row in report.bounds["theorem1"]:
+    assert report["pass"]
+    assert report["tree"]["n"] == 7
+    assert report["tree"]["eta"] == 3
+    assert report["tree"]["depth"] == 3
+    assert report["tree"]["delta"] == 3
+    assert report["bounds"]["p"] == 1
+    sandwich = next(v for v in report["verdicts"] if v["name"].startswith("sandwich"))
+    assert sandwich["pass"] is True
+    assert report["profile"]["edge_peak"] == 2
+    assert report["derived"]["wirelength_lb"] == 8
+    for row in report["bounds"]["theorem1"]:
         assert isinstance(row["bound"], str)
         assert row["ell"] <= int(row["bound"])
-    names = [v.name for v in report.verdicts]
+    names = [v["name"] for v in report["verdicts"]]
     assert any("oracle" in n for n in names)
     assert any("flux" in n for n in names)
     # The (t-1)*d edge ceiling is the one finding, present for this descriptor
-    assert [f.name for f in report.findings] == ["tary_edge_upper_(t-1)d: edge_peak <= (t-1)*d"]
-    assert report.findings[0].passed
+    assert [f["name"] for f in report["findings"]] == ["tary_edge_upper_(t-1)d: edge_peak <= (t-1)*d"]
+    assert report["findings"][0]["pass"]
 
 
 def test_report_self_consistency():
     """Pass/fail flags recomputable from the numbers in the same report."""
     for label, tree in structured_trees(9)[:20]:
         report = analyze_tree(tree, {"label": label})
-        b = report.bounds
-        sandwich = next(v for v in report.verdicts if v.name.startswith("sandwich"))
-        assert sandwich.passed == (
-            report.profile["edge_peak"] >= report.profile["vertex_peak"]
-            and report.tree["delta"] * report.profile["vertex_peak"] >= report.profile["edge_peak"]
+        b = report["bounds"]
+        sandwich = next(v for v in report["verdicts"] if v["name"].startswith("sandwich"))
+        assert sandwich["pass"] == (
+            report["profile"]["edge_peak"] >= report["profile"]["vertex_peak"]
+            and report["tree"]["delta"] * report["profile"]["vertex_peak"] >= report["profile"]["edge_peak"]
         ), label
         count_ok = all(row["ell"] <= int(row["bound"]) for row in b["theorem1"])
-        verdict = next(v for v in report.verdicts if v.name.startswith("cut_count_bound"))
-        assert verdict.passed == count_ok, label
-        p_verdict = next(v for v in report.verdicts if v.name.startswith("edge_peak_lb"))
-        assert p_verdict.passed == (b["p"] <= report.profile["edge_peak"]), label
+        verdict = next(v for v in report["verdicts"] if v["name"].startswith("cut_count_bound"))
+        assert verdict["pass"] == count_ok, label
+        p_verdict = next(v for v in report["verdicts"] if v["name"].startswith("edge_peak_lb"))
+        assert p_verdict["pass"] == (b["p"] <= report["profile"]["edge_peak"]), label
 
 
 def test_single_edge_report_passes_every_finding():
@@ -108,8 +108,8 @@ def test_single_edge_report_passes_every_finding():
     which is 0 on the single edge while its one-vertex prefix cuts 1; a
     tree not described as complete t-ary has no finding at all."""
     report = analyze_tree(generate_tree("path", {"n": 2}))
-    assert report.passed
-    assert report.findings == []
+    assert report["pass"]
+    assert report["findings"] == []
 
 
 def test_flux_verdict_names_vertex_where_weight_is_off_by_one(monkeypatch):
@@ -119,14 +119,14 @@ def test_flux_verdict_names_vertex_where_weight_is_off_by_one(monkeypatch):
 
     def flux_verdict(tree):
         report = analyze_tree(tree, oracle_limit=0)
-        return next(x for x in report.verdicts if x.name.startswith("flux_conservation"))
+        return next(x for x in report["verdicts"] if x["name"].startswith("flux_conservation"))
 
     real = report_mod.subtree_weights
     for tree in (bin3(), generate_tree("random_prufer", {"n": 60}, seed=5)):
         monkeypatch.undo()
         verdict = flux_verdict(tree)
-        assert verdict.passed
-        assert verdict.details == f"w(v) == 1 + sum_c w(c) at all {tree.n} vertices, so for every S"
+        assert verdict["pass"]
+        assert verdict["details"] == f"w(v) == 1 + sum_c w(c) at all {tree.n} vertices, so for every S"
         for v in range(tree.n):
             for d in (1, -1):
                 def off_by_one(t, v=v, d=d):
@@ -139,34 +139,34 @@ def test_flux_verdict_names_vertex_where_weight_is_off_by_one(monkeypatch):
                 verdict = flux_verdict(tree)
                 # v and its parent break the identity; both are named.
                 bad = sorted({v} | ({tree.parent[v]} - {None}))
-                assert not verdict.passed, (tree.n, v, d)
-                assert verdict.details == f"w(v) != 1 + sum_c w(c) at vertices {bad}"
+                assert not verdict["pass"], (tree.n, v, d)
+                assert verdict["details"] == f"w(v) != 1 + sum_c w(c) at vertices {bad}"
 
 
 def test_verify_suite_passes_and_exit_status():
     trees = [tree for _, tree in structured_trees(8)[:10]]
     result = verify_suite(trees)
-    assert result.exit_status == 0
-    assert len(result.reports) == len(trees)
-    assert all(r.passed for r in result.reports)
+    assert result["exit_status"] == 0
+    assert len(result["reports"]) == len(trees)
+    assert all(r["pass"] for r in result["reports"])
 
 
 def test_verify_suite_reports_input_errors():
     entries = [
-        TreeEntry(source={"path": "good"}, tree=generate_tree("path", {"n": 4})),
-        TreeEntry(source={"path": "bad.json"}, error="malformed json: boom"),
+        {"source": {"path": "good"}, "tree": generate_tree("path", {"n": 4})},
+        {"source": {"path": "bad.json"}, "error": "malformed json: boom"},
     ]
     result = verify_suite(entries)
-    assert result.exit_status == 2
-    assert len(result.reports) == 1
-    assert result.errors[0]["source"] == {"path": "bad.json"}
+    assert result["exit_status"] == 2
+    assert len(result["reports"]) == 1
+    assert result["errors"][0]["source"] == {"path": "bad.json"}
 
 
 def test_verify_suite_cap_violation_is_reported():
-    entries = [TreeEntry(source={"kind": "path"}, tree=generate_tree("path", {"n": 60}))]
+    entries = [{"source": {"kind": "path"}, "tree": generate_tree("path", {"n": 60})}]
     result = verify_suite(entries, dp_cap=50)
-    assert result.exit_status == 2
-    assert "cap" in result.errors[0]["error"]
+    assert result["exit_status"] == 2
+    assert "cap" in result["errors"][0]["error"]
 
 
 def test_analyze_tree_checks_dp_cap_before_other_work(monkeypatch):
@@ -187,21 +187,52 @@ def test_verify_suite_exit_one_on_verdict_failure(monkeypatch):
 
     def sabotage(tree, source=None, **kwargs):
         report = real(tree, source, **kwargs)
-        report.verdicts.append(report_mod.Verdict("forced failure", False, "injected"))
+        report["verdicts"].append({"name": "forced failure", "pass": False, "details": "injected"})
+        report["pass"] = False
         return report
 
     monkeypatch.setattr(report_mod, "analyze_tree", sabotage)
     result = verify_suite([generate_tree("path", {"n": 4})])
-    assert result.exit_status == 1
+    assert result["exit_status"] == 1
+
+
+def test_reports_are_the_json_they_print():
+    """A report and a suite result are the dicts they print: their JSON
+    reads back equal, with keys in print order, and a load-error entry is
+    printed as it was given."""
+    reports = [analyze_tree(tree, {"label": label}) for label, tree in structured_trees(9)]
+    reports.append(analyze_tree(bin3(), {"kind": "complete_tary", "params": {"t": 2, "d": 3}}))
+    assert reports[-1]["findings"]
+    for report in reports:
+        assert json.loads(_render(report, "json")) == report
+        assert list(report) == ["tree", "profile", "bounds", "derived", "verdicts", "findings", "pass"]
+        for verdict in report["verdicts"] + report["findings"]:
+            assert list(verdict) == ["name", "pass", "details"]
+
+    bad = {"source": {"path": "bad.json"}, "error": "malformed json: boom"}
+    suite = verify_suite(
+        [
+            {"source": {"path": "good"}, "tree": generate_tree("path", {"n": 4})},
+            bad,
+            {"source": {"path": "big"}, "tree": generate_tree("path", {"n": 60})},
+        ],
+        dp_cap=50,
+    )
+    assert json.loads(_render(suite, "json")) == suite
+    assert list(suite) == ["options", "reports", "errors", "exit_status"]
+    assert (len(suite["reports"]), suite["exit_status"]) == (1, 2)
+    assert suite["errors"][0] is bad
+    assert [list(error) for error in suite["errors"]] == [["source", "error"]] * 2
+    assert "cap 50" in suite["errors"][1]["error"]
 
 
 def test_verify_suite_deterministic_bytes():
     def build():
         entries = [
-            TreeEntry(
-                source={"kind": "random_prufer", "params": {"n": 12}, "seed": i},
-                tree=generate_tree("random_prufer", {"n": 12}, seed=i),
-            )
+            {
+                "source": {"kind": "random_prufer", "params": {"n": 12}, "seed": i},
+                "tree": generate_tree("random_prufer", {"n": 12}, seed=i),
+            }
             for i in range(6)
         ]
         return verify_suite(entries)
@@ -294,9 +325,9 @@ def test_cut_count_table_ends_at_p():
     trees.append(("star:n=2000", generate_tree("star", {"n": 2000})))
     for label, tree in trees:
         report = analyze_tree(tree, oracle_limit=0)
-        p = report.bounds["p"]
-        bounds = [int(row["bound"]) for row in report.bounds["theorem1"]]
-        assert [row["k"] for row in report.bounds["theorem1"]] == list(range(p + 1)), label
+        p = report["bounds"]["p"]
+        bounds = [int(row["bound"]) for row in report["bounds"]["theorem1"]]
+        assert [row["k"] for row in report["bounds"]["theorem1"]] == list(range(p + 1)), label
         assert bounds[-1] >= tree.n, label
         assert all(bound < tree.n for bound in bounds[:-1]), label
 
@@ -324,14 +355,14 @@ def test_verify_suite_keeps_reports_when_a_table_is_refused():
     """A tree whose DP tables are refused is an error of its own; the
     other trees keep their reports."""
     entries = [
-        TreeEntry(source={"path": "small"}, tree=generate_tree("path", {"n": 5})),
-        TreeEntry(source={"path": "big"}, tree=generate_tree("complete_tary", {"t": 2, "d": 6})),
+        {"source": {"path": "small"}, "tree": generate_tree("path", {"n": 5})},
+        {"source": {"path": "big"}, "tree": generate_tree("complete_tary", {"t": 2, "d": 6})},
     ]
     result = verify_suite(entries, dp_cap=50)
-    assert result.exit_status == 2
-    assert [r.tree["n"] for r in result.reports] == [5]
-    assert result.errors[0]["source"] == {"path": "big"}
-    assert "cap 50" in result.errors[0]["error"]
+    assert result["exit_status"] == 2
+    assert [r["tree"]["n"] for r in result["reports"]] == [5]
+    assert result["errors"][0]["source"] == {"path": "big"}
+    assert "cap 50" in result["errors"][0]["error"]
 
 
 def test_sweep_rows_small():
@@ -443,8 +474,8 @@ def test_render_pins_csv_bytes():
     path3 = generate_tree("path", {"n": 3})
     assert _render(compute_profile(path3), "csv") == "i,b_e,b_v\n1,1,1\n2,1,1\n3,0,0\n"
 
-    good = TreeEntry(source={"path": "good.json"}, tree=generate_tree("path", {"n": 4}))
-    bad = TreeEntry(source={"path": 'bad, "x".json'}, error="malformed json: boom")
+    good = {"source": {"path": "good.json"}, "tree": generate_tree("path", {"n": 4})}
+    bad = {"source": {"path": 'bad, "x".json'}, "error": "malformed json: boom"}
     assert _render(verify_suite([good, bad]), "csv") == (
         SUITE_HEADER + "good.json,4,4,2,4,1,1,1,pass\n" + BAD_ROW
     )
