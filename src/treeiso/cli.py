@@ -4,7 +4,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .profile import DEFAULT_DP_CAP, DEFAULT_ORACLE_LIMIT, compute_profile
+from .profile import DEFAULT_DP_CAP, compute_profile
 from .report import FORMATS, analyze_tree, emit, sweep_rows, verify_suite
 from .tree import (
     DEFAULT_MAX_VERTICES,
@@ -56,9 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report_flags = argparse.ArgumentParser(add_help=False)
     report_flags.add_argument("--dp-cap", type=_integer, default=DEFAULT_DP_CAP)
     report_flags.add_argument("--out", default=None)
-    # Flags shared by the commands that check bounds.
-    check_flags = argparse.ArgumentParser(add_help=False)
-    check_flags.add_argument("--oracle-limit", type=_integer, default=DEFAULT_ORACLE_LIMIT)
 
     prof = sub.add_parser(
         "profile", parents=[report_flags], help="exact edge/vertex profiles of a tree file"
@@ -68,14 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.set_defaults(func=_cmd_profile)
 
     bnd = sub.add_parser(
-        "bounds", parents=[report_flags, check_flags], help="full bounds report for a tree file"
+        "bounds", parents=[report_flags], help="full bounds report for a tree file"
     )
     bnd.add_argument("tree")
     bnd.add_argument("--format", choices=FORMATS, default="json")
     bnd.set_defaults(func=_cmd_bounds)
 
     ver = sub.add_parser(
-        "verify", parents=[report_flags, check_flags], help="run the verification suite over trees"
+        "verify", parents=[report_flags], help="run the verification suite over trees"
     )
     ver.add_argument("trees", nargs="*", help="tree files (json or parent-list)")
     ver.add_argument(
@@ -166,9 +163,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_bounds(args) -> int:
     tree = _load_tree_file(args.tree)
-    report = analyze_tree(
-        tree, {"path": args.tree}, oracle_limit=args.oracle_limit, dp_cap=args.dp_cap
-    )
+    report = analyze_tree(tree, {"path": args.tree}, dp_cap=args.dp_cap)
     emit(report, args.format, args.out)
     return 0 if report["pass"] else 1
 
@@ -189,7 +184,7 @@ def _cmd_verify(args) -> int:
             entries.append({"source": {"kind": kind, "params": params, "seed": seed}, "tree": tree})
         except ValueError as exc:
             entries.append({"source": {"spec": spec}, "error": str(exc)})
-    result = verify_suite(entries, oracle_limit=args.oracle_limit, dp_cap=args.dp_cap)
+    result = verify_suite(entries, dp_cap=args.dp_cap)
     emit(result, args.format, args.out)
     return result["exit_status"]
 

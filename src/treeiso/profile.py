@@ -53,12 +53,12 @@ from .bounds import edge_peak_lower_bound
 from .tree import RootedTree, _is_int, postorder
 
 DEFAULT_DP_CAP = 50_000
-DEFAULT_ORACLE_LIMIT = 20
-# Largest tree the oracle enumerates, whatever limit it is given.  This
+# Largest tree the oracle enumerates, and the one bound on it: a report
+# checks the DP against the oracle exactly when n is at most this.  It
 # bounds time, not memory (see _ORACLE_CHUNK): the time doubles with every
-# vertex, and a path, a star or a random tree with n = 24 took 0.04-0.05 s
-# on a 2-vCPU Xeon VM.
-ORACLE_MAX_VERTICES = 24
+# vertex, and a random tree with n = 20 took about 4 ms in the oracle,
+# against 0.4 ms for the rest of its report, on a 2-vCPU Xeon VM.
+ORACLE_MAX_VERTICES = 20
 # Subsets the oracle evaluates per chunk, so that its working arrays stay
 # at a few MiB whatever n is.
 _ORACLE_CHUNK = 1 << 16
@@ -232,7 +232,7 @@ def vertex_boundary_size(tree: RootedTree, members) -> int:
     )
 
 
-def brute_force_profiles(tree: RootedTree, limit: int = DEFAULT_ORACLE_LIMIT):
+def brute_force_profiles(tree: RootedTree):
     """Exact profiles by evaluating the boundary of every one of the 2^n subsets.
 
     Independent of the dynamic program: it reads only the parent and
@@ -249,13 +249,12 @@ def brute_force_profiles(tree: RootedTree, limit: int = DEFAULT_ORACLE_LIMIT):
     subsets shares its high bits H, so K(S) = K[low] | K[H], and the
     per-size minima are one reduceat over the low masks sorted by popcount,
     shifted by popcount(H).  Returns (edge_values, vertex_values) indexed
-    like IsoProfile.  Trees above limit or ORACLE_MAX_VERTICES raise
-    SizeCapError before any allocation.
+    like IsoProfile.  Trees above ORACLE_MAX_VERTICES raise SizeCapError
+    before any allocation.
     """
     n = tree.n
-    limit = min(limit, ORACLE_MAX_VERTICES)
-    if n > limit:
-        raise SizeCapError(f"tree has {n} vertices, above the oracle limit {limit}")
+    if n > ORACLE_MAX_VERTICES:
+        raise SizeCapError(f"tree has {n} vertices, above the oracle limit {ORACLE_MAX_VERTICES}")
     kid = [sum(1 << c for c in tree.children[u]) for u in range(n)]
     nbr = [m if p is None else m | 1 << p for m, p in zip(kid, tree.parent)]
     low_bits = min(n, _ORACLE_CHUNK.bit_length() - 1)

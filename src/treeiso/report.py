@@ -23,7 +23,7 @@ from .bounds import (
 )
 from .profile import (
     DEFAULT_DP_CAP,
-    DEFAULT_ORACLE_LIMIT,
+    ORACLE_MAX_VERTICES,
     IsoProfile,
     SizeCapError,
     brute_force_profiles,
@@ -80,23 +80,17 @@ def _cut_count_table(edge_values, eta: int, k_cap: int):
     return table, ok
 
 
-def analyze_tree(
-    tree: RootedTree,
-    source: dict = None,
-    *,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    dp_cap: int = DEFAULT_DP_CAP,
-) -> dict:
+def analyze_tree(tree: RootedTree, source: dict = None, *, dp_cap: int = DEFAULT_DP_CAP) -> dict:
     """Run every check on one tree and return its report, the dict that
     emit prints: tree, profile, bounds, derived, verdicts, findings, pass.
 
-    Mandatory verdicts: oracle equivalence (when n is small enough), flux
-    conservation, the binomial cut-count bound, the certified edge-peak
-    lower bound, prefix dominance, and the peak sandwich.  The one finding,
-    which never gates, is the (t-1)*d edge ceiling of a complete t-ary
-    tree: no verdict decides it, where they decide the closed-form
-    estimate (at most p) and the t*d and d ceilings (at least the prefix
-    maxima).
+    Mandatory verdicts: oracle equivalence (exactly when n <=
+    ORACLE_MAX_VERTICES), flux conservation, the binomial cut-count
+    bound, the certified edge-peak lower bound, prefix dominance, and the
+    peak sandwich.  The one finding, which never gates, is the (t-1)*d
+    edge ceiling of a complete t-ary tree: no verdict decides it, where
+    they decide the closed-form estimate (at most p) and the t*d and d
+    ceilings (at least the prefix maxima).
     """
     source = dict(source or {})
     profile = compute_profile(tree, dp_cap)
@@ -106,8 +100,8 @@ def analyze_tree(
     verdicts = []
     findings = []
 
-    if n <= oracle_limit:
-        oracle_edge, oracle_vertex = brute_force_profiles(tree, oracle_limit)
+    if n <= ORACLE_MAX_VERTICES:
+        oracle_edge, oracle_vertex = brute_force_profiles(tree)
         ok = (
             list(profile.edge_values) == oracle_edge
             and list(profile.vertex_values) == oracle_vertex
@@ -206,12 +200,7 @@ def analyze_tree(
     }
 
 
-def verify_suite(
-    items,
-    *,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    dp_cap: int = DEFAULT_DP_CAP,
-) -> dict:
+def verify_suite(items, *, dp_cap: int = DEFAULT_DP_CAP) -> dict:
     """Run every check on a list of trees and return the suite result that
     emit prints: options, reports, errors, exit_status.
 
@@ -230,9 +219,7 @@ def verify_suite(
             errors.append(item)
             continue
         try:
-            reports.append(
-                analyze_tree(item["tree"], item["source"], oracle_limit=oracle_limit, dp_cap=dp_cap)
-            )
+            reports.append(analyze_tree(item["tree"], item["source"], dp_cap=dp_cap))
         except SizeCapError as exc:
             errors.append({"source": item["source"], "error": str(exc)})
     if errors:
@@ -242,7 +229,7 @@ def verify_suite(
     else:
         status = 0
     return {
-        "options": {"oracle_limit": oracle_limit, "dp_cap": dp_cap},
+        "options": {"dp_cap": dp_cap},
         "reports": reports,
         "errors": errors,
         "exit_status": status,

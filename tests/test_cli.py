@@ -159,6 +159,21 @@ def test_seed_changes_no_verify_output_and_bounds_has_no_seed(tmp_path, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+def test_no_option_sets_the_oracle_bound(tmp_path, capsys):
+    """bounds and verify have no --oracle-limit: it is a usage error
+    (exit 2), and a tree above the oracle's bound still gets a report."""
+    tree_path = tmp_path / "t.json"
+    assert main(["generate", "path", "-p", "n=5", "--out", str(tree_path)]) == 0
+    for command in (["bounds", str(tree_path)], ["verify", "--gen", "path:n=5"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--oracle-limit", "20"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --oracle-limit" in capsys.readouterr().err
+    out_path = tmp_path / "suite.json"
+    assert main(["verify", "--gen", "path:n=30", "--out", str(out_path)]) == 0
+    assert len(json.loads(out_path.read_text())["reports"]) == 1
+
+
 def test_verify_csv_labels_generated_trees_by_spec(tmp_path):
     """Each --gen row of the suite CSV is labelled with the spec that
     regenerates its tree, so trees of one kind stay apart; file paths and
@@ -218,7 +233,7 @@ INTEGER_FLAGS = [
     ("--seed", ["generate", "path", "-p", "n=3"]),
     ("--max-vertices", ["generate", "path", "-p", "n=3"]),
     ("--seed", ["verify", "--gen", "path:n=5"]),
-    ("--oracle-limit", ["verify", "--gen", "path:n=5"]),
+    ("--dp-cap", ["verify", "--gen", "path:n=3"]),
 ]
 
 

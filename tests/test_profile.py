@@ -33,6 +33,7 @@ from treeiso import (
     witness_subsets,
 )
 from treeiso import profile
+from treeiso.report import analyze_tree
 from treeiso.tree import postorder
 from helpers import labelled_trees, random_trees, relabel, reroot, rooted_trees, structured_trees
 
@@ -345,20 +346,24 @@ def test_profile_determinism():
     assert vertex_profile(tree) == vertex_profile(tree)
 
 
-def test_oracle_limit_enforced():
-    tree = generate_tree("path", {"n": 25})
-    with pytest.raises(SizeCapError):
-        brute_force_profiles(tree, limit=20)
+def test_report_checks_every_tree_the_oracle_takes():
+    """A report has the oracle verdict exactly when n <= ORACLE_MAX_VERTICES."""
+    def has_oracle_verdict(n):
+        report = analyze_tree(generate_tree("path", {"n": n}))
+        return any(v["name"].startswith("oracle") for v in report["verdicts"])
+
+    assert has_oracle_verdict(profile.ORACLE_MAX_VERTICES)
+    assert not has_oracle_verdict(profile.ORACLE_MAX_VERTICES + 1)
 
 
 def test_oracle_refuses_above_its_ceiling_without_allocating():
-    """Any limit is capped at ORACLE_MAX_VERTICES; the enumeration over
-    2^(ceiling + 1) subsets must never start."""
+    """Above ORACLE_MAX_VERTICES the enumeration over 2^(ceiling + 1)
+    subsets must never start."""
     tree = generate_tree("path", {"n": profile.ORACLE_MAX_VERTICES + 1})
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapError):
-            brute_force_profiles(tree, limit=10**6)
+            brute_force_profiles(tree)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1413,8 +1418,8 @@ def test_witness_cells_predicts_the_kept_stages():
 
 
 def test_witness_refuses_over_budget_before_building_tables():
-    """A path with n = 50,000 at i = n/2 would keep about 1.9 billion
-    cells; it is refused from the class keys alone, with a peak of a few
+    """A path with n = 50,000 at i = n/2 would keep about 7.5 GB of dense
+    tables; it is refused from the class keys alone, with a peak of a few
     MiB.  The witness workload's widest query, a path with n = 2000 at
     i = n/2, stays within the budget."""
     tree = generate_tree("path", {"n": 50_000})

@@ -118,7 +118,7 @@ def test_flux_verdict_names_vertex_where_weight_is_off_by_one(monkeypatch):
     import treeiso.report as report_mod
 
     def flux_verdict(tree):
-        report = analyze_tree(tree, oracle_limit=0)
+        report = analyze_tree(tree)
         return next(x for x in report["verdicts"] if x["name"].startswith("flux_conservation"))
 
     real = report_mod.subtree_weights
@@ -220,6 +220,7 @@ def test_reports_are_the_json_they_print():
     )
     assert json.loads(_render(suite, "json")) == suite
     assert list(suite) == ["options", "reports", "errors", "exit_status"]
+    assert list(suite["options"]) == ["dp_cap"]
     assert (len(suite["reports"]), suite["exit_status"]) == (1, 2)
     assert suite["errors"][0] is bad
     assert [list(error) for error in suite["errors"]] == [["source", "error"]] * 2
@@ -324,7 +325,7 @@ def test_cut_count_table_ends_at_p():
     trees = structured_trees(12) + random_trees(30, 60, seed0=3)
     trees.append(("star:n=2000", generate_tree("star", {"n": 2000})))
     for label, tree in trees:
-        report = analyze_tree(tree, oracle_limit=0)
+        report = analyze_tree(tree)
         p = report["bounds"]["p"]
         bounds = [int(row["bound"]) for row in report["bounds"]["theorem1"]]
         assert [row["k"] for row in report["bounds"]["theorem1"]] == list(range(p + 1)), label
