@@ -36,17 +36,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate a tree and write it to a file")
-    gen.add_argument("kind", choices=TREE_KINDS)
+    gen = sub.add_parser("generate", help="generate a tree from a spec and write it to a file")
     gen.add_argument(
-        "-p",
-        "--param",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="integer generator parameter, repeatable (e.g. -p t=2 -p d=3)",
+        "spec",
+        metavar="KIND:K=V,...",
+        help=f"KIND is one of {', '.join(TREE_KINDS)}; seed=S seeds the random kinds",
     )
-    gen.add_argument("--seed", type=_integer, default=0)
     gen.add_argument("--max-vertices", type=_integer, default=DEFAULT_MAX_VERTICES)
     gen.add_argument("--format", choices=TREE_FORMATS, default="json")
     gen.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -101,22 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_params(pairs) -> dict:
-    params = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"bad parameter {pair!r}, expected KEY=VALUE")
-        key, _, text = pair.partition("=")
-        key = key.strip()
-        if key in params:
-            raise ValueError(f"parameter {key!r} given twice")
-        value = _decimal(text)
-        if value is None:
-            raise ValueError(f"parameter {key!r} must be an integer, got {text!r}")
-        params[key] = value
-    return params
-
-
 def _integer(text: str) -> int:
     """An integer flag value, under the rule of tree files and parameters."""
     value = _decimal(text)
@@ -133,16 +112,26 @@ def _load_tree_file(path: str):
 
 
 def _parse_gen_spec(spec: str):
+    """KIND:K=V,... as (kind, params, seed), the one grammar of generate and verify --gen."""
     kind, _, rest = spec.partition(":")
-    params = _parse_params([p for p in rest.split(",") if p]) if rest else {}
+    params = {}
+    for pair in filter(None, rest.split(",")):
+        if "=" not in pair:
+            raise ValueError(f"bad parameter {pair!r}, expected KEY=VALUE")
+        key, _, text = pair.partition("=")
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"parameter {key!r} given twice")
+        params[key] = _decimal(text)
+        if params[key] is None:
+            raise ValueError(f"parameter {key!r} must be an integer, got {text!r}")
     seed = params.pop("seed", 0)
     return kind, params, seed
 
 
 def _cmd_generate(args) -> int:
-    tree = generate_tree(
-        args.kind, _parse_params(args.param), seed=args.seed, max_vertices=args.max_vertices
-    )
+    kind, params, seed = _parse_gen_spec(args.spec)
+    tree = generate_tree(kind, params, seed=seed, max_vertices=args.max_vertices)
     data = serialize_tree(tree, args.format)
     if args.out is None or args.out == "-":
         sys.stdout.write(data.decode("utf-8"))

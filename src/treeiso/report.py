@@ -34,7 +34,7 @@ from .tree import RootedTree, generate_tree, subtree_weights
 
 FORMATS = ("csv", "json")
 
-SWEEP_BINARY_DEPTHS = tuple(range(2, 14))
+SWEEP_BINARY_MAX_DEPTH = 13
 SWEEP_TARY_BRANCHING = (3, 4, 5, 9)
 
 
@@ -254,7 +254,7 @@ def sweep_rows(max_vertices: int = DEFAULT_DP_CAP) -> list:
     for t in (2,) + SWEEP_TARY_BRANCHING:
         # n(T_1) = 1 and n(T_d) = 1 + t*n(T_{d-1}).
         d_max, n = 1, 1
-        while 1 + t * n <= max_vertices and (t > 2 or d_max < SWEEP_BINARY_DEPTHS[-1]):
+        while 1 + t * n <= max_vertices and (t > 2 or d_max < SWEEP_BINARY_MAX_DEPTH):
             d_max, n = d_max + 1, 1 + t * n
         if d_max < 2:
             continue

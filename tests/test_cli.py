@@ -6,12 +6,14 @@ import sys
 
 import pytest
 
+from treeiso import cli, generate_tree
 from treeiso.cli import main
+from treeiso.tree import TREE_KINDS
 
 
 def test_generate_profile_bounds_pipeline(tmp_path, capsys):
     tree_path = tmp_path / "tree.json"
-    assert main(["generate", "complete_tary", "-p", "t=2", "-p", "d=3", "--out", str(tree_path)]) == 0
+    assert main(["generate", "complete_tary:t=2,d=3", "--out", str(tree_path)]) == 0
     assert json.loads(tree_path.read_text())["n"] == 7
 
     csv_path = tmp_path / "profile.csv"
@@ -29,7 +31,7 @@ def test_generate_profile_bounds_pipeline(tmp_path, capsys):
 
 def test_generate_parent_list_format(tmp_path):
     tree_path = tmp_path / "tree.txt"
-    assert main(["generate", "path", "-p", "n=3", "--format", "parent-list", "--out", str(tree_path)]) == 0
+    assert main(["generate", "path:n=3", "--format", "parent-list", "--out", str(tree_path)]) == 0
     assert tree_path.read_text() == "3\n0\n-1 0 1\n"
     # parent-list input is sniffed on read
     prof_path = tmp_path / "p.json"
@@ -38,14 +40,14 @@ def test_generate_parent_list_format(tmp_path):
 
 
 def test_generate_stdout(capsys):
-    assert main(["generate", "star", "-p", "n=4"]) == 0
+    assert main(["generate", "star:n=4"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out) == {"n": 4, "root": 0, "parent": [None, 0, 0, 0]}
 
 
 def test_verify_mixed_sources(tmp_path):
     tree_path = tmp_path / "t.json"
-    main(["generate", "path", "-p", "n=6", "--out", str(tree_path)])
+    main(["generate", "path:n=6", "--out", str(tree_path)])
     out_path = tmp_path / "suite.json"
     code = main(
         [
@@ -86,7 +88,7 @@ def test_failing_verdict_exits_1(tmp_path, monkeypatch):
 
     monkeypatch.setattr(report_mod, "sandwich_check", lambda profile, delta: False)
     tree_path = tmp_path / "t.json"
-    assert main(["generate", "path", "-p", "n=4", "--out", str(tree_path)]) == 0
+    assert main(["generate", "path:n=4", "--out", str(tree_path)]) == 0
     out_path = tmp_path / "out.json"
     assert main(["bounds", str(tree_path), "--out", str(out_path)]) == 1
     report = json.loads(out_path.read_text())
@@ -152,7 +154,7 @@ def test_seed_changes_no_verify_output_and_bounds_has_no_seed(tmp_path, capsys):
     assert main(args + ["--seed", "2", "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     tree_path = tmp_path / "t.json"
-    assert main(["generate", "path", "-p", "n=4", "--out", str(tree_path)]) == 0
+    assert main(["generate", "path:n=4", "--out", str(tree_path)]) == 0
     with pytest.raises(SystemExit) as exit_info:
         main(["bounds", str(tree_path), "--seed", "1"])
     assert exit_info.value.code == 2
@@ -163,7 +165,7 @@ def test_no_option_sets_the_oracle_bound(tmp_path, capsys):
     """bounds and verify have no --oracle-limit: it is a usage error
     (exit 2), and a tree above the oracle's bound still gets a report."""
     tree_path = tmp_path / "t.json"
-    assert main(["generate", "path", "-p", "n=5", "--out", str(tree_path)]) == 0
+    assert main(["generate", "path:n=5", "--out", str(tree_path)]) == 0
     for command in (["bounds", str(tree_path)], ["verify", "--gen", "path:n=5"]):
         with pytest.raises(SystemExit) as exit_info:
             main(command + ["--oracle-limit", "20"])
@@ -179,7 +181,7 @@ def test_verify_csv_labels_generated_trees_by_spec(tmp_path):
     regenerates its tree, so trees of one kind stay apart; file paths and
     failed specs keep their labels."""
     tree_path = tmp_path / "t.json"
-    main(["generate", "path", "-p", "n=5", "--out", str(tree_path)])
+    main(["generate", "path:n=5", "--out", str(tree_path)])
     specs = ["complete_tary:t=2,d=3", "complete_tary:t=3,d=3", "random_prufer:n=9,seed=4"]
     args = ["verify", str(tree_path), "--gen", "star:n=5,seed=0", "--gen", "nosuch:n=3"]
     for spec in specs:
@@ -203,10 +205,10 @@ def test_verify_without_inputs_is_usage_error(capsys):
 
 
 def test_bad_generator_params_is_usage_error(capsys):
-    assert main(["generate", "complete_tary", "-p", "t=1", "-p", "d=2"]) == 2
-    assert main(["generate", "path", "-p", "n=x"]) == 2
+    assert main(["generate", "complete_tary:t=1,d=2"]) == 2
+    assert main(["generate", "path:n=x"]) == 2
     capsys.readouterr()
-    assert main(["generate", "path", "-p", "n5"]) == 2
+    assert main(["generate", "path:n5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: bad parameter 'n5', expected KEY=VALUE\n"
@@ -217,21 +219,22 @@ def test_generator_parameters_take_ascii_decimal_integers_only(tmp_path, capsys)
     refuse them with exit 2."""
     out_path = tmp_path / "suite.json"
     for value in ("1_0", "+5", "\u0665", "\uff15", "5\xa0", "0x5"):
-        assert main(["generate", "path", "-p", f"n={value}"]) == 2
+        assert main(["generate", f"path:n={value}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"parameter 'n' must be an integer, got {value!r}" in captured.err
         assert main(["verify", "--gen", f"path:n={value}", "--out", str(out_path)]) == 2
         assert json.loads(out_path.read_text())["reports"] == []
-    assert main(["generate", "path", "-p", "n=-0"]) == 2
+    assert main(["generate", "path:n=-0"]) == 2
     assert "parameter n must be >= 1, got 0" in capsys.readouterr().err
 
 
 # Each integer flag, in a command that succeeds when the flag reads 3 or 40.
 INTEGER_FLAGS = [
     ("--dp-cap", ["paper-tables"]),
-    ("--seed", ["generate", "path", "-p", "n=3"]),
-    ("--max-vertices", ["generate", "path", "-p", "n=3"]),
+    # generate has no --seed flag: the seed is a key of its spec.
+    ("--max-vertices", ["generate", "random_prufer:n=3,seed=3"]),
+    ("--max-vertices", ["generate", "path:n=3"]),
     ("--seed", ["verify", "--gen", "path:n=5"]),
     ("--dp-cap", ["verify", "--gen", "path:n=3"]),
 ]
@@ -274,11 +277,15 @@ def test_non_decimal_tree_files_exit_2(tmp_path, capsys):
 def test_unknown_generator_parameter_is_usage_error(tmp_path, capsys):
     """A key the kind does not read is an input error (exit 2), from
     generate and from verify --gen alike."""
-    assert main(["generate", "random_prufer", "-p", "n=6", "-p", "sed=3"]) == 2
+    assert main(["generate", "random_prufer:n=6,sed=3"]) == 2
     assert "unknown generator parameter 'sed'" in capsys.readouterr().err
-    # The seed is --seed, not a generator parameter.
-    assert main(["generate", "random_prufer", "-p", "n=6", "-p", "seed=3"]) == 2
-    assert "unknown generator parameter 'seed'" in capsys.readouterr().err
+    # The seed is a key of the spec, in generate as in verify --gen
+    # (test_generate_and_verify_gen_read_one_grammar), and seed 3 builds
+    # another tree than seed 0.
+    assert main(["generate", "random_prufer:n=6,seed=3"]) == 0
+    assert json.loads(capsys.readouterr().out)["parent"] == [None, 0, 4, 4, 1, 1]
+    assert main(["generate", "random_prufer:n=6"]) == 0
+    assert json.loads(capsys.readouterr().out)["parent"] == [None, 3, 0, 0, 3, 2]
     out_path = tmp_path / "suite.json"
     assert main(["verify", "--gen", "path:n=5,foo=1", "--out", str(out_path)]) == 2
     suite = json.loads(out_path.read_text())
@@ -294,7 +301,7 @@ def test_unknown_generator_parameter_is_usage_error(tmp_path, capsys):
 def test_repeated_generator_parameter_is_usage_error(capsys):
     """A parameter given twice is an input error (exit 2); the last value
     does not silently win."""
-    assert main(["generate", "path", "-p", "n=5", "-p", "n=6"]) == 2
+    assert main(["generate", "path:n=5,n=6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "parameter 'n' given twice" in captured.err
@@ -314,7 +321,7 @@ def test_repeated_gen_spec_parameter_is_an_error_entry(tmp_path):
 
 def test_unwritable_out_is_usage_error(capsys, tmp_path):
     tree_path = tmp_path / "t.json"
-    main(["generate", "path", "-p", "n=4", "--out", str(tree_path)])
+    main(["generate", "path:n=4", "--out", str(tree_path)])
     assert main(["profile", str(tree_path), "--out", "/nonexistent-dir/x.csv"]) == 2
 
 
@@ -340,9 +347,96 @@ def test_paper_tables_with_no_tree_under_the_cap_is_usage_error(tmp_path, capsys
 
 def test_console_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "treeiso.cli", "generate", "path", "-p", "n=2"],
+        [sys.executable, "-m", "treeiso.cli", "generate", "path:n=2"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"n": 2, "root": 0, "parent": [None, 0]}
+
+
+def test_generate_takes_no_param_or_seed_option(capsys):
+    """A generator call is one KIND:K=V,... spec: -p, --param and --seed
+    are usage errors (exit 2)."""
+    for extra in (["-p", "n=3"], ["--param", "n=3"], ["--seed", "3"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "path:n=5"] + extra)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["generate", "path", "-p", "n=5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: -p n=5" in capsys.readouterr().err
+
+
+# Specs that generate and verify --gen must read alike, each with the
+# message that refuses it, or None.
+GEN_SPECS = [
+    ("complete_tary:t=2,d=3", None),
+    ("path:n=5,", None),
+    ("complete_tary: t = 2 ,d=3 ", None),
+    ("random_prufer:n=6,seed=3", None),
+    ("path:n=5,foo=1", "unknown generator parameter 'foo' for path, expected ('n',)"),
+    ("path:n=5,n=6", "parameter 'n' given twice"),
+    ("path:n=1_0", "parameter 'n' must be an integer, got '1_0'"),
+    ("path:n5", "bad parameter 'n5', expected KEY=VALUE"),
+    ("nosuch:n=3", f"unknown tree kind 'nosuch', expected one of {TREE_KINDS}"),
+    ("path", "missing generator parameter 'n'"),
+]
+
+
+@pytest.mark.parametrize("spec, error", GEN_SPECS)
+def test_generate_and_verify_gen_read_one_grammar(tmp_path, capsys, monkeypatch, spec, error):
+    """generate SPEC and verify --gen SPEC accept the same specs and build
+    the same tree, or refuse them with the same message: generate's
+    stderr and verify's errors[0].error."""
+    built = []
+
+    def recording_generate_tree(*args, **kwargs):
+        built.append(generate_tree(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "generate_tree", recording_generate_tree)
+    generate_code = main(["generate", spec])
+    generated = capsys.readouterr()
+    out_path = tmp_path / "suite.json"
+    verify_code = main(["verify", "--gen", spec, "--out", str(out_path)])
+    suite = json.loads(out_path.read_text())
+    if error is None:
+        assert (generate_code, verify_code, suite["errors"]) == (0, 0, [])
+        assert [tree.parent for tree in built[1:]] == [built[0].parent]
+        assert json.loads(generated.out)["parent"] == list(built[0].parent)
+    else:
+        assert (generate_code, verify_code, suite["reports"], generated.out) == (2, 2, [], "")
+        assert generated.err == f"error: {error}\n"
+        assert suite["errors"] == [{"source": {"spec": spec}, "error": error}]
+
+
+# Parameters of a small tree of each kind.
+KIND_PARAMS = {
+    "complete_tary": "t=3,d=3",
+    "path": "n=7",
+    "star": "n=6",
+    "caterpillar": "spine=3,legs=2",
+    "random_recursive": "n=9",
+    "random_prufer": "n=9",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("kind", TREE_KINDS)
+def test_verify_csv_label_is_a_spec_generate_reads(tmp_path, capsys, kind, seed):
+    """The CSV label of a --gen tree, which report.py prints, is a spec
+    that generate reads and that builds the same tree; a random kind's
+    label keeps a nonzero seed, which changes its tree."""
+    spec = f"{kind}:{KIND_PARAMS[kind]},seed={seed}"
+    out_path = tmp_path / "suite.csv"
+    assert main(["verify", "--gen", spec, "--format", "csv", "--out", str(out_path)]) == 0
+    [label] = [row[0] for row in list(csv.reader(out_path.read_text().splitlines()))[1:]]
+    assert main(["generate", label]) == 0
+    from_label = capsys.readouterr().out
+    assert main(["generate", spec]) == 0
+    assert capsys.readouterr().out == from_label
+    assert main(["generate", f"{kind}:{KIND_PARAMS[kind]}"]) == 0
+    seed_zero = capsys.readouterr().out
+    assert (from_label == seed_zero) == (seed == 0 or not kind.startswith("random"))
